@@ -45,7 +45,11 @@ NBYTES = 1 * MiB
 
 def run(scale: str = "small", save: bool = True, store_dir=None) -> dict:
     """Time bcast + allreduce at (up to) 4096 simulated processes."""
-    nodes, ppn = GEOM.get(scale, GEOM["paper"])
+    if scale not in GEOM:
+        raise ValueError(
+            f"unknown scale {scale!r}; want one of {tuple(GEOM)}"
+        )
+    nodes, ppn = GEOM[scale]
     machine = shaheen2(num_nodes=nodes, ppn=ppn)
     config = HanConfig(fs=512 * KiB)
     # an explicitly requested store dir is honored even under

@@ -240,5 +240,19 @@ class Communicator:
             )
             dist *= 2
 
+    def barrier_replay(self, released):
+        """Leave a barrier whose outcome the caller already knows.
+
+        Waits on the event ``released`` instead of exchanging messages,
+        and consumes a barrier epoch exactly as :meth:`barrier` does, so
+        a later real barrier on this communicator uses the same tag
+        either way.  The caller owns the hard part -- succeeding every
+        rank's event at the instants, and in the order, a real barrier
+        from the same state would have let the ranks go (see
+        ``repro.tuning.measure._run_once``).
+        """
+        self._barrier_epoch += 1
+        yield released
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Communicator cid={self.cid} rank={self.rank}/{self.size}>"

@@ -87,6 +87,7 @@ __all__ = [
     "clear_fill_memo",
     "fill_memo_sizes",
     "load_fill_memo",
+    "process_memo",
     "save_fill_memo",
 ]
 
@@ -150,10 +151,37 @@ def fill_memo_sizes() -> tuple[int, int]:
     return len(_FILL_MEMO), len(_FILL_MEMO_OLD)
 
 
+#: every other process-lifetime simulator memo (see process_memo)
+_PROCESS_MEMOS: list[dict] = []
+
+
+def process_memo() -> dict:
+    """A dict that lives until the next :func:`clear_fill_memo`.
+
+    For results a layer above the solver may keep for the life of the
+    process (the measurement harness's barrier exit schedules); handing
+    them out here is what makes ``clear_fill_memo()`` the one cold-start
+    switch.
+    """
+    memo: dict = {}
+    _PROCESS_MEMOS.append(memo)
+    return memo
+
+
 def clear_fill_memo() -> None:
-    """Drop both memo generations (test isolation hook)."""
+    """Cold start: forget everything this process has learned.
+
+    Drops both fill-memo generations *and* every :func:`process_memo`,
+    so the next simulation does exactly the work a fresh process would.
+    Benchmarks call it before each repetition (and fail a repetition
+    whose event count differs from the first), tests call it for
+    isolation; a memo that must survive it does not belong in the
+    simulator.  Results never depend on it -- only the work done.
+    """
     _FILL_MEMO.clear()
     _FILL_MEMO_OLD.clear()
+    for memo in _PROCESS_MEMOS:
+        memo.clear()
 
 
 def _fill_memo_key_doc(key: tuple) -> list:

@@ -42,6 +42,7 @@ from typing import Optional
 
 from repro.faults import FaultPlan, OsNoise
 from repro.hardware import MACHINE_PRESETS, small_cluster, tiny_cluster
+from repro.sim.fluid import clear_fill_memo
 from repro.tenancy import TRAFFIC_PRESETS, TrafficPlan, load_traffic
 from repro.tuning.autotuner import ALLOCATIONS, METHODS, Autotuner
 from repro.tuning.cache import MeasurementCache
@@ -192,33 +193,44 @@ def cmd_bench(args) -> int:
     cache_dir = args.cache or tempfile.mkdtemp(prefix="han-tuning-cache-")
     own_tmp = args.cache is None
 
-    def tuned(workers: int, cache: Optional[MeasurementCache], repeat: int = 1):
-        # min-of-N: scheduler noise only ever adds time
-        best = math.inf
-        for _ in range(max(1, repeat)):
-            tuner = Autotuner(
-                machine, space=space, workers=workers, cache=cache,
-                trials=args.trials, allocation=args.allocation,
-                traffic_plan=traffic,
-            )
-            t0 = time.perf_counter()
-            report = tuner.tune(colls=(coll,), method=method)
-            best = min(best, time.perf_counter() - t0)
-        return report, best
+    def tuned(workers: int, cache: Optional[MeasurementCache]):
+        # every run starts cold (no fill memo, no recorded barrier
+        # schedule): "cold" means what a new process would pay
+        clear_fill_memo()
+        tuner = Autotuner(
+            machine, space=space, workers=workers, cache=cache,
+            trials=args.trials, allocation=args.allocation,
+            traffic_plan=traffic,
+        )
+        t0 = time.perf_counter()
+        report = tuner.tune(colls=(coll,), method=method)
+        return report, time.perf_counter() - t0
+
+    def fastest(runs):
+        return min(runs, key=lambda run: run[1])
 
     try:
         cores = os.cpu_count() or 1
         print(f"bench sweep: {machine.name} {machine.num_nodes}x{machine.ppn} "
               f"{coll}/{method}, {space.size()} configs x "
               f"{len(space.messages)} messages ({cores} cores)")
-        serial, t_serial = tuned(workers=0, cache=None, repeat=args.repeat)
+        # min-of-N (scheduler noise only ever adds time), serial and
+        # parallel interleaved so a slow spell of the box hits both
+        repeat = range(max(1, args.repeat))
+        cold = [
+            (tuned(workers=0, cache=None), tuned(workers=args.workers, cache=None))
+            for _ in repeat
+        ]
+        serial, t_serial = fastest(run for run, _ in cold)
+        par, t_par = fastest(run for _, run in cold)
         print(f"  serial-cold:   {t_serial:7.2f}s wall")
-        par, t_par = tuned(workers=args.workers, cache=None, repeat=args.repeat)
         print(f"  parallel-cold: {t_par:7.2f}s wall (workers={args.workers})")
         # populate the cache off the clock, then time the warm replay
         tuned(workers=args.workers, cache=MeasurementCache(cache_dir))
         warm_cache = MeasurementCache(cache_dir)
-        warm, t_warm = tuned(workers=0, cache=warm_cache, repeat=args.repeat)
+        warm, t_warm = fastest(
+            tuned(workers=0, cache=warm_cache) for _ in repeat
+        )
         print(f"  warm-cache:    {t_warm:7.2f}s wall "
               f"({warm_cache.stats()['hits']} hits)")
 

@@ -23,6 +23,7 @@ from repro.faults.plan import FaultPlan
 from repro.hardware.spec import MachineSpec
 from repro.mpi.runtime import MPIRuntime
 from repro.netsim.profiles import P2PProfile
+from repro.sim.fluid import process_memo
 from repro.tenancy.plan import TrafficPlan
 from repro.tenancy.scheduler import TenantScheduler
 from repro.tuning.cache import MeasurementCache, digest
@@ -38,6 +39,15 @@ __all__ = [
 ]
 
 AGGREGATES = ("median", "min", "mean")
+
+#: start-barrier exit schedules this process has simulated, by (machine,
+#: profile) digest: ``((rank, exit instant), ...)`` in exit order.  See
+#: :func:`_run_once`; dropped by ``repro.sim.fluid.clear_fill_memo()``,
+#: and wholesale at _BARRIER_EXITS_MAX entries (a schedule is ~0.5 MB at
+#: 4096 ranks and costs one barrier to get back), which bounds a
+#: long-lived process that measures ever new machines.
+_BARRIER_EXITS = process_memo()
+_BARRIER_EXITS_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -83,14 +93,51 @@ def _run_once(
     durations include the contention.  ``sim_cost`` still reads the
     engine clock at drain time, so loaded measurements bill their true
     (longer) simulated span.
+
+    **The start barrier.**  Every rank passes a barrier before the clock
+    starts, and its exit skew is part of what is measured.  It runs from
+    t = 0 on a fresh runtime, so on a quiet machine its outcome is a
+    function of (machine, profile) alone -- and at paper scale its 12
+    rounds of zero-byte messages are most of the simulation.  The first
+    quiet run of a (machine, profile) in this process simulates it and
+    records, in exit order, the instant each rank leaves; later quiet
+    runs release the ranks with one ``schedule_at`` each, issued in that
+    order, and are bit-identical: a rank leaves once its own last
+    send/recv overheads are done (progress server idle), zero-byte
+    traffic never reaches the fluid solver, and the collective runs on
+    communicators split off afterwards, so all it inherits is those
+    instants and the same-instant resume order.  "Quiet" is read off the
+    run itself -- no tenant traffic, no fault plan on the machine, no
+    overhead hook on the engine, no trace recorder -- and anything else
+    simulates the barrier as before, recording nothing.  The schedules
+    go with ``repro.sim.fluid.clear_fill_memo()``.
     """
     runtime = MPIRuntime(machine, profile=profile)
     han = HanModule(config=config)
+    engine = runtime.engine
     durations: dict[int, float] = {}
+    key = exits = None
+    if (
+        traffic is None
+        and not trace_out
+        and getattr(machine, "fault_plan", None) is None
+        and engine.overhead_hook is None
+    ):
+        key = digest("barrier", machine=machine, profile=runtime.profile)
+        exits = _BARRIER_EXITS.get(key)
+    released = {}
+    for rank, when in exits or ():
+        released[rank] = engine.event("barrier-exit")
+        engine.schedule_at(when, released[rank].succeed)
+    left: list[tuple[int, float]] = []
 
     def prog(comm):
         op = getattr(han, coll)
-        yield from comm.barrier()
+        if exits is None:
+            yield from comm.barrier()
+            left.append((comm.rank, comm.now))
+        else:
+            yield from comm.barrier_replay(released[comm.rank])
         start = comm.now
         for _ in range(iterations):
             if coll == "barrier":
@@ -122,6 +169,10 @@ def _run_once(
         )
     else:
         drive()
+    if key is not None and exits is None:
+        if len(_BARRIER_EXITS) >= _BARRIER_EXITS_MAX:
+            _BARRIER_EXITS.clear()
+        _BARRIER_EXITS[key] = tuple(left)
     per_rank = tuple(durations[r] for r in sorted(durations))
     return per_rank, runtime.engine.now
 
