@@ -32,17 +32,24 @@ Usage::
         --gate-scaling 4.0                              # perf smoke
     python scripts/bench_sim_kernel.py -o BENCH_sim_kernel.json
 
-``--check-baseline`` compares the *after* events/sec against the named
-committed baseline and exits non-zero on a >20% regression.
+``--check-baseline`` compares the *after* wall against the named
+committed baseline **at an equal event count** and exits non-zero when
+events/sec fell more than 20% (wall above baseline / 0.8).  A run that
+retires a different number of events than the baseline did is a changed
+harness, not a faster or slower kernel -- a change that removes events
+while the wall holds *lowers* events/sec -- so it gets "harness changed:
+re-record the baseline" instead of a throughput verdict (and still
+exits non-zero: the committed baseline no longer describes the run).
 ``--gate-scaling S`` additionally runs the paper-scale 4096-process
 scaling experiment in the after configuration and fails if its wall
 clock exceeds ``S`` seconds or its simulated times diverge from the
 committed baseline — the routine-`--scale paper` guarantee.
 
-Every paper-scale run starts cold (``clear_fill_memo()`` first): the
-number gated is what one ``--scale paper`` CLI invocation costs, not
-what a second run in a process that already holds the fill memo and the
-measurement harness's barrier schedule would.
+Every timed run -- each tuning sweep and each paper-scale run -- starts
+cold (``clear_fill_memo()`` first): the number reported is what one CLI
+invocation costs, not what a later run in a process that already holds
+the fill memo and the start gate's barrier schedules would, and every
+repetition of a configuration retires the same number of events.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ KiB, MiB = 1024, 1024 * 1024
 
 #: regression tolerance for --check-baseline (fraction of baseline)
 TOLERANCE = 0.20
+
 
 CONFIGS = {
     # (REPRO_FLUID_SOLVER, REPRO_FLUID_FILL_MEMO, REPRO_ENGINE_KERNEL)
@@ -111,8 +119,10 @@ def candidate_times(report) -> list[float]:
 
 def timed_tuning(config: str, quick: bool) -> dict:
     from repro.sim.engine import Engine
+    from repro.sim.fluid import clear_fill_memo
 
     _solver_env(*CONFIGS[config])
+    clear_fill_memo()
     ev0 = Engine.events_total
     t0 = time.perf_counter()
     report = tuning_workload(quick)
@@ -125,6 +135,39 @@ def timed_tuning(config: str, quick: bool) -> dict:
         "tuning_cost_s": report.tuning_cost,
         "candidate_times": candidate_times(report),
     }
+
+
+def rate_section(run: dict) -> dict:
+    """What a timed tuning sweep keeps in the result document."""
+    return {
+        **{k: run[k] for k in ("wallclock_s", "events", "events_per_sec")},
+        "box": box_stamp(),
+    }
+
+
+def check_baseline(current: dict, baseline: dict, source: str) -> bool:
+    """The perf-smoke verdict: wall vs baseline at an equal event count."""
+    if current["events"] != baseline["events"]:
+        print(
+            f"perf smoke: {current['events']:,} events vs baseline "
+            f"{baseline['events']:,}\n"
+            f"FAIL: harness changed: re-record the baseline ({source}); "
+            "events/sec across different event counts says nothing about "
+            "the kernel"
+        )
+        return False
+    ceiling = baseline["wallclock_s"] / (1.0 - TOLERANCE)
+    print(
+        f"perf smoke: {current['wallclock_s']:.3f}s vs baseline "
+        f"{baseline['wallclock_s']:.3f}s (ceiling {ceiling:.3f}s) at "
+        f"{current['events']:,} events"
+    )
+    if current["wallclock_s"] > ceiling:
+        print(f"FAIL: events/sec regressed more than {TOLERANCE:.0%} "
+              f"vs {source}")
+        return False
+    print("OK")
+    return True
 
 
 def box_stamp() -> dict:
@@ -248,8 +291,9 @@ def main(argv=None) -> int:
     ap.add_argument("--repeat", type=int, default=3,
                     help="interleaved repetitions per configuration")
     ap.add_argument("--check-baseline", metavar="JSON",
-                    help="compare events/sec against a committed baseline; "
-                         f"exit 1 on a >{TOLERANCE:.0%} regression")
+                    help="compare the wall against a committed baseline at "
+                         f"an equal event count; exit 1 on a >{TOLERANCE:.0%} "
+                         "events/sec regression or a changed event count")
     ap.add_argument("--gate-scaling", type=float, metavar="SECONDS",
                     help="run the paper-scale scaling4096 experiment in the "
                          "after configuration; exit 3 if its wall clock "
@@ -319,10 +363,8 @@ def main(argv=None) -> int:
             c: dict(zip(("fluid_solver", "fill_memo", "engine_kernel"), env))
             for c, env in CONFIGS.items()
         },
-        "before": {k: best["before"][k] for k in
-                   ("wallclock_s", "events", "events_per_sec")},
-        "after": {k: best["after"][k] for k in
-                  ("wallclock_s", "events", "events_per_sec")},
+        "before": rate_section(best["before"]),
+        "after": rate_section(best["after"]),
         "speedup": speedup,
         "scaling4096": {
             "geometry": scaling["after"]["geometry"],
@@ -369,9 +411,7 @@ def main(argv=None) -> int:
             (timed_tuning("after", quick=True) for _ in range(args.repeat)),
             key=lambda r: r["wallclock_s"],
         )
-        doc["perf_smoke_baseline"] = {
-            k: smoke[k] for k in ("wallclock_s", "events", "events_per_sec")
-        }
+        doc["perf_smoke_baseline"] = rate_section(smoke)
         print(
             f"perf-smoke baseline (quick): "
             f"{smoke['events_per_sec']:,.0f} events/s"
@@ -384,18 +424,11 @@ def main(argv=None) -> int:
     if args.check_baseline:
         base = json.loads(Path(args.check_baseline).read_text())
         key = "perf_smoke_baseline" if args.quick else "after"
-        baseline_eps = base.get(key, base["after"])["events_per_sec"]
-        current = doc["after"]["events_per_sec"]
-        floor = baseline_eps * (1.0 - TOLERANCE)
-        print(
-            f"perf smoke: {current:,.0f} events/s vs baseline "
-            f"{baseline_eps:,.0f} (floor {floor:,.0f})"
-        )
-        if current < floor:
-            print("FAIL: events/sec regressed more than "
-                  f"{TOLERANCE:.0%} vs {args.check_baseline}")
+        if not check_baseline(
+            doc["after"], base.get(key, base["after"]),
+            f"{args.check_baseline}:{key}",
+        ):
             return 1
-        print("OK")
     if not doc["results_bit_identical"]:
         print("FAIL: kernel configurations disagree — investigate before "
               "trusting any benchmark above")

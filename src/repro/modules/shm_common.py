@@ -37,8 +37,8 @@ class ShmModule(CollModule):
 
     def _begin(self, comm: Communicator) -> dict:
         """Validate intra-node scope and open the per-call shared state."""
-        node = comm.node_of(0)
-        if any(comm.node_of(r) != node for r in range(1, comm.size)):
+        node = comm.runtime.single_node_of_comm(comm.cid, comm.group)
+        if node is None:
             raise ValueError(
                 f"{self.name} is an intra-node module; communicator spans "
                 "multiple nodes"

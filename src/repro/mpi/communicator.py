@@ -249,7 +249,7 @@ class Communicator:
         either way.  The caller owns the hard part -- succeeding every
         rank's event at the instants, and in the order, a real barrier
         from the same state would have let the ranks go (see
-        ``repro.tuning.measure._run_once``).
+        ``repro.tuning.measure.StartGate``).
         """
         self._barrier_epoch += 1
         yield released

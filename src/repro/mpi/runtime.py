@@ -48,6 +48,7 @@ class MPIRuntime:
         # cid -> node per communicator rank, shared by every rank's view
         # (each rank holds its own Communicator object for the same cid)
         self._comm_nodes: dict[int, list[int]] = {}
+        self._comm_single_node: dict[int, Optional[int]] = {}
         self._splits: dict[tuple[int, int], dict] = {}
         self.world_group = tuple(range(machine.num_ranks))
         self._world_cid = self._register_comm(self.world_group)
@@ -68,6 +69,20 @@ class MPIRuntime:
             node_of = self.fabric.node_of
             nodes = self._comm_nodes[cid] = [node_of(w) for w in group]
         return nodes
+
+    def single_node_of_comm(
+        self, cid: int, group: tuple[int, ...]
+    ) -> Optional[int]:
+        """The node hosting *every* rank of the communicator, or None if
+        it spans several; checked once per cid (intra-node modules ask
+        on every call of every rank)."""
+        try:
+            return self._comm_single_node[cid]
+        except KeyError:
+            nodes = self.nodes_of_comm(cid, group)
+            node = nodes[0] if len(set(nodes)) == 1 else None
+            self._comm_single_node[cid] = node
+            return node
 
     def world_view(self, rank: int) -> Communicator:
         """COMM_WORLD as seen by ``rank``."""

@@ -114,18 +114,28 @@ class MeasurementCache:
     def _file_for(self, key: str) -> Path:
         return self.path / key[:2] / f"{key}.json"
 
+    @staticmethod
+    def _read(f: Path) -> Optional[dict]:
+        """The doc in file ``f``, or None if there is no usable one.
+
+        Absent, torn by a dead writer, not UTF-8, not JSON, or JSON that
+        is not an object: all read as a miss, never as an error out of a
+        tuning run (``UnicodeDecodeError`` and ``JSONDecodeError`` are
+        both ``ValueError``).
+        """
+        try:
+            doc = json.loads(f.read_text())
+        except (OSError, ValueError):
+            return None
+        return doc if isinstance(doc, dict) else None
+
     def get(self, key: str) -> Optional[dict]:
         """The stored doc for ``key``, or None (counted as hit/miss)."""
         doc = self._mem.get(key)
         if doc is None and self.path is not None:
-            f = self._file_for(key)
-            if f.exists():
-                try:
-                    doc = json.loads(f.read_text())
-                except (OSError, json.JSONDecodeError):
-                    doc = None  # torn write from a dead process: treat as miss
-                if doc is not None:
-                    self._mem[key] = doc
+            doc = self._read(self._file_for(key))
+            if doc is not None:
+                self._mem[key] = doc
         if doc is None:
             self.misses += 1
             return None
@@ -157,12 +167,10 @@ class MeasurementCache:
         seen = set()
         if self.path is not None:
             for f in sorted(self.path.glob("*/*.json")):
-                key = f.stem
-                seen.add(key)
-                try:
-                    yield key, json.loads(f.read_text())
-                except (OSError, json.JSONDecodeError):
-                    continue
+                doc = self._read(f)
+                if doc is not None:
+                    seen.add(f.stem)
+                    yield f.stem, doc
         for key, doc in self._mem.items():
             if key not in seen:
                 yield key, doc

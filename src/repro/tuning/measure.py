@@ -13,6 +13,7 @@ an outlier (median-of-k, Hoefler & Belli's "benchmarking 101" advice).
 from __future__ import annotations
 
 import statistics
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +31,7 @@ from repro.tuning.cache import MeasurementCache, digest
 
 __all__ = [
     "CollectiveMeasurement",
+    "StartGate",
     "measure_collective",
     "measurement_from_doc",
     "measurement_key",
@@ -41,13 +43,124 @@ __all__ = [
 AGGREGATES = ("median", "min", "mean")
 
 #: start-barrier exit schedules this process has simulated, by (machine,
-#: profile) digest: ``((rank, exit instant), ...)`` in exit order.  See
-#: :func:`_run_once`; dropped by ``repro.sim.fluid.clear_fill_memo()``,
-#: and wholesale at _BARRIER_EXITS_MAX entries (a schedule is ~0.5 MB at
-#: 4096 ranks and costs one barrier to get back), which bounds a
-#: long-lived process that measures ever new machines.
+#: profile, scope) digest: ``((rank, exit instant), ...)`` in exit
+#: order.  See :class:`StartGate`; dropped by
+#: ``repro.sim.fluid.clear_fill_memo()``, and wholesale at
+#: _BARRIER_EXITS_MAX entries (a schedule is ~0.5 MB at 4096 ranks and
+#: costs one barrier to get back), which bounds a long-lived process
+#: that measures ever new machines.
 _BARRIER_EXITS = process_memo()
 _BARRIER_EXITS_MAX = 32
+
+
+class StartGate:
+    """The synchronised start of one benchmark run, simulated once.
+
+    Every measurement in this package -- a whole collective
+    (:func:`measure_collective`) or the tasks of one
+    (:class:`~repro.tuning.taskbench.TaskBench`) -- sends its ranks
+    through a barrier before the clock starts.  That barrier runs from
+    t = 0 on a fresh runtime, so on a quiet machine its outcome is a
+    function of (machine, resolved profile, ``scope``) alone, where
+    ``scope`` names the communicators it runs on and what was done to
+    get them: ``"world"`` (the world communicator, first thing) or
+    ``"low"`` (the node-level communicators of ``build_hierarchy(world)``,
+    entered straight after the instantaneous splits).  The first quiet
+    run of a key in this process simulates the barrier and records, in
+    exit order, the instant each rank leaves; later quiet runs release
+    the ranks with one ``schedule_at`` each, issued in that order,
+    through :meth:`Communicator.barrier_replay`.
+
+    Build the gate after the runtime and before ``run``; each rank then
+    does ``yield from gate.wait(comm)`` where it would have called
+    ``comm.barrier()``.
+
+    **Why replay is exact.**  A rank leaves once its own last send/recv
+    overheads are done (progress server idle), zero-byte traffic never
+    reaches the fluid solver or its memo, and no other traffic exists
+    yet, so all a run inherits from the barrier is the exit instants
+    and the same-instant resume order.  What makes *that* enough
+    differs by caller:
+
+    - ``measure_collective`` follows the barrier with
+      ``build_hierarchy``'s blocking splits on every rank, so a schedule
+      with several exit instants replays exactly: nothing a rank does
+      between its exit and the split touches another rank.
+    - ``TaskBench`` builds the hierarchy *before* the barrier and its
+      leaders start ``ibcast``/``ireduce`` the moment they leave it, so
+      an early leaver's traffic could meet a late leaver's last barrier
+      message.  It therefore asks for ``lockstep``: only a schedule
+      with a **single** exit instant T is stored or replayed (what an
+      intra-node dissemination barrier on a homogeneous machine gives).
+      Every exit is then the retirement of an event scheduled before T,
+      nothing post-barrier exists before T, and so in both runs all
+      exits retire at T ahead of anything created at T -- leaving only
+      their order, which the recorded order reproduces.  A schedule
+      that is not lockstep keeps simulating.
+
+    "Quiet" is read off the run itself -- no fault plan on the machine,
+    no overhead hook on the engine, no obs recorder attached, and the
+    caller's ``quiet`` (``_run_once`` passes False under tenant
+    traffic) -- never a flag; anything else simulates the barrier,
+    recording nothing.  A barrier on one-rank communicators exchanges
+    nothing and is never recorded.  The schedules go with
+    ``repro.sim.fluid.clear_fill_memo()``.
+    """
+
+    def __init__(
+        self,
+        runtime: MPIRuntime,
+        scope: str,
+        *,
+        quiet: bool = True,
+        lockstep: bool = False,
+    ):
+        engine = runtime.engine
+        self._lockstep = lockstep
+        self._ranks = runtime.machine.num_ranks
+        self._key: Optional[str] = None  # set: this run records
+        self._left: list[tuple[int, float]] = []
+        self._released: Optional[dict] = None  # set: this run replays
+        if not (
+            quiet
+            and getattr(runtime.machine, "fault_plan", None) is None
+            and engine.overhead_hook is None
+            and engine.obs is None
+        ):
+            return
+        key = digest(
+            "barrier", machine=runtime.machine, profile=runtime.profile,
+            scope=scope,
+        )
+        exits = _BARRIER_EXITS.get(key)
+        if exits is None:
+            self._key = key
+        elif not lockstep or exits[0][1] == exits[-1][1]:
+            self._released = released = {}
+            for rank, when in exits:
+                released[rank] = engine.event("barrier-exit")
+                engine.schedule_at(when, released[rank].succeed)
+
+    def wait(self, comm):
+        """``comm.barrier()``, simulated or replayed (a generator)."""
+        rank = comm.world_rank
+        if self._released is not None:
+            yield from comm.barrier_replay(self._released[rank])
+            return
+        yield from comm.barrier()
+        if self._key is None or comm.size == 1:
+            return
+        left = self._left
+        left.append((rank, comm.now))
+        if len(left) < self._ranks:
+            return
+        # the last rank is out: exits are in time order, so first == last
+        # instant is the lockstep test
+        if self._lockstep and left[0][1] != left[-1][1]:
+            return
+        if len(_BARRIER_EXITS) >= _BARRIER_EXITS_MAX:
+            _BARRIER_EXITS.clear()
+        _BARRIER_EXITS[self._key] = tuple(left)
 
 
 @dataclass(frozen=True)
@@ -95,49 +208,20 @@ def _run_once(
     (longer) simulated span.
 
     **The start barrier.**  Every rank passes a barrier before the clock
-    starts, and its exit skew is part of what is measured.  It runs from
-    t = 0 on a fresh runtime, so on a quiet machine its outcome is a
-    function of (machine, profile) alone -- and at paper scale its 12
-    rounds of zero-byte messages are most of the simulation.  The first
-    quiet run of a (machine, profile) in this process simulates it and
-    records, in exit order, the instant each rank leaves; later quiet
-    runs release the ranks with one ``schedule_at`` each, issued in that
-    order, and are bit-identical: a rank leaves once its own last
-    send/recv overheads are done (progress server idle), zero-byte
-    traffic never reaches the fluid solver, and the collective runs on
-    communicators split off afterwards, so all it inherits is those
-    instants and the same-instant resume order.  "Quiet" is read off the
-    run itself -- no tenant traffic, no fault plan on the machine, no
-    overhead hook on the engine, no trace recorder -- and anything else
-    simulates the barrier as before, recording nothing.  The schedules
-    go with ``repro.sim.fluid.clear_fill_memo()``.
+    starts, and its exit skew is part of what is measured; at paper
+    scale its 12 rounds of zero-byte messages are most of the
+    simulation.  It goes through the shared :class:`StartGate`
+    (``"world"`` scope): simulated by the first quiet run of a (machine,
+    profile) in this process, replayed bit-identically after that.
+    Tenant traffic and a trace recorder make the run loud.
     """
     runtime = MPIRuntime(machine, profile=profile)
     han = HanModule(config=config)
-    engine = runtime.engine
     durations: dict[int, float] = {}
-    key = exits = None
-    if (
-        traffic is None
-        and not trace_out
-        and getattr(machine, "fault_plan", None) is None
-        and engine.overhead_hook is None
-    ):
-        key = digest("barrier", machine=machine, profile=runtime.profile)
-        exits = _BARRIER_EXITS.get(key)
-    released = {}
-    for rank, when in exits or ():
-        released[rank] = engine.event("barrier-exit")
-        engine.schedule_at(when, released[rank].succeed)
-    left: list[tuple[int, float]] = []
 
     def prog(comm):
         op = getattr(han, coll)
-        if exits is None:
-            yield from comm.barrier()
-            left.append((comm.rank, comm.now))
-        else:
-            yield from comm.barrier_replay(released[comm.rank])
+        yield from gate.wait(comm)
         start = comm.now
         for _ in range(iterations):
             if coll == "barrier":
@@ -148,18 +232,21 @@ def _run_once(
                 yield from op(comm, nbytes)
         durations[comm.rank] = (comm.now - start) / iterations
 
-    def drive():
+    recorder = nullcontext()
+    if trace_out:
+        from repro.obs import ObsRecorder, write_chrome_trace
+
+        recorder = ObsRecorder(runtime.engine)
+    with recorder as rec:
+        # built with the recorder attached, so the gate sees a traced run
+        gate = StartGate(runtime, "world", quiet=traffic is None)
         if traffic is not None:
             TenantScheduler(runtime, traffic).run(prog, name="measure")
         else:
             runtime.run(prog)
-
-    if trace_out:
-        from repro.obs import ObsRecorder, write_chrome_trace
-
-        with ObsRecorder(runtime.engine) as rec:
-            drive()
+        if rec is not None:
             rec.snapshot_resources(runtime.fabric.solver)
+    if rec is not None:
         write_chrome_trace(
             rec.run_record(meta={
                 "coll": coll, "nbytes": float(nbytes),
@@ -167,12 +254,6 @@ def _run_once(
             }),
             trace_out,
         )
-    else:
-        drive()
-    if key is not None and exits is None:
-        if len(_BARRIER_EXITS) >= _BARRIER_EXITS_MAX:
-            _BARRIER_EXITS.clear()
-        _BARRIER_EXITS[key] = tuple(left)
     per_rank = tuple(durations[r] for r in sorted(durations))
     return per_rank, runtime.engine.now
 

@@ -16,6 +16,19 @@ One :class:`TaskBench` run executes the actual HAN task pipeline for a
 handful of segments and extracts every per-leader task cost the cost
 model (eqs. 3/4) needs, while accounting the simulated time consumed
 (the tuning-cost currency of Fig 8).
+
+Every program starts its ranks from a barrier (part of "in context":
+all leaders enter ``ib(0)`` together).  That barrier goes through the
+start gate shared with ``measure_collective``
+(:class:`repro.tuning.measure.StartGate`): it is simulated once per
+(machine, profile, scope) per process and its exit schedule replayed
+bit-identically after that -- costs and ``sim_cost`` are the same
+either way, only the work done differs, and
+``repro.sim.fluid.clear_fill_memo()`` is the cold start.  Nothing on
+:class:`TaskBench` selects it; a noisy machine, an overhead hook or an
+attached recorder simulate the barrier every time.  Only
+``bench_ib_ir_overlap``'s leaders-only inter-node barrier is outside
+the gate.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ from repro.hardware.spec import MachineSpec
 from repro.modules import make_module
 from repro.mpi.runtime import MPIRuntime
 from repro.netsim.profiles import P2PProfile
+from repro.tuning.measure import StartGate
 
 __all__ = [
     "AllreduceTaskCosts",
@@ -181,6 +195,7 @@ class TaskBench:
         """Run ib(0), sbib(1..K) exactly as HAN's leaders do; time each."""
         K = self.warm_iters
         runtime = self._runtime()
+        gate = StartGate(runtime, "low", lockstep=True)
         n = self.machine.num_nodes
         ib0 = np.zeros(n)
         series = np.zeros((n, K))
@@ -191,7 +206,7 @@ class TaskBench:
             low, up = hier.low, hier.up
             if hier.local_rank == 0:
                 me = hier.up_rank_of(comm.rank)
-                yield from low.barrier()
+                yield from gate.wait(low)
                 t0 = comm.now
                 req = imod.ibcast(
                     up, seg_bytes, root=0,
@@ -212,7 +227,7 @@ class TaskBench:
                     prev = yield from up.wait(req)
                     series[me, k] = comm.now - t0
             else:
-                yield from low.barrier()
+                yield from gate.wait(low)
                 for _ in range(K):
                     yield from smod.bcast(low, seg_bytes, root=0)
 
@@ -225,12 +240,13 @@ class TaskBench:
             return np.zeros(1), 0.0
         one_node = self.machine.scaled(num_nodes=1)
         runtime = MPIRuntime(one_node, profile=self.profile)
+        gate = StartGate(runtime, "world", lockstep=True)
         times = np.zeros(one_node.ppn)
         smod_name = config.smod
 
         def prog(comm):
             smod = make_module(smod_name)
-            yield from comm.barrier()
+            yield from gate.wait(comm)
             t0 = comm.now
             yield from smod.bcast(comm, seg_bytes, root=0)
             times[comm.rank] = comm.now - t0
@@ -241,6 +257,7 @@ class TaskBench:
     def _concurrent_ib_sb(self, config: HanConfig, seg_bytes: float):
         """ib(0) and sb(0) issued simultaneously (Fig 2 green bars)."""
         runtime = self._runtime()
+        gate = StartGate(runtime, "low", lockstep=True)
         n = self.machine.num_nodes
         times = np.zeros(n)
 
@@ -250,7 +267,7 @@ class TaskBench:
             low, up = hier.low, hier.up
             if hier.local_rank == 0:
                 me = hier.up_rank_of(comm.rank)
-                yield from low.barrier()
+                yield from gate.wait(low)
                 t0 = comm.now
                 req = imod.ibcast(
                     up, seg_bytes, root=0,
@@ -261,7 +278,7 @@ class TaskBench:
                 yield from up.wait(req)
                 times[me] = comm.now - t0
             else:
-                yield from low.barrier()
+                yield from gate.wait(low)
                 yield from smod.bcast(low, seg_bytes, root=0)
 
         runtime.run(prog)
@@ -276,6 +293,7 @@ class TaskBench:
         K = self.warm_iters
         u = K + 3  # enough segments to fill, run and drain the pipeline
         runtime = self._runtime()
+        gate = StartGate(runtime, "low", lockstep=True)
         n = self.machine.num_nodes
         sr0 = np.zeros(n)
         irsr = np.zeros(n)
@@ -304,7 +322,7 @@ class TaskBench:
 
             if layer0:
                 me = hier.up_rank_of(comm.rank)
-                yield from low.barrier()
+                yield from gate.wait(low)
                 irreq: dict[int, object] = {}
                 ibreq: dict[int, object] = {}
                 for i in range(u + 3):
@@ -337,7 +355,7 @@ class TaskBench:
                     else:
                         drain[me, i - u] = dt
             else:
-                yield from low.barrier()
+                yield from gate.wait(low)
                 for i in range(u + 3):
                     if 0 <= i - 3 < u:
                         yield from sb(i - 3)
@@ -367,6 +385,7 @@ class TaskBench:
         K = self.warm_iters
         u = K + 1
         runtime = self._runtime()
+        gate = StartGate(runtime, "low", lockstep=True)
         n = self.machine.num_nodes
         sr0 = np.zeros(n)
         series = np.zeros((n, K))
@@ -386,7 +405,7 @@ class TaskBench:
 
             if hier.local_rank == 0:
                 me = hier.up_rank_of(comm.rank)
-                yield from low.barrier()
+                yield from gate.wait(low)
                 irreq = None
                 for i in range(u + 1):
                     t0 = comm.now
@@ -407,7 +426,7 @@ class TaskBench:
                     else:
                         drain[me] = dt
             else:
-                yield from low.barrier()
+                yield from gate.wait(low)
                 for _ in range(u):
                     yield from sr()
 

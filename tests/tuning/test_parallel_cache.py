@@ -140,6 +140,28 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     assert meas.time > 0
 
 
+@pytest.mark.parametrize(
+    "blob",
+    (b"\xff\xfe\x00\x01not utf-8", b"[1,2,3]", b"null", b'{"x": 1'),
+    ids=("not_utf8", "json_list", "json_null", "truncated"),
+)
+def test_unusable_cache_file_is_a_miss_and_not_an_entry(tmp_path, blob):
+    cache = MeasurementCache(tmp_path)
+    want = measure_collective(machine(), "bcast", 64 * KiB, config(), cache=cache)
+    (bad,) = tmp_path.glob("*/*.json")
+    # a second, healthy entry: entries() must skip the bad file, not stop at it
+    measure_collective(machine(), "bcast", 128 * KiB, config(), cache=cache)
+    bad.write_bytes(blob)
+    again = MeasurementCache(tmp_path)
+    assert again.get(bad.stem) is None
+    assert bad.stem not in dict(again.entries())
+    assert len(again) == 1
+    meas = measure_collective(machine(), "bcast", 64 * KiB, config(), cache=again)
+    assert meas == want  # re-simulated, and the file is healed
+    assert json.loads(bad.read_text())["__kind__"] == "measure"
+    assert len(again) == 2
+
+
 # -- parallel equivalence -----------------------------------------------------------
 
 
