@@ -27,7 +27,7 @@ from repro.core.han import HanModule
 from repro.faults import FaultPlan, FaultyMachineSpec, LinkFlap, OsNoise
 from repro.hardware import small_cluster
 from repro.mpi import MPIRuntime
-from repro.sim import Tracer
+from repro.obs import ObsRecorder
 
 KiB = 1024
 
@@ -40,15 +40,14 @@ def ring5(ppn=2):
     )
 
 
-def allreduce_prog(han, nbytes, tracer=None):
+def allreduce_prog(han, nbytes, rec=None):
     def prog(comm):
-        me = f"rank{comm.rank}"
         payload = np.full(int(nbytes // 8), float(comm.rank + 1))
-        if tracer:
-            tracer.record(me, "allreduce:start")
+        if rec is not None:
+            task = rec.begin(f"rank{comm.rank}", "allreduce")
         out = yield from han.allreduce(comm, nbytes, payload=payload)
-        if tracer:
-            tracer.record(me, "allreduce:end")
+        if rec is not None:
+            rec.end(task)
         return comm.now, float(out[0])
     return prog
 
@@ -74,18 +73,20 @@ def main():
     print("2. permanent kill + degraded mode (probe timeout 2 ms)")
     kill = FaultPlan().add(LinkFlap(("link", 2, 3)))
     rt = MPIRuntime(FaultyMachineSpec.wrap(base, kill))
-    tracer = Tracer(rt.engine)
+    # a plain span registry: not attached as ``engine.obs``, so only
+    # the spans opened in allreduce_prog are recorded
+    rec = ObsRecorder(rt.engine)
     han = HanModule(degraded_timeout=2e-3)
-    res = rt.run(allreduce_prog(han, 256 * KiB, tracer))
+    res = rt.run(allreduce_prog(han, 256 * KiB, rec))
     assert all(v == expect for _, v in res)
     print(f"   completed in {max(t for t, _ in res) * 1e3:.3f} ms via the "
           "flat star fallback (sum still correct)")
     print("   task timeline (tail):")
-    for line in tracer.to_text().splitlines()[-6:]:
-        print("   " + line)
-    spans = tracer.spans("rank0", "allreduce:start", "allreduce:end")
-    print(f"   rank0 allreduce span: {spans[0][0] * 1e3:.3f} -> "
-          f"{spans[0][1] * 1e3:.3f} ms "
+    for sp in sorted(rec.spans, key=lambda sp: sp.t1)[-6:]:
+        print(f"   {sp.t1 * 1e6:12.3f}us  {sp.track:20s} {sp.name}:end")
+    span = next(sp for sp in rec.spans if sp.track == "rank0")
+    print(f"   rank0 allreduce span: {span.t0 * 1e3:.3f} -> "
+          f"{span.t1 * 1e3:.3f} ms "
           "(the first ~2 ms is the probe detecting the dead link)\n")
 
     # -- 3. seeded noise: reproducible variability ------------------------

@@ -15,7 +15,7 @@ from repro.core.subcomms import build_hierarchy
 from repro.hardware import small_cluster
 from repro.modules import make_module
 from repro.mpi import MPIRuntime
-from repro.sim import Tracer
+from repro.obs import ObsRecorder
 
 MiB = 1024 * 1024
 CFG = HanConfig(fs=1 * MiB, imod="adapt", smod="solo",
@@ -26,7 +26,9 @@ NBYTES = 4 * MiB
 def main():
     machine = small_cluster(num_nodes=3, ppn=3)
     runtime = MPIRuntime(machine)
-    tracer = Tracer(runtime.engine)
+    # used as a plain span registry: not attached, so the stack's own
+    # instrumentation stays off and only the tasks below are recorded
+    rec = ObsRecorder(runtime.engine)
 
     def prog(comm):
         hier = yield from build_hierarchy(comm)
@@ -35,28 +37,29 @@ def main():
         low, up = hier.low, hier.up
         me = f"rank{comm.rank}"
         if hier.local_rank == 0:
-            tracer.record(me, "ib:start")
+            task = rec.begin(me, "ib")
             req = imod.ibcast(up, seg_bytes[0], root=0,
                               algorithm=CFG.ibalg, segsize=CFG.ibs)
             yield from up.wait(req)
-            tracer.record(me, "ib:end")
+            rec.end(task)
             for i in range(1, u):
-                tracer.record(me, "sbib:start")
+                task = rec.begin(me, "sbib")
                 req = imod.ibcast(up, seg_bytes[i], root=0,
                                   algorithm=CFG.ibalg, segsize=CFG.ibs)
                 yield from smod.bcast(low, seg_bytes[i - 1], root=0)
                 yield from up.wait(req)
-                tracer.record(me, "sbib:end")
-            tracer.record(me, "sb:start")
+                rec.end(task)
+            task = rec.begin(me, "sb")
             yield from smod.bcast(low, seg_bytes[u - 1], root=0)
-            tracer.record(me, "sb:end")
+            rec.end(task)
         else:
             for i in range(u):
-                tracer.record(me, "sb:start")
+                task = rec.begin(me, "sb")
                 yield from smod.bcast(low, seg_bytes[i], root=0)
-                tracer.record(me, "sb:end")
+                rec.end(task)
 
     runtime.run(prog)
+    assert rec.spans and not any(sp.open for sp in rec.spans)
     total = runtime.engine.now
     width = 72
     print(f"HAN bcast of {NBYTES >> 20} MiB, fs={CFG.fs >> 20} MiB "
@@ -68,9 +71,11 @@ def main():
         me = f"rank{rank}"
         line = [" "] * width
         for task, g in glyph.items():
-            for b, e in tracer.spans(me, f"{task}:start", f"{task}:end"):
-                lo = int(b / total * (width - 1))
-                hi = max(lo + 1, int(e / total * (width - 1)))
+            for sp in rec.spans:
+                if sp.track != me or sp.name != task:
+                    continue
+                lo = int(sp.t0 / total * (width - 1))
+                hi = max(lo + 1, int(sp.t1 / total * (width - 1)))
                 for x in range(lo, min(hi, width)):
                     line[x] = g
         role = "leader" if rank % machine.ppn == 0 else "      "

@@ -5,12 +5,13 @@ fluid solver is what makes that geometry tractable in simulation (the
 reference solver re-solves every in-flight flow globally at every rate
 event).  This driver times MPI_Bcast and MPI_Allreduce at 1 MiB on the
 full geometry and reports both the simulated collective times and the
-engine event count, so ``scripts/bench_sim_kernel.py`` can bit-compare
-the incremental and reference solvers at paper scale.
+engine event count; the ``scale4096`` workload of
+``benchmarks/perf/run.py`` pins both on every run, and its ``--ablate``
+bit-compares the incremental and reference solvers at paper scale.
 
 Scales:
 
-- ``quick``  -- 16 nodes x 4 ppn; seconds, used by the bench ``--quick``,
+- ``quick``  -- 16 nodes x 4 ppn; seconds, used by the bench's ``--quick``,
 - ``small``  -- 32 nodes x 8 ppn,
 - ``medium`` -- 64 nodes x 16 ppn,
 - ``paper``  -- 256 nodes x 16 ppn = 4096 processes.

@@ -283,9 +283,9 @@ class Fabric:
         plan = self.plan(src_rank, dst_rank, nbytes)
         latency = plan.latency
         if self.engine.overhead_hook is not None:
-            latency = max(
-                0.0, self.engine.overhead_hook("net_latency", src_rank, latency)
-            )
+            latency = self.engine.overhead_hook("net_latency", src_rank, latency)
+            if latency < 0:  # not max(): a NaN must reach schedule()'s guard
+                latency = 0.0
         label = (
             f"x:{src_rank}->{dst_rank}" if self.engine.obs is not None else ""
         )

@@ -59,7 +59,11 @@ class ProgressServer:
             raise ValueError(f"negative duration {duration}")
         engine = self.engine
         if engine.overhead_hook is not None:
-            duration = max(0.0, engine.overhead_hook("cpu", self.rank, duration))
+            duration = engine.overhead_hook("cpu", self.rank, duration)
+            # clamped by comparison, not max(0.0, d), which turns a NaN
+            # into 0.0: a NaN has to reach schedule_at() and be rejected
+            if duration < 0:
+                duration = 0.0
         now = engine.now
         start = self._busy_until
         if start < now:
@@ -144,10 +148,10 @@ class ProgressServer:
         if hook is not None:
             # per-job hook consultation, exactly as N request() calls
             rank = self.rank
-            d = np.fromiter(
-                (max(0.0, hook("cpu", rank, x)) for x in d.tolist()),
+            d = np.maximum(0.0, np.fromiter(  # keeps a NaN, as _grant does
+                (hook("cpu", rank, x) for x in d.tolist()),
                 dtype=np.float64, count=n,
-            )
+            ))
         now = engine.now
         start0 = self._busy_until
         if start0 < now:

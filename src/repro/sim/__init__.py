@@ -10,8 +10,6 @@ reproduction is built on:
 - :mod:`repro.sim.fluid` -- a max-min fair-share ("progressive filling")
   fluid bandwidth allocator used to model links, NICs and memory buses as
   shared resources.
-- :mod:`repro.sim.trace` -- optional structured tracing of simulation
-  events for debugging and validation.
 
 Nothing in this package knows about MPI; it is a general substrate.
 """
@@ -28,7 +26,6 @@ from repro.sim.engine import (
     Spawn,
 )
 from repro.sim.fluid import FluidSolver, Flow
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "AllOf",
@@ -42,6 +39,4 @@ __all__ = [
     "SimProcess",
     "Sleep",
     "Spawn",
-    "TraceEvent",
-    "Tracer",
 ]

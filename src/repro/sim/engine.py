@@ -24,55 +24,30 @@ Commands understood by the engine:
     Suspend until the given child process finishes; resumes with the
     child's return value.
 
-Determinism: events at equal timestamps are processed in (priority,
-sequence-number) order, so repeated runs are bit-identical.  ``priority``
-lets the fluid solver batch same-instant flow arrivals into a single
-rate recomputation (see :mod:`repro.sim.fluid`).
+Determinism: events due at one instant run in (priority, schedule
+order), so repeated runs are bit-identical.  ``priority`` lets the fluid
+solver batch same-instant flow arrivals into a single rate recomputation
+(see :mod:`repro.sim.fluid`).
 
-Event queue
------------
-
-The queue is a slot table of parallel lists (``time``, a packed
-``priority``/``seq`` key, ``cancelled``, callback), drained by one of
-two kernels (``REPRO_ENGINE_KERNEL`` or the ``kernel=`` constructor
-argument):
-
-``batched`` (default)
-    Two-tier queue.  Freshly scheduled entries land in a small C-level
-    ``heapq`` (*side* tier); once the side tier outgrows a threshold it
-    is merged into a time-sorted numpy index (*bulk* tier) with one
-    stable ``argsort``.  The run loop retires *all* entries due at the
-    same instant in one pass: a ``searchsorted`` slices the due span out
-    of the bulk tier, one ``lexsort`` orders it by (priority, seq), and
-    a two-way merge walk interleaves side-tier entries (including ones
-    scheduled *during* the batch) in the same total order.  ``now``
-    advances once per batch instead of once per event.
-
-``scalar``
-    The classic one-event-at-a-time heap loop, kept as the differential
-    baseline: both kernels share the slot table and must produce
-    bit-identical results (same ``events`` count, same final time, same
-    execution order) — the test suite runs the fluid differential
-    schedules under both.
-
-Cancellation is lazy (``cancel`` flips the slot's ``cancelled`` flag),
-but unlike a pure lazy-deletion heap the table *compacts*: when
-cancelled entries reach half the pending queue the bulk tier is rebuilt
-through one boolean mask and the side tier is re-heapified without the
-dead entries, so schedule-then-cancel workloads (fault injectors, flow
-epoch bumps) cannot grow the queue without bound.
+Event queue: simulated ranks move in lockstep (a paper-scale run retires
+~110 events per distinct instant, a tuning sweep ~3.5) and only two
+priorities exist, so the queue groups by instant and is FIFO inside -- a
+dict ``instant -> (normal FIFO, late FIFO)`` of one-element ``[fn]``
+cells plus a ``heapq`` of the *distinct* instants.  Append order is
+schedule order, so there is no per-event key, sequence counter or sort.
+A cell is its own cancellation token: ``cancel`` empties it, the loop
+skips it, and once empty cells reach half the pending set the queue is
+rebuilt without them, so schedule-then-cancel workloads (fault
+injectors, flow epoch bumps) cannot grow it without bound.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Generator, Iterable, Optional
-
-import numpy as np
 
 __all__ = [
     "AllOf",
@@ -93,24 +68,13 @@ __all__ = [
 PRIORITY_NORMAL = 0
 PRIORITY_LATE = 1
 
-#: environment override for the default event-loop kernel (benchmark A/B
-#: switch; the differential suite runs both and compares bit-for-bit)
-_KERNEL_ENV = "REPRO_ENGINE_KERNEL"
-_KERNELS = ("batched", "scalar")
-
-#: side-tier size that triggers a merge into the sorted bulk tier.  Runs
-#: whose pending set never reaches this stay pure-heapq and pay no numpy
-#: cost at all; paper-scale runs (8k+ pending entries) amortize the merge
-#: over thousands of retirements.
-_FLUSH_THRESHOLD = 2048
-
-#: compaction trigger: at least this many cancelled entries *and* at
+#: compaction trigger: at least this many cancelled cells *and* at
 #: least half the pending queue cancelled (amortized O(1) per cancel)
 _COMPACT_MIN = 64
 
 
 class DeadlockError(RuntimeError):
-    """Raised when the event heap drains while processes are still blocked."""
+    """Raised when the event queue drains while processes are still blocked."""
 
 
 # Command dataclasses use ``slots`` but not ``frozen``: frozen's
@@ -248,19 +212,9 @@ class SimProcess:
         return f"<SimProcess {self.name!r} {state}>"
 
 
-#: cancellation token: (slot index, packed key).  The key makes the
-#: token single-use — once the entry fires, is cancelled, or its slot is
-#: recycled, the stored key no longer matches and cancel() is a no-op.
-Token = tuple  # (slot, key)
-
-#: priority and sequence number share one packed int: ``key = priority
-#: << _PRIO_SHIFT | seq``, so a single integer compare (or one
-#: ``np.argsort``) yields (priority, seq) order directly.  The shift is
-#: 48 (not 56) so any realistic key stays below 2**53 and survives the
-#: float64 round trip through ``np.asarray(side)`` exactly: priorities
-#: are tiny (0/1) and 2**48 sequence numbers is ~3 000 years of
-#: paper-scale simulation.
-_PRIO_SHIFT = 48
+#: cancellation token: the queue cell ``[fn]`` itself; firing or cancelling
+#: the entry empties it, which makes the token single-use
+Token = list
 
 
 class Engine:
@@ -282,41 +236,22 @@ class Engine:
     #: see (e.g. the ones :func:`measure_collective` creates internally)
     events_total: int = 0
 
-    def __init__(self, kernel: Optional[str] = None) -> None:
-        if kernel is None:
-            kernel = os.environ.get(_KERNEL_ENV, "batched")
-        if kernel not in _KERNELS:
-            raise ValueError(
-                f"unknown engine kernel {kernel!r}; want one of {_KERNELS}"
-            )
-        self.kernel = kernel
-        self._batched = kernel == "batched"
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self._seq: int = 0
         #: events executed by this engine instance
         self.events: int = 0
-        #: distinct retirement batches (instants with >= 1 executed event)
+        #: distinct instants retired (those with >= 1 executed event)
         self.batches: int = 0
-        # -- slot table: parallel plain lists ----------------------------
-        # Plain lists, not numpy columns: per-entry scalar stores/loads
-        # dominate here and are ~3x cheaper on lists, while every bulk
-        # numpy operation the batched kernel needs works off the side
-        # tuples / bulk-tier arrays instead.  Lists also grow in place
-        # (extend), so the run loops may alias them safely.
-        cap = 1024
-        self._q_time: list[float] = [0.0] * cap
-        self._q_key: list[int] = [-1] * cap  # priority << _PRIO_SHIFT | seq
-        self._q_cancelled: list[bool] = [False] * cap
-        self._q_fn: list[Optional[Callable[[], None]]] = [None] * cap
-        self._free: list[int] = list(range(cap - 1, -1, -1))
-        # -- side tier: C heap of (time, key, slot) ----------------------
-        self._side: list[tuple] = []
-        # -- bulk tier: (slot, time, key) arrays sorted by time, consumed
-        #    from _shead; built straight from the side tuples at flush --
-        self._sorted = np.empty(0, np.intp)
-        self._sorted_t = np.empty(0, np.float64)
-        self._sorted_k = np.empty(0, np.int64)
-        self._shead = 0
+        #: instant -> (normal FIFO, late FIFO) of ``[fn]`` cells
+        self._buckets: dict[float, tuple[list, list]] = {}
+        #: heap of the instants that have a bucket, each exactly once
+        self._instants: list[float] = []
+        #: the bucket run() holds cursors into, while it retires it
+        self._retiring: Optional[tuple[list, list]] = None
+        #: pending queue entries, including not-yet-reclaimed cancelled
+        #: ones (run() settles it once per instant, not per event)
+        self.queue_depth: int = 0
+        #: cells cancelled since the last compaction and not yet retired
         self._ncancelled = 0
         self._live_procs: int = 0
         # live processes, for deadlock diagnostics: when the heap drains,
@@ -328,7 +263,6 @@ class Engine:
         # between steps); spawns made while it runs are recorded as its
         # children so kill() can retire whole process trees
         self._running: Optional[SimProcess] = None
-        self.trace_hook: Optional[Callable[[float, str, str], None]] = None
         #: Optional perturbation hook ``(kind, who, duration) -> duration``
         #: consulted by components that charge simulated time (the per-rank
         #: progress servers with ``kind="cpu"`` and the fabric's message
@@ -347,165 +281,85 @@ class Engine:
 
     # -- scheduling --------------------------------------------------------
 
-    def _grow(self) -> None:
-        cap = len(self._q_fn)
-        new_cap = cap * 2
-        self._q_time.extend([0.0] * cap)
-        self._q_key.extend([-1] * cap)
-        self._q_cancelled.extend([False] * cap)
-        self._q_fn.extend([None] * cap)
-        self._free.extend(range(new_cap - 1, cap - 1, -1))
-
     # NOTE: schedule() and schedule_at() duplicate the push body on
-    # purpose — one of them runs for every single event, and the extra
+    # purpose -- one of them runs for every single event, and the extra
     # call layer of a shared _push() helper is measurable at paper scale.
+    # Their guards are spelled ``not x >= y`` so that NaN fails them too.
 
     def schedule(
         self, delay: float, fn: Callable[[], None], priority: int = PRIORITY_NORMAL
     ) -> Token:
         """Run ``fn()`` after ``delay`` seconds; returns a cancellable token."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        time = self.now + delay
-        free = self._free
-        if not free:
-            self._grow()
-            free = self._free
-        slot = free.pop()
-        seq = self._seq
-        self._seq = seq + 1
-        key = (priority << _PRIO_SHIFT) | seq
-        self._q_time[slot] = time
-        self._q_key[slot] = key
-        self._q_fn[slot] = fn
-        heapq.heappush(self._side, (time, key, slot))
-        return (slot, key)
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
+        if priority and priority != PRIORITY_LATE:
+            raise ValueError(f"unknown priority {priority!r}")
+        when = self.now + delay
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            bucket = self._buckets[when] = ([], [])
+            heapq.heappush(self._instants, when)
+        cell = [fn]
+        bucket[priority].append(cell)
+        self.queue_depth += 1
+        return cell
 
     def schedule_at(
         self, when: float, fn: Callable[[], None], priority: int = PRIORITY_NORMAL
     ) -> Token:
         """Run ``fn()`` at absolute simulated time ``when``.
 
-        ``when`` lands on the heap *exactly* (not via a ``now + (when -
-        now)`` round trip, which can be off by an ulp) — the fluid
-        solver relies on this so that a flow-completion event fires at
-        the bit-identical instant regardless of how many unrelated
-        events were processed in between.
+        ``when`` itself keys the queue (no ``now + (when - now)`` round
+        trip, which can be off by an ulp): the fluid solver relies on a
+        flow completion firing at the bit-identical instant however many
+        unrelated events were processed in between.
         """
-        if when < self.now:
-            raise ValueError(f"schedule_at({when}) is in the past (now={self.now})")
-        free = self._free
-        if not free:
-            self._grow()
-            free = self._free
-        slot = free.pop()
-        seq = self._seq
-        self._seq = seq + 1
-        key = (priority << _PRIO_SHIFT) | seq
-        self._q_time[slot] = when
-        self._q_key[slot] = key
-        self._q_fn[slot] = fn
-        heapq.heappush(self._side, (when, key, slot))
-        return (slot, key)
+        if not when >= self.now:
+            raise ValueError(f"when={when} is in the past or NaN (now={self.now})")
+        if priority and priority != PRIORITY_LATE:
+            raise ValueError(f"unknown priority {priority!r}")
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            bucket = self._buckets[when] = ([], [])
+            heapq.heappush(self._instants, when)
+        cell = [fn]
+        bucket[priority].append(cell)
+        self.queue_depth += 1
+        return cell
 
     def cancel(self, token: Token) -> None:
         """Cancel a previously scheduled callback.
 
-        Safe to call on tokens whose entry already fired (or was already
-        cancelled): the per-slot seq check turns those into no-ops.
-        Deletion is lazy — the entry is flagged and skipped at
-        retirement — but the queue compacts once cancelled entries reach
-        half the pending set, so cancel-heavy workloads stay bounded.
+        A no-op on a token whose entry already fired or was already
+        cancelled.  Deletion is lazy -- the cell is emptied and skipped
+        at retirement -- until cancelled cells reach half the pending
+        set, which compacts the queue.
         """
-        slot, key = token
-        if self._q_key[slot] != key or self._q_cancelled[slot]:
+        if token[0] is None:
             return
-        self._q_cancelled[slot] = True
-        self._q_fn[slot] = None  # release the closure now, not at pop
-        self._ncancelled += 1
-        pending = (self._sorted_t.size - self._shead) + len(self._side)
-        if self._ncancelled >= _COMPACT_MIN and self._ncancelled * 2 >= pending:
+        token[0] = None  # releases the closure now, not at retirement
+        n = self._ncancelled = self._ncancelled + 1
+        if n >= _COMPACT_MIN and n * 2 >= self.queue_depth:
             self._compact()
 
-    def _free_slot(self, slot: int) -> None:
-        self._q_key[slot] = -1
-        self._q_cancelled[slot] = False
-        self._q_fn[slot] = None
-        self._free.append(slot)
-
     def _compact(self) -> None:
-        """Drop cancelled entries from both tiers (one mask + one heapify)."""
-        q_can = self._q_cancelled
-        shead = self._shead
-        rem = self._sorted[shead:]
-        if rem.size:
-            rem_list = rem.tolist()
-            dead_mask = np.fromiter(
-                (q_can[s] for s in rem_list), np.bool_, rem.size
-            )
-            if dead_mask.any():
-                keep = ~dead_mask
-                self._sorted_t = self._sorted_t[shead:][keep]
-                self._sorted_k = self._sorted_k[shead:][keep]
-                self._sorted = rem[keep]
-                self._shead = 0
-                q_key = self._q_key
-                q_fn = self._q_fn
-                free = self._free
-                for s, d in zip(rem_list, dead_mask.tolist()):
-                    if d:
-                        q_can[s] = False
-                        q_key[s] = -1
-                        q_fn[s] = None
-                        free.append(s)
-        side = self._side
-        if side:
-            keep = [e for e in side if not q_can[e[2]]]
-            if len(keep) != len(side):
-                for e in side:
-                    if q_can[e[2]]:
-                        self._free_slot(e[2])
-                # in-place rebuild: the run loop holds an alias to `side`
-                side[:] = keep
-                heapq.heapify(side)
+        """Rebuild the lists and the instant heap without cancelled cells."""
+        buckets = self._buckets
+        for t, bucket in list(buckets.items()):
+            if bucket is self._retiring:
+                continue  # run() holds cursors into these two lists
+            for cells in bucket:
+                cells[:] = [cell for cell in cells if cell[0] is not None]
+            if not (bucket[0] or bucket[1]):
+                del buckets[t]
+        self._instants[:] = buckets  # in place: run() holds an alias
+        heapq.heapify(self._instants)
+        self.queue_depth = sum(len(n) + len(late) for n, late in buckets.values())
         self._ncancelled = 0
-
-    def _flush_side(self) -> None:
-        """Merge the side heap into the sorted bulk tier (one argsort).
-
-        Each entry is flushed at most once over its lifetime, so the
-        per-element cost amortizes over all scheduling traffic.
-        """
-        side = self._side
-        # one C-level conversion of the whole heap; keys (< 2**53, see
-        # _PRIO_SHIFT) and slots are exact through the float64 round trip
-        arr = np.asarray(side, np.float64)
-        t = arr[:, 0]
-        k = arr[:, 1].astype(np.int64)
-        slots = arr[:, 2].astype(np.intp)
-        shead = self._shead
-        if self._sorted.size - shead:
-            slots = np.concatenate((self._sorted[shead:], slots))
-            t = np.concatenate((self._sorted_t[shead:], t))
-            k = np.concatenate((self._sorted_k[shead:], k))
-        # stable sort: equal-time relative order is irrelevant for
-        # semantics (batches re-order by (priority, seq)), but stability
-        # keeps the common nearly-sorted case cheap for timsort
-        order = np.argsort(t, kind="stable")
-        self._sorted = slots[order]
-        self._sorted_t = t[order]
-        self._sorted_k = k[order]
-        self._shead = 0
-        side.clear()
 
     def event(self, name: str = "") -> SimEvent:
         """Create a fresh one-shot :class:`SimEvent` bound to this engine."""
         return SimEvent(self, name)
-
-    @property
-    def queue_depth(self) -> int:
-        """Pending queue entries, including not-yet-reclaimed cancelled ones."""
-        return (self._sorted_t.size - self._shead) + len(self._side)
 
     # -- processes ----------------------------------------------------------
 
@@ -587,8 +441,6 @@ class Engine:
         proc.error = error
         self._live_procs -= 1
         self._procs.pop(id(proc), None)
-        if self.trace_hook is not None:
-            self.trace_hook(self.now, proc.name, "finish")
         proc.done_event.succeed(result)
 
     def _dispatch(self, proc: SimProcess, cmd: Any) -> None:
@@ -691,10 +543,7 @@ class Engine:
         if gc_was_enabled:
             gc.disable()
         try:
-            if self._batched:
-                stopped = self._run_batched(until)
-            else:
-                stopped = self._run_scalar(until)
+            self._retire(until)
         finally:
             # the process-wide counter is updated in one batch: a
             # per-event class-attribute store is measurable at scale
@@ -708,9 +557,6 @@ class Engine:
                     # arbitrary later allocation
                     gc.collect()
                 gc.enable()
-        if stopped:
-            return self.now
-        # drained
         if until is not None:
             if until > self.now:
                 self.now = until
@@ -724,131 +570,49 @@ class Engine:
             )
         return self.now
 
-    def _run_batched(self, until: Optional[float]) -> bool:
-        """Batched retirement loop; True if stopped at ``until``."""
-        # the slot-table lists only ever grow in place, so aliasing them
-        # across fn() calls is safe (unlike the old numpy columns)
-        side = self._side
-        q_can = self._q_cancelled
-        q_key = self._q_key
-        q_fn = self._q_fn
-        free = self._free
-        pop = heapq.heappop
-        while True:
-            if len(side) >= _FLUSH_THRESHOLD:
-                self._flush_side()
-            shead = self._shead
-            st = self._sorted_t
-            have_arr = shead < st.size
-            if side:
-                t = side[0][0]
-                if have_arr:
-                    ta = st[shead]
-                    if ta <= t:
-                        t = float(ta)
-            elif have_arr:
-                t = float(st[shead])
-            else:
-                return False
+    def _retire(self, until: Optional[float]) -> None:
+        """Retire instant after instant, up to and including ``until``."""
+        buckets, instants = self._buckets, self._instants
+        while instants:
+            t = instants[0]
             if until is not None and t > until:
-                self.now = until
-                return True
-            if t < self.now - 1e-18:
-                raise AssertionError("time went backwards")
-            # slice the due span out of the bulk tier and order it by
-            # (priority, seq) — one argsort on the packed key; the merge
-            # walk below interleaves side-tier entries — including ones
-            # scheduled mid-batch — in the same total order
-            arr_key: list = []
-            arr_slot: list = []
-            na = 0
-            if have_arr and st[shead] == t:
-                hi = int(np.searchsorted(st, t, side="right"))
-                self._shead = hi
-                if hi - shead > 1:
-                    bk = self._sorted_k[shead:hi]
-                    order = np.argsort(bk)  # keys are unique
-                    arr_key = bk[order].tolist()
-                    arr_slot = self._sorted[shead:hi][order].tolist()
-                else:
-                    arr_key = [int(self._sorted_k[shead])]
-                    arr_slot = [int(self._sorted[shead])]
-                na = len(arr_slot)
-            advanced = False
-            i = 0
-            while True:
-                if side and side[0][0] == t:
-                    if i < na and arr_key[i] < side[0][1]:
-                        slot = arr_slot[i]
+                return
+            normal, late = bucket = buckets[t]
+            i = j = 0  # cursors: callbacks may append to both lists
+            opened = False
+            try:
+                self._retiring = bucket
+                while True:
+                    # normal cells first, re-checked after every late one:
+                    # what a callback schedules for this instant joins it
+                    if i < len(normal):
+                        cell = normal[i]
                         i += 1
+                    elif j < len(late):
+                        cell = late[j]
+                        j += 1
                     else:
-                        slot = pop(side)[2]
-                elif i < na:
-                    slot = arr_slot[i]
-                    i += 1
-                else:
-                    break
-                if q_can[slot]:
-                    self._free_slot(slot)
-                    if self._ncancelled:
-                        self._ncancelled -= 1
-                    continue
-                if not advanced:
-                    # a batch of nothing but cancelled entries must not
-                    # advance the clock (matches the scalar kernel)
-                    self.now = t
-                    self.batches += 1
-                    advanced = True
-                fn = q_fn[slot]
-                q_fn[slot] = None
-                q_key[slot] = -1
-                free.append(slot)
-                self.events += 1
-                fn()
-
-    def _run_scalar(self, until: Optional[float]) -> bool:
-        """One-event-at-a-time loop; True if stopped at ``until``.
-
-        The scalar kernel never flushes to the bulk tier, but folds back
-        anything a previous batched run left there so kernels can be
-        mixed on one engine.
-        """
-        side = self._side
-        if self._shead < self._sorted_t.size:
-            shead = self._shead
-            for t, k, s in zip(
-                self._sorted_t[shead:].tolist(),
-                self._sorted_k[shead:].tolist(),
-                self._sorted[shead:].tolist(),
-            ):
-                heapq.heappush(side, (t, k, s))
-            self._sorted = np.empty(0, np.intp)
-            self._sorted_t = np.empty(0, np.float64)
-            self._sorted_k = np.empty(0, np.int64)
-            self._shead = 0
-        pop = heapq.heappop
-        batch_t = None  # last instant that opened a batch, this run() only
-        while side:
-            t = side[0][0]
-            if until is not None and t > until:
-                self.now = until
-                return True
-            slot = pop(side)[2]
-            if self._q_cancelled[slot]:
-                self._free_slot(slot)
-                if self._ncancelled:
-                    self._ncancelled -= 1
-                continue
-            if t < self.now - 1e-18:
-                raise AssertionError("time went backwards")
-            if t != batch_t:
-                self.batches += 1
-                batch_t = t
-            self.now = t
-            fn = self._q_fn[slot]
-            self._q_fn[slot] = None
-            self._q_key[slot] = -1
-            self._free.append(slot)
-            self.events += 1
-            fn()
-        return False
+                        break
+                    fn = cell[0]
+                    if fn is None:  # cancelled
+                        if self._ncancelled:  # 0 after a compaction
+                            self._ncancelled -= 1
+                        continue
+                    if not opened:  # a cancelled-only instant never gets here
+                        self.now = t
+                        self.batches += 1
+                        opened = True
+                    cell[0] = None  # spends the token
+                    self.events += 1
+                    fn()
+            except BaseException:
+                # fired cells read as cancelled: drop them for the next run()
+                del normal[:i], late[:j]
+                raise
+            else:
+                # t is still the earliest: nothing schedules into the past
+                heapq.heappop(instants)
+                del buckets[t]
+            finally:
+                self.queue_depth -= i + j
+                self._retiring = None

@@ -69,9 +69,7 @@ Bit-identity between the modes rests on three disciplines:
 
 from __future__ import annotations
 
-import atexit
 import heapq
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -86,9 +84,7 @@ __all__ = [
     "Flow",
     "clear_fill_memo",
     "fill_memo_sizes",
-    "load_fill_memo",
     "process_memo",
-    "save_fill_memo",
 ]
 
 _EPS_BYTES = 1e-6  # flows with fewer remaining bytes are considered done
@@ -117,11 +113,6 @@ _FILL_MEMO: dict = {}
 _FILL_MEMO_OLD: dict = {}
 _FILL_MEMO_MAX = 200_000
 _FILL_MEMO_ENV = "REPRO_FLUID_FILL_MEMO"
-#: cross-run persistence (optional): a JSONL snapshot warmed on first
-#: solver construction and rewritten at process exit when this is set
-_FILL_MEMO_PATH_ENV = "REPRO_FLUID_MEMO_PATH"
-_FILL_MEMO_SCHEMA = "fluid-fill-memo-v1"
-_fill_memo_autoloaded = False
 
 
 def _fill_memo_enabled() -> bool:
@@ -182,96 +173,6 @@ def clear_fill_memo() -> None:
     _FILL_MEMO_OLD.clear()
     for memo in _PROCESS_MEMOS:
         memo.clear()
-
-
-def _fill_memo_key_doc(key: tuple) -> list:
-    caps_key, flows_key = key
-    return [list(caps_key), [[list(rk), rc, w] for rk, rc, w in flows_key]]
-
-
-def _fill_memo_key_from_doc(doc: list) -> tuple:
-    caps, flows = doc
-    return (
-        tuple(float(c) for c in caps),
-        tuple((tuple(rk), float(rc), float(w)) for rk, rc, w in flows),
-    )
-
-
-def save_fill_memo(path) -> int:
-    """Snapshot both memo generations to ``path`` as JSONL; returns entries.
-
-    Each line carries the key, the solved rates, and a content digest of
-    both under the same canonical-JSON contract the RunStore and the
-    measurement cache use (:func:`repro.tuning.cache.digest`) — load
-    verifies it, so a corrupt or hand-edited line is skipped rather than
-    poisoning bit-identity.  The write is atomic (tmp + rename).
-    """
-    from repro.tuning.cache import digest
-
-    merged = dict(_FILL_MEMO_OLD)
-    merged.update(_FILL_MEMO)  # current generation wins
-    path = os.fspath(path)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    n = 0
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema": _FILL_MEMO_SCHEMA}) + "\n")
-        for key, rates in merged.items():
-            kdoc = _fill_memo_key_doc(key)
-            vdoc = [float(r) for r in rates]
-            d = digest("fluid-fill", key=kdoc, value=vdoc)
-            fh.write(json.dumps({"k": kdoc, "v": vdoc, "d": d}) + "\n")
-            n += 1
-    os.replace(tmp, path)
-    return n
-
-
-def load_fill_memo(path) -> int:
-    """Warm the memo from a :func:`save_fill_memo` snapshot; returns entries.
-
-    Entries land in the *previous* generation: they are served (and
-    promoted) on demand without counting against the current
-    generation's rotation budget.  Digest-mismatched or malformed lines
-    are skipped silently — the memo is an accelerator, never an oracle.
-    """
-    from repro.tuning.cache import digest
-
-    n = 0
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError:
-        return 0
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                if "k" not in doc:
-                    continue  # header / foreign line
-                if digest("fluid-fill", key=doc["k"], value=doc["v"]) != doc["d"]:
-                    continue
-                key = _fill_memo_key_from_doc(doc["k"])
-                rates = np.asarray(doc["v"], dtype=np.float64)
-            except (ValueError, TypeError, KeyError):
-                continue
-            if key not in _FILL_MEMO:
-                _FILL_MEMO_OLD[key] = rates
-                n += 1
-    return n
-
-
-def _fill_memo_autoload() -> None:
-    """Warm from (and arrange save-back to) ``REPRO_FLUID_MEMO_PATH``."""
-    global _fill_memo_autoloaded
-    if _fill_memo_autoloaded:
-        return
-    _fill_memo_autoloaded = True
-    path = os.environ.get(_FILL_MEMO_PATH_ENV)
-    if not path:
-        return
-    load_fill_memo(path)
-    atexit.register(lambda: save_fill_memo(path))
 
 
 @dataclass(slots=True)
@@ -353,8 +254,6 @@ class FluidSolver:
         #: solvers an autotuning sweep creates share one warm cache.
         self.fill_cache_hits = 0
         self._fill_memo_on = _fill_memo_enabled()
-        if self._fill_memo_on:
-            _fill_memo_autoload()
         self._caps_key: Optional[tuple] = None  # lazy tuple(self._capacity)
         # route arrays arriving on the trusted fast path are cached,
         # immutable fabric plans — derive (res_list, res_key, res_unique)

@@ -1,24 +1,16 @@
-"""The progressive-fill memo: generations, persistence, digest contract.
+"""The progressive-fill memo: generational eviction and the safety property.
 
-The memo is a pure accelerator — every test here also pins the safety
-property that a cold, warm, stale or corrupted memo never changes a
+The memo is a pure accelerator — a cold or warm memo never changes a
 simulation result, only how fast it is produced.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 import repro.sim.fluid as fluid
-from repro.sim.fluid import (
-    clear_fill_memo,
-    fill_memo_sizes,
-    load_fill_memo,
-    save_fill_memo,
-)
+from repro.sim.fluid import clear_fill_memo, fill_memo_sizes
 from tests.sim.test_fluid_differential import make_schedule, run_schedule
 
 
@@ -77,81 +69,6 @@ def test_miss_returns_none():
     assert fluid._fill_memo_get(_key(99)) is None
 
 
-# -- persistence round trip ---------------------------------------------------
-
-
-def test_save_load_round_trip(tmp_path):
-    path = tmp_path / "memo.jsonl"
-    for i in range(3):
-        fluid._fill_memo_store(_key(i), _value(i))
-    assert save_fill_memo(path) == 3
-    clear_fill_memo()
-    assert load_fill_memo(path) == 3
-    # loaded entries land in the *previous* generation: served on demand
-    # without charging the current generation's rotation budget
-    assert fill_memo_sizes() == (0, 3)
-    for i in range(3):
-        got = fluid._fill_memo_get(_key(i))
-        assert got is not None
-        assert got.dtype == np.float64
-        assert got.tolist() == _value(i).tolist()  # exact, bit-for-bit
-
-
-def test_current_generation_wins_on_save(tmp_path):
-    path = tmp_path / "memo.jsonl"
-    fluid._FILL_MEMO_OLD[_key(0)] = _value(7)  # stale duplicate
-    fluid._fill_memo_store(_key(0), _value(1))
-    assert save_fill_memo(path) == 1
-    clear_fill_memo()
-    load_fill_memo(path)
-    assert fluid._fill_memo_get(_key(0)).tolist() == _value(1).tolist()
-
-
-def test_load_missing_file_is_a_clean_zero(tmp_path):
-    assert load_fill_memo(tmp_path / "absent.jsonl") == 0
-    assert fill_memo_sizes() == (0, 0)
-
-
-def test_corrupt_lines_are_skipped_not_fatal(tmp_path):
-    path = tmp_path / "memo.jsonl"
-    for i in range(3):
-        fluid._fill_memo_store(_key(i), _value(i))
-    save_fill_memo(path)
-    lines = path.read_text().splitlines()
-    # tamper with one entry's rates: its digest no longer matches, so
-    # load must drop it rather than poison bit-identity
-    doc = json.loads(lines[3])  # line 0 is the schema header
-    doc["v"][0] += 1.0
-    lines[3] = json.dumps(doc)
-    lines.append("not json at all {{{")
-    lines.append(json.dumps({"k": [[1.0], []]}))  # missing v/d fields
-    lines.append("")
-    path.write_text("\n".join(lines) + "\n")
-    clear_fill_memo()
-    assert load_fill_memo(path) == 2  # header + 4 bad lines skipped
-    assert fluid._fill_memo_get(_key(2)) is None  # the tampered entry
-    # the untampered entries survived exactly
-    for i in range(2):
-        assert fluid._fill_memo_get(_key(i)).tolist() == _value(i).tolist()
-
-
-def test_autoload_warms_from_env_and_arms_save_back(tmp_path, monkeypatch):
-    path = tmp_path / "memo.jsonl"
-    fluid._fill_memo_store(_key(0), _value(0))
-    save_fill_memo(path)
-    clear_fill_memo()
-    registered: list = []
-    monkeypatch.setattr(fluid.atexit, "register", registered.append)
-    monkeypatch.setattr(fluid, "_fill_memo_autoloaded", False)
-    monkeypatch.setenv("REPRO_FLUID_MEMO_PATH", str(path))
-    fluid._fill_memo_autoload()
-    assert fill_memo_sizes() == (0, 1)
-    assert len(registered) == 1  # the atexit save-back hook
-    # a second call is a no-op (one autoload per process)
-    fluid._fill_memo_autoload()
-    assert len(registered) == 1
-
-
 # -- the safety property ------------------------------------------------------
 
 
@@ -161,22 +78,6 @@ def test_warm_memo_replay_is_bit_identical(monkeypatch):
                         monkeypatch=monkeypatch)
     cur, old = fill_memo_sizes()
     assert cur + old > 0  # the run actually populated the memo
-    warm = run_schedule("incremental", schedule, memo=True,
-                        monkeypatch=monkeypatch)
-    assert warm == cold
-
-
-def test_persisted_memo_replay_is_bit_identical(tmp_path, monkeypatch):
-    """Cross-run persistence: a run warmed from a loaded snapshot (as
-    REPRO_FLUID_MEMO_PATH arranges) reproduces the cold run exactly."""
-    schedule = make_schedule(11)
-    cold = run_schedule("incremental", schedule, memo=True,
-                        monkeypatch=monkeypatch)
-    path = tmp_path / "memo.jsonl"
-    n = save_fill_memo(path)
-    assert n > 0
-    clear_fill_memo()
-    assert load_fill_memo(path) == n
     warm = run_schedule("incremental", schedule, memo=True,
                         monkeypatch=monkeypatch)
     assert warm == cold
