@@ -69,8 +69,8 @@ from repro.obs.record import record_collective
 from repro.obs.severity import Severity, grade_excess, severity
 from repro.obs.store import (
     RunStore,
+    band_digest,
     config_digest,
-    machine_band,
     run_key,
     summarize_measurement,
     summarize_point,
@@ -94,6 +94,7 @@ __all__ = [
     "RunStore",
     "Severity",
     "Span",
+    "band_digest",
     "check_regressions",
     "chrome_trace",
     "config_digest",
@@ -106,7 +107,6 @@ __all__ = [
     "guideline_insights",
     "interference_insight",
     "load_jsonl",
-    "machine_band",
     "merge_registries",
     "phase_overlap",
     "phase_totals",

@@ -2,7 +2,7 @@
 
 A single run store answers "did *this* machine regress?"; a fleet of
 machines writing stores (or one merged store carrying several
-``machine_band`` digests) needs the inverse view: which *bands* of
+``band_digest`` values) needs the inverse view: which *bands* of
 hardware are regressing, which findings cost the most, where are the
 stragglers.  :func:`fleet_report` folds every store through one
 :class:`~repro.obs.insights.InsightEngine` — so the rollup is a pure

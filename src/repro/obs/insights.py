@@ -32,12 +32,12 @@ On top of the structural checks sit two data-driven ones:
 from __future__ import annotations
 
 import bisect
-import json
 import statistics
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro.obs.severity import OK, Severity, grade_excess, severity
+from repro.segstore import canonical_line, order_key
 
 __all__ = [
     "Insight",
@@ -421,27 +421,19 @@ class InsightEngine:
 
     # -- ingest ----------------------------------------------------------------
 
-    @staticmethod
-    def _order(doc: dict, line: str) -> tuple[float, str]:
-        try:
-            wt = float(doc.get("wall_time", 0.0))
-        except (TypeError, ValueError):
-            wt = 0.0
-        return (wt, line)
-
     def ingest(self, doc: dict) -> bool:
         """Fold one run summary in; False for duplicates/unusable docs."""
         key = doc.get("key")
         if not key or doc.get("time") is None:
             return False
-        line = json.dumps(doc, sort_keys=True)
+        line = canonical_line(doc)
         seen = self._seen.setdefault(key, set())
         if line in seen:
             self.duplicates += 1
             return False
         seen.add(line)
         self.records += 1
-        order = self._order(doc, line)
+        order = order_key(doc, line)
         t = float(doc["time"])
         bisect.insort(self._hist.setdefault(key, []), (order, t))
 

@@ -21,20 +21,16 @@ tuning identity):
 - appends are a single ``O_APPEND`` write of one line, so concurrent
   experiments can share a store directory without locks.
 
-Fleet-scale layout (the :class:`~repro.serve.store.DecisionStore` shard /
-segment design, applied to run history):
+Fleet-scale layout — the shard protocol of :mod:`repro.segstore`
+(append, torn-tolerant read, fold, sidecar), with this store's policy:
 
 - **shard** — one directory per key prefix: ``<root>/<key[:2]>/``.
-  Writers append to the shard's ``open.jsonl``; a dead writer's torn
-  last line is skipped on read.
-- **segment** — :meth:`RunStore.compact` folds every file of a shard
-  into one immutable ``seg-<digest12>.jsonl``: records are
-  re-canonicalized, deduped by canonical line, and sorted by
-  ``(key, wall_time, line)``, so the surviving segment bytes are a pure
-  function of the record *set* — any append interleaving compacts to
-  byte-identical segments.  A sidecar ``seg-<digest12>.idx.json`` maps
-  each key to its line offsets, so :meth:`latest` seeks straight to a
-  group's newest record and :meth:`keys` never parses segment lines.
+- **segment** — :meth:`RunStore.compact` keeps every distinct canonical
+  line, sorted by ``(key, wall_time, line)``, so the surviving segment
+  bytes are a pure function of the record *set* — any append
+  interleaving compacts to byte-identical segments.  Segments carry the
+  ``.idx.json`` sidecar, so :meth:`latest` seeks straight to a group's
+  newest record and :meth:`keys` never parses segment lines.
 - **history order** — :meth:`runs` returns a group sorted by
   ``(wall_time, canonical line)``: a deterministic total order that is
   identical before and after compaction and in any merge order.
@@ -52,15 +48,12 @@ for guideline checks and MAD-band regression detection.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import tempfile
 import time
-import uuid
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from repro import segstore
 from repro.tuning.cache import digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,8 +65,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "STORE_SCHEMA_VERSION",
     "RunStore",
+    "band_digest",
     "config_digest",
-    "machine_band",
     "run_key",
     "summarize_measurement",
     "summarize_point",
@@ -94,19 +87,18 @@ def config_digest(config: Optional["HanConfig"]) -> str:
     return digest("hanconfig", config=key)
 
 
-def machine_band(machine: "MachineSpec") -> str:
+def band_digest(machine: "MachineSpec") -> str:
     """Stable digest of the machine's hardware band (geometry erased).
 
-    The fleet rollup (:mod:`repro.obs.fleet`) groups cross-machine
-    findings by this digest: two jobs of different sizes on the same
-    hardware share a band, mirroring the serving layer's
-    :func:`repro.serve.store.band_digest` notion of fleet identity.
+    The one fleet identity: run summaries are stamped with it, the fleet
+    rollup (:mod:`repro.obs.fleet`) groups findings by it, and the
+    decision store (:mod:`repro.serve.store`) shards by it — so a
+    finding joins to the serve shard it indicts.  Two jobs of different
+    sizes on the same hardware share a band.
     """
-    return digest(
-        "runstore-band",
-        schema=STORE_SCHEMA_VERSION,
-        machine=machine.band(),
-    )
+    # kind and schema are frozen: they name every decision store's band
+    # directories on disk
+    return digest("machine-band", schema=1, machine=machine.band())
 
 
 def traffic_digest(traffic) -> str:
@@ -176,7 +168,7 @@ def summarize_measurement(
         "loaded": traffic is not None,
         "traffic_digest": traffic_digest(traffic) if traffic is not None else None,
         "machine": f"{machine.name} {machine.num_nodes}x{machine.ppn}",
-        "band": machine_band(machine),
+        "band": band_digest(machine),
         "coll": meas.coll,
         "nbytes": float(meas.nbytes),
         "library": library,
@@ -215,7 +207,7 @@ def summarize_point(
         "key": run_key(machine, coll, nbytes, config, library=library),
         "faulted": False,
         "machine": f"{machine.name} {machine.num_nodes}x{machine.ppn}",
-        "band": machine_band(machine),
+        "band": band_digest(machine),
         "coll": coll,
         "nbytes": float(nbytes),
         "library": library,
@@ -251,7 +243,7 @@ def summarize_record(
     if machine is not None:
         key = run_key(machine, coll, nbytes, config, library=library)
         machine_label = f"{machine.name} {machine.num_nodes}x{machine.ppn}"
-        band = machine_band(machine)
+        band = band_digest(machine)
     else:
         key = digest(
             "runstore-meta",
@@ -285,73 +277,47 @@ def summarize_record(
     }
 
 
-def _canonical(doc: dict) -> str:
-    """The canonical JSONL line of a record — its dedup identity."""
-    return json.dumps(doc, sort_keys=True)
+def _resolve(docs: list) -> list[tuple[str, str]]:
+    """Fold policy: dedup by canonical line, order by
+    ``(key, wall_time, line)`` — a pure function of the record set."""
+    by_line = {segstore.canonical_line(doc): doc for doc in docs}
+    return sorted(
+        ((doc["key"], line) for line, doc in by_line.items()),
+        key=lambda pair: (pair[0],
+                          segstore.order_key(by_line[pair[1]], pair[1])),
+    )
 
 
-def _order_key(doc: dict, line: str) -> tuple[float, str]:
-    """Deterministic history order: (wall_time, canonical line).
+def _history(by_line: dict) -> list[dict]:
+    """Deduped records ``{canonical line: doc}`` in history order."""
+    return [by_line[line] for line in sorted(
+        by_line, key=lambda line: segstore.order_key(by_line[line], line))]
 
-    The tiebreak on the full canonical line makes the order total, so
-    sorting is reproducible in any merge/compaction order and identical
-    records collapse rather than reorder.
-    """
+
+def _shrunk(f: Path, offset: int) -> bool:
     try:
-        wt = float(doc.get("wall_time", 0.0))
-    except (TypeError, ValueError):
-        wt = 0.0
-    return (wt, line)
-
-
-def _complete_lines(path: Path, start: int = 0) -> tuple[list[str], int]:
-    """Newline-terminated lines of ``path`` from byte ``start``.
-
-    Returns ``(lines, end)`` where ``end`` is the offset just past the
-    last *complete* line — a torn trailing line (dead or in-flight
-    writer) is left unconsumed so a later read can pick it up whole.
-    """
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            blob = fh.read()
+        return f.stat().st_size < offset
     except OSError:
-        return [], start
-    if not blob:
-        return [], start
-    end = blob.rfind(b"\n")
-    if end < 0:
-        return [], start
-    lines = blob[: end + 1].decode("utf-8", errors="replace").splitlines()
-    return [ln for ln in lines if ln.strip()], start + end + 1
-
-
-def _parse(line: str) -> Optional[dict]:
-    try:
-        doc = json.loads(line)
-    except json.JSONDecodeError:
-        return None  # torn line from a dead writer: skip
-    return doc if isinstance(doc, dict) else None
+        return True
 
 
 class RunStore:
     """Sharded append-only JSON-lines store of run summaries.
 
-    Layout: one shard directory per key prefix (``<root>/<key[:2]>/``)
-    holding an ``open.jsonl`` append tail plus zero or more immutable,
-    content-named ``seg-*.jsonl`` segments produced by :meth:`compact`
-    (each with a ``.idx.json`` sidecar mapping keys to line offsets).
-    Appends are a single ``O_APPEND`` write of one line, so concurrent
-    experiment processes share a store without locks.  The pre-sharding
-    per-group layout (``<key[:2]>/<key>.jsonl``) is read transparently.
+    A policy over :mod:`repro.segstore`: records shard by key prefix
+    (``<root>/<key[:2]>/``), a fold keeps every distinct canonical line
+    sorted by ``(key, wall_time, line)``, and segments carry the
+    ``.idx.json`` sidecar that :meth:`latest` and :meth:`keys` seek by.
+    The pre-sharding per-group layout (``<key[:2]>/<key>.jsonl``) is
+    read transparently.
     """
 
     def __init__(self, root: os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.appends = 0
-        #: segment-index cache; segments are immutable and content-named,
-        #: so a path's index never goes stale
+        #: segment -> {key: [line offsets]}; segments are immutable and
+        #: content-named, so a path's index never goes stale
         self._idx_cache: dict[Path, dict] = {}
 
     # -- layout ----------------------------------------------------------------
@@ -359,94 +325,12 @@ class RunStore:
     def _shard_dir(self, key: str) -> Path:
         return self.root / key[:_SHARD_CHARS]
 
-    def _open_file(self, key: str) -> Path:
-        return self._shard_dir(key) / "open.jsonl"
-
     def _shards(self) -> list[Path]:
         return sorted(d for d in self.root.iterdir() if d.is_dir())
 
     @staticmethod
     def _segments(shard: Path) -> list[Path]:
         return sorted(shard.glob("seg-*.jsonl"))
-
-    @staticmethod
-    def _mutable_files(shard: Path) -> list[Path]:
-        """Files that must be parsed line by line: the open tail,
-        mid-compaction ``pend-*`` snapshots, and legacy per-group files."""
-        out = []
-        for f in sorted(shard.glob("*.jsonl")):
-            if not f.name.startswith("seg-"):
-                out.append(f)
-        return out
-
-    # -- segment indexes -------------------------------------------------------
-
-    @staticmethod
-    def _idx_path(seg: Path) -> Path:
-        return seg.with_suffix(".idx.json")
-
-    @staticmethod
-    def _build_index(seg: Path) -> dict:
-        keys: dict[str, list[int]] = {}
-        records = 0
-        off = 0
-        try:
-            blob = seg.read_bytes()
-        except OSError:
-            blob = b""
-        for raw in blob.splitlines(keepends=True):
-            if raw.strip() and raw.endswith(b"\n"):
-                doc = _parse(raw.decode("utf-8", errors="replace"))
-                if doc is not None and doc.get("key"):
-                    keys.setdefault(doc["key"], []).append(off)
-                    records += 1
-            off += len(raw)
-        return {"schema": STORE_SCHEMA_VERSION, "records": records,
-                "keys": keys}
-
-    def _seg_index(self, seg: Path) -> dict:
-        idx = self._idx_cache.get(seg)
-        if idx is not None:
-            return idx
-        sidecar = self._idx_path(seg)
-        try:
-            idx = json.loads(sidecar.read_text())
-            if not isinstance(idx.get("keys"), dict):
-                raise ValueError("malformed index")
-        except (OSError, ValueError, json.JSONDecodeError):
-            idx = self._build_index(seg)
-            self._write_atomic(sidecar, json.dumps(idx, sort_keys=True))
-        self._idx_cache[seg] = idx
-        return idx
-
-    @staticmethod
-    def _write_atomic(path: Path, text: str) -> None:
-        try:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        except OSError:
-            return
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def _seg_records_at(self, seg: Path,
-                        offsets) -> Iterator[tuple[dict, str]]:
-        try:
-            with open(seg, "rb") as fh:
-                for off in offsets:
-                    fh.seek(off)
-                    raw = fh.readline()
-                    line = raw.decode("utf-8", errors="replace").strip()
-                    doc = _parse(line)
-                    if doc is not None:
-                        yield doc, line
-        except OSError:
-            return
 
     # -- writing ---------------------------------------------------------------
 
@@ -456,27 +340,8 @@ class RunStore:
         if not key:
             raise ValueError("run summary must carry a 'key' (see run_key)")
         doc.setdefault("schema_version", STORE_SCHEMA_VERSION)
-        f = self._open_file(key)
-        f.parent.mkdir(parents=True, exist_ok=True)
-        data = (_canonical(doc) + "\n").encode("utf-8")
-        for _ in range(16):
-            fd = os.open(f, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, data)
-                ino = os.fstat(fd).st_ino
-            finally:
-                os.close(fd)
-            # A concurrent compact() may have renamed (or renamed and
-            # already unlinked) the tail between our open and write, in
-            # which case the line could die with the snapshot.  Re-land
-            # it on the live tail; if the snapshot survives long enough
-            # to be folded, the duplicate collapses by canonical-line
-            # dedup.
-            try:
-                if os.stat(f).st_ino == ino:
-                    break
-            except OSError:
-                pass
+        segstore.append_line(self._shard_dir(key) / segstore.OPEN,
+                             segstore.canonical_line(doc))
         self.appends += 1
         return key
 
@@ -496,37 +361,58 @@ class RunStore:
 
     # -- reading ---------------------------------------------------------------
 
-    def _shard_mutable(self, shard: Path) -> Iterator[tuple[dict, str]]:
-        for f in self._mutable_files(shard):
-            lines, _end = _complete_lines(f)
-            for line in lines:
-                doc = _parse(line)
-                if doc is not None and doc.get("key"):
-                    yield doc, _canonical(doc)
+    def _seg_index(self, seg: Path) -> dict:
+        keys = self._idx_cache.get(seg)
+        if keys is None:
+            keys = self._idx_cache[seg] = segstore.load_index(seg)["keys"]
+        return keys
 
-    def _group_records(self, key: str) -> list[tuple[dict, str]]:
-        shard = self._shard_dir(key)
-        if not shard.is_dir():
-            return []
-        seen: dict[str, dict] = {}
+    @staticmethod
+    def _seg_records_at(seg: Path, offsets) -> Iterator[tuple[dict, str]]:
+        try:
+            with open(seg, "rb") as fh:
+                for off in offsets:
+                    fh.seek(off)
+                    raw = fh.readline()
+                    line = raw.decode("utf-8", errors="replace").strip()
+                    doc = segstore.parse_line(line)
+                    if doc is not None:
+                        yield doc, line
+        except OSError:
+            return
+
+    @staticmethod
+    def _shard_mutable(shard: Path) -> Iterator[tuple[dict, str]]:
+        """Records of the files that must be parsed line by line: the
+        open tail, mid-compaction ``pend-*`` snapshots, and legacy
+        per-group files."""
+        for f in sorted(shard.glob("*.jsonl")):
+            if not f.name.startswith("seg-"):
+                for doc in segstore.read_docs(f)[0]:
+                    yield doc, segstore.canonical_line(doc)
+
+    def _shard_groups(self, shard: Path, only: Optional[str] = None,
+                      ) -> dict[str, dict[str, dict]]:
+        """A shard's deduped records (or just group ``only``'s), as
+        ``{key: {canonical line: doc}}``."""
+        by_key: dict[str, dict[str, dict]] = {}
         for seg in self._segments(shard):
-            offs = self._seg_index(seg)["keys"].get(key, ())
-            for doc, line in self._seg_records_at(seg, offs):
-                seen[line] = doc
+            idx = self._seg_index(seg)
+            for key in (idx if only is None else {only} & idx.keys()):
+                bucket = by_key.setdefault(key, {})
+                for doc, line in self._seg_records_at(seg, idx[key]):
+                    bucket[line] = doc
         for doc, line in self._shard_mutable(shard):
-            if doc.get("key") == key:
-                seen[line] = doc
-        return sorted(
-            ((doc, line) for line, doc in seen.items()),
-            key=lambda pair: _order_key(pair[0], pair[1]),
-        )
+            if only is None or doc["key"] == only:
+                by_key.setdefault(doc["key"], {})[line] = doc
+        return by_key
 
     def keys(self) -> list[str]:
         """Every group key — from segment indexes plus the open tails."""
         out: set[str] = set()
         for shard in self._shards():
             for seg in self._segments(shard):
-                out.update(self._seg_index(seg)["keys"])
+                out.update(self._seg_index(seg))
             for doc, _line in self._shard_mutable(shard):
                 out.add(doc["key"])
         return sorted(out)
@@ -534,7 +420,8 @@ class RunStore:
     def runs(self, key: str) -> list[dict]:
         """Every stored run for a group, in deterministic history order
         (``wall_time``, then canonical line)."""
-        return [doc for doc, _line in self._group_records(key)]
+        groups = self._shard_groups(self._shard_dir(key), only=key)
+        return _history(groups.get(key, {}))
 
     def latest(self, key: str) -> Optional[dict]:
         """Newest run of a group.
@@ -544,45 +431,24 @@ class RunStore:
         (``open.jsonl`` and friends) is parsed in full.
         """
         shard = self._shard_dir(key)
-        if not shard.is_dir():
-            return None
-        best: Optional[tuple[tuple[float, str], dict]] = None
+        newest: list[tuple[dict, str]] = []
         for seg in self._segments(shard):
-            offs = self._seg_index(seg)["keys"].get(key)
-            if not offs:
-                continue
             # segment lines are sorted by (key, wall_time, line): the
             # key's last offset is its newest record in this segment
-            for doc, line in self._seg_records_at(seg, offs[-1:]):
-                ok = _order_key(doc, line)
-                if best is None or ok > best[0]:
-                    best = (ok, doc)
-        for doc, line in self._shard_mutable(shard):
-            if doc.get("key") != key:
-                continue
-            ok = _order_key(doc, line)
-            if best is None or ok > best[0]:
-                best = (ok, doc)
-        return best[1] if best is not None else None
+            offs = self._seg_index(seg).get(key, ())[-1:]
+            newest.extend(self._seg_records_at(seg, offs))
+        newest.extend(pair for pair in self._shard_mutable(shard)
+                      if pair[0]["key"] == key)
+        best = max(newest, key=lambda pair: segstore.order_key(*pair),
+                   default=None)
+        return best[0] if best is not None else None
 
     def groups(self) -> Iterator[tuple[str, list[dict]]]:
         """Stream ``(key, runs)`` pairs, one shard in memory at a time."""
         for shard in self._shards():
-            by_key: dict[str, dict[str, dict]] = {}
-            for seg in self._segments(shard):
-                idx = self._seg_index(seg)["keys"]
-                for key in idx:
-                    bucket = by_key.setdefault(key, {})
-                    for doc, line in self._seg_records_at(seg, idx[key]):
-                        bucket[line] = doc
-            for doc, line in self._shard_mutable(shard):
-                by_key.setdefault(doc["key"], {})[line] = doc
+            by_key = self._shard_groups(shard)
             for key in sorted(by_key):
-                pairs = sorted(
-                    ((doc, line) for line, doc in by_key[key].items()),
-                    key=lambda pair: _order_key(pair[0], pair[1]),
-                )
-                yield key, [doc for doc, _line in pairs]
+                yield key, _history(by_key[key])
 
     def __len__(self) -> int:
         """Total stored runs (not groups); streams shard by shard."""
@@ -597,94 +463,22 @@ class RunStore:
         sorted by ``(key, wall_time, line)``, so the surviving segment
         is a pure function of the record *set*: any append interleaving
         of the same records compacts to byte-identical segments, and
-        re-compacting an already-compact shard is a no-op.
-
-        Concurrent writers are safe: the open tail is atomically renamed
-        to a ``pend-*`` snapshot first (writers holding a stale fd keep
-        landing lines in it; writers opening by path start a fresh
-        ``open.jsonl``), and after the segment is written any late lines
-        in the snapshot are re-appended to the new open tail before the
-        snapshot is removed.
+        re-compacting an already-compact shard is a no-op.  Safe under
+        concurrent writers, and raises rather than lose a record when
+        the segment cannot be written (:func:`repro.segstore.fold`).
         """
-        shards_done = 0
-        records = 0
-        removed = 0
+        stats = {"shards": 0, "records": 0, "removed_files": 0}
         for shard in self._shards():
             if prefix is not None and shard.name != prefix[:_SHARD_CHARS]:
                 continue
-            open_f = shard / "open.jsonl"
-            if open_f.exists():
-                pend = shard / f"pend-{uuid.uuid4().hex[:12]}.jsonl"
-                try:
-                    os.rename(open_f, pend)
-                except OSError:
-                    pass
-            folded = [f for f in sorted(shard.glob("*.jsonl"))
-                      if f.name != "open.jsonl"]
-            consumed: dict[Path, int] = {}
-            resolved: dict[str, dict] = {}
-            for f in folded:
-                lines, consumed[f] = _complete_lines(f)
-                for line in lines:
-                    doc = _parse(line)
-                    if doc is not None and doc.get("key"):
-                        resolved[_canonical(doc)] = doc
-            if not resolved:
-                continue
-            ordered = sorted(
-                resolved,
-                key=lambda ln: (resolved[ln]["key"],
-                                _order_key(resolved[ln], ln)),
-            )
-            body = "".join(ln + "\n" for ln in ordered)
-            seg_digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-            seg = shard / f"seg-{seg_digest[:12]}.jsonl"
-            if not seg.exists():
-                self._write_atomic(seg, body)
-            keys: dict[str, list[int]] = {}
-            off = 0
-            for ln in ordered:
-                keys.setdefault(resolved[ln]["key"], []).append(off)
-                off += len((ln + "\n").encode("utf-8"))
-            idx = {"schema": STORE_SCHEMA_VERSION, "records": len(ordered),
-                   "keys": keys}
-            self._write_atomic(self._idx_path(seg),
-                               json.dumps(idx, sort_keys=True))
-            self._idx_cache[seg] = idx
-            # late lines from in-flight writers: move them to the new
-            # open tail before their snapshot disappears
-            for f in folded:
-                if not f.name.startswith("pend-"):
-                    continue
-                while True:
-                    late, consumed[f] = _complete_lines(f, consumed[f])
-                    for line in late:
-                        doc = _parse(line)
-                        if doc is not None and doc.get("key") and \
-                                _canonical(doc) not in resolved:
-                            self.append(doc)
-                            self.appends -= 1  # a move, not a new record
-                    if not late:
-                        break
-            for f in folded:
-                if f == seg:
-                    continue
-                try:
-                    f.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-                old_idx = self._idx_path(f)
-                if old_idx.exists():
-                    try:
-                        old_idx.unlink()
-                    except OSError:
-                        pass
+            count, gone = segstore.fold(shard, _resolve, sidecar=True)
+            for f in gone:
                 self._idx_cache.pop(f, None)
-            shards_done += 1
-            records += len(ordered)
-        return {"shards": shards_done, "records": records,
-                "removed_files": removed}
+            if count:
+                stats["shards"] += 1
+                stats["records"] += count
+                stats["removed_files"] += len(gone)
+        return stats
 
     # -- streaming ingest ------------------------------------------------------
 
@@ -716,44 +510,27 @@ class RunStore:
             if st is not None:
                 mark = tuple(st["mark"]) if st.get("mark") else None
                 offsets = dict(st.get("files", {}))
-            tracked = set(offsets)
-            same_files = st is not None and tracked == set(files)
-            if same_files:
-                for fname, f in files.items():
-                    try:
-                        if f.stat().st_size < offsets.get(fname, 0):
-                            same_files = False  # truncated/replaced
-                            break
-                    except OSError:
-                        same_files = False
-                        break
+            # a file that shrank was truncated or replaced
+            same_files = (st is not None and set(offsets) == set(files)
+                          and not any(_shrunk(f, offsets[fname])
+                                      for fname, f in files.items()))
             got: list[tuple[tuple[float, str], dict]] = []
             new_offsets: dict[str, int] = {}
-            if same_files:
-                for fname, f in files.items():
-                    start = offsets.get(fname, 0)
-                    lines, end = _complete_lines(f, start)
-                    new_offsets[fname] = end
-                    for line in lines:
-                        doc = _parse(line)
-                        if doc is not None and doc.get("key"):
-                            got.append((_order_key(doc, _canonical(doc)),
-                                        doc))
-            else:
-                # first sight of this shard, or its files changed
-                # underneath us (compaction): re-read and dedup by mark
-                seen: dict[str, dict] = {}
-                for fname, f in files.items():
-                    lines, end = _complete_lines(f)
-                    new_offsets[fname] = end
-                    for line in lines:
-                        doc = _parse(line)
-                        if doc is not None and doc.get("key"):
-                            seen[_canonical(doc)] = doc
-                for line, doc in seen.items():
-                    ok = _order_key(doc, line)
-                    if mark is None or ok > mark:
-                        got.append((ok, doc))
+            seen: set[str] = set()
+            for fname, f in files.items():
+                docs, new_offsets[fname] = segstore.read_docs(
+                    f, offsets.get(fname, 0) if same_files else 0)
+                for doc in docs:
+                    line = segstore.canonical_line(doc)
+                    ok = segstore.order_key(doc, line)
+                    # first sight of this shard, or its files changed
+                    # underneath us (compaction): everything was re-read,
+                    # so dedup by line and by the high-water mark
+                    if not same_files:
+                        if line in seen or mark is not None and ok <= mark:
+                            continue
+                        seen.add(line)
+                    got.append((ok, doc))
             got.sort(key=lambda pair: pair[0])
             if got:
                 top = got[-1][0]

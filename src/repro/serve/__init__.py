@@ -18,8 +18,8 @@ that production story:
 - :mod:`repro.serve.warm` -- pre-populate shards from
   :class:`~repro.tuning.autotuner.Autotuner` sweeps over a fleet of
   machine presets;
-- ``python -m repro.serve.cli`` -- ``warm`` / ``serve`` / ``merge`` /
-  ``bench`` front end (the bench emits ``BENCH_serve_qps.json``).
+- ``python -m repro.serve.cli`` -- ``warm`` / ``serve`` / ``merge``
+  front end.
 """
 
 from repro.serve.guidelines import GuidelineCheck, Verdict, validate_decision

@@ -12,9 +12,6 @@ Tune once per hardware band, answer every runtime query from the store::
     # fold one store into another, then compact the shards
     python -m repro.serve.cli merge --into .decisions .decisions-other --compact
 
-    # the serving-throughput study (emits BENCH_serve_qps.json)
-    python -m repro.serve.cli bench --quick --floor 100000
-
 Every served answer carries a provenance stamp (``exact`` / ``nearest``
 / ``interpolated`` / ``default``) and a guideline verdict; ``--strict``
 refuses guideline-violating answers (exit code 3) instead of serving
@@ -150,96 +147,6 @@ def cmd_merge(args) -> int:
     return 0
 
 
-# -- bench -------------------------------------------------------------------------
-
-
-def _bench_queries(store: DecisionStore, n: int) -> dict[str, list[Query]]:
-    """Exact / nearest / interpolated / default workloads over a store."""
-    points = []
-    for band in store.bands():
-        for coll in store.colls(band):
-            points.extend((band, r) for r in store.records(band, coll))
-    if not points:
-        raise SystemExit("bench needs a non-empty store")
-    exact, nearest, interp = [], [], []
-    for i in range(n):
-        band, rec = points[i % len(points)]
-        exact.append(Query(rec["coll"], rec["nbytes"],
-                           commsize=rec["commsize"], band=band))
-        # outside the sampled range on alternating ends -> nearest
-        factor = 2.0 ** 40 if i % 2 else 2.0 ** -40
-        nearest.append(Query(rec["coll"], max(rec["nbytes"] * factor, 1.0),
-                             commsize=rec["commsize"], band=band))
-        # strictly between two samples (x1.5 of a sampled power of two)
-        interp.append(Query(rec["coll"], rec["nbytes"] * 1.5,
-                            commsize=rec["commsize"], band=band))
-    default = [
-        Query("bcast", 2.0 ** (10 + i % 12), commsize=8, band="0" * 64)
-        for i in range(n)
-    ]
-    mixed = [q for group in (exact, nearest, interp, default)
-             for q in group][:n]
-    return {"exact": exact, "nearest": nearest, "interpolated": interp,
-            "default": default, "mixed": mixed}
-
-
-def cmd_bench(args) -> int:
-    if args.quick:
-        args.queries = min(args.queries, 2000)
-    store = DecisionStore(args.store) if args.store else DecisionStore()
-    if not len(store):
-        fleet = parse_fleet(args.fleet)
-        print(f"warming in-memory store from {args.fleet} "
-              f"[{args.space} space] ...")
-        for s in warm_store(fleet, store, colls=("bcast", "allreduce"),
-                            space=WARM_SPACES[args.space],
-                            workers=args.workers):
-            print(f"  {s['machine']}: {s['records']} records "
-                  f"in {s['wall_s']:.2f}s")
-    workloads = _bench_queries(store, args.queries)
-    service = DecisionService(store)
-    qps: dict[str, float] = {}
-    for name in ("exact", "mixed"):
-        batch = workloads[name]
-        service.decide_batch(batch)  # warm indexes + verdict cache
-        best = 0.0
-        for _ in range(max(1, args.repeat)):
-            t0 = time.perf_counter()
-            service.decide_batch(batch)
-            dt = time.perf_counter() - t0
-            best = max(best, len(batch) / dt if dt > 0 else float("inf"))
-        qps[name] = best
-        print(f"  {name:>6}: {best:12.0f} queries/s "
-              f"({len(batch)} queries, best of {args.repeat})")
-    # provenance correctness snapshot over one fresh mixed pass
-    check = DecisionService(store)
-    provs: dict[str, int] = {}
-    for name in ("exact", "nearest", "interpolated", "default"):
-        for d in check.decide_batch(workloads[name][:200]):
-            provs[f"{name}->{d.provenance}"] = (
-                provs.get(f"{name}->{d.provenance}", 0) + 1)
-    floor_ok = args.floor is None or qps["exact"] >= args.floor
-    out = {
-        "store": store.stats(),
-        "fleet": args.fleet if not args.store else str(args.store),
-        "batch_queries": args.queries,
-        "repeat": args.repeat,
-        "qps": qps,
-        "floor_qps": args.floor,
-        "floor_ok": floor_ok,
-        "workload_provenance": provs,
-        "service_stats": check.stats(),
-    }
-    Path(args.out).write_text(json.dumps(out, indent=1))
-    print(f"exact-hit {qps['exact']:.0f} qps, mixed {qps['mixed']:.0f} qps; "
-          f"written to {args.out}")
-    if not floor_ok:
-        print(f"FAIL: exact-hit qps {qps['exact']:.0f} below floor "
-              f"{args.floor:.0f}", file=sys.stderr)
-        return 1
-    return 0
-
-
 # -- entry point -------------------------------------------------------------------
 
 
@@ -284,24 +191,6 @@ def main(argv=None) -> int:
     p_merge.add_argument("--compact", action="store_true",
                          help="compact shards after merging")
     p_merge.set_defaults(fn=cmd_merge)
-
-    p_bench = sub.add_parser(
-        "bench", help="serving-throughput study (BENCH_serve_qps.json)"
-    )
-    p_bench.add_argument("--store", default=None,
-                         help="existing store (default: warm in memory)")
-    p_bench.add_argument("--fleet", default="tiny_cluster:2x2")
-    p_bench.add_argument("--space", default="quick",
-                         choices=sorted(WARM_SPACES))
-    p_bench.add_argument("--queries", type=int, default=10000)
-    p_bench.add_argument("--repeat", type=int, default=3)
-    p_bench.add_argument("--workers", type=int, default=0)
-    p_bench.add_argument("--quick", action="store_true",
-                         help="cap the batch at 2000 queries")
-    p_bench.add_argument("--floor", type=float, default=None,
-                         help="fail if exact-hit qps drops below this")
-    p_bench.add_argument("--out", default="BENCH_serve_qps.json")
-    p_bench.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -6,20 +6,21 @@ One *decision* is the winner of an autotuning search for one point
 provenance.  The store keeps millions of them queryable at memory speed:
 
 - **band digest** -- the hardware identity of a machine with the job
-  geometry erased (:meth:`~repro.hardware.spec.MachineSpec.band`),
-  digested through the :func:`repro.tuning.cache.digest` contract.  Two
-  jobs of different sizes on the same hardware share a band, so one
-  tuning sweep serves every job shape on that fleet.
+  geometry erased (:func:`repro.obs.store.band_digest`, the identity
+  run summaries are stamped with too).  Two jobs of different sizes on
+  the same hardware share a band, so one tuning sweep serves every job
+  shape on that fleet.
 - **point key** -- content digest of (band, coll, n, p, nbytes): the
   dedup identity of a decision.  Same point tuned twice resolves to one
   record (newest ``wall_time`` wins; ties break on the smaller
   ``config_digest``, so resolution is deterministic in any merge order).
 - **shard** -- one directory per (band, coll):
-  ``<root>/<band[:16]>/<coll>/``.  Writers append whole JSONL lines with
-  ``O_APPEND`` to ``open.jsonl`` (the :class:`~repro.obs.store.RunStore`
-  idiom: no locks, torn lines from dead writers are skipped on read);
-  :meth:`compact` folds every segment of a shard into one immutable,
-  deduped, content-named ``seg-<digest>.jsonl``.
+  ``<root>/<band[:16]>/<coll>/``, speaking the shard protocol of
+  :mod:`repro.segstore` (lock-free ``O_APPEND`` writers, torn and
+  foreign lines skipped on read).  :meth:`compact` folds every file of
+  a shard into one immutable, content-named ``seg-<digest>.jsonl``
+  holding each point's winner in canonical point order; no sidecar --
+  a shard is always loaded whole.
 - **merge** -- :meth:`merge_from` folds another store in record by
   record through the same resolution rule, so post-merge query results
   equal the pre-merge union.
@@ -31,13 +32,14 @@ tests use this mode.
 from __future__ import annotations
 
 import json
-import hashlib
 import os
-import tempfile
 import time
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
+from repro import segstore
+from repro.obs.store import band_digest, config_digest, traffic_digest
 from repro.tuning.cache import digest
 from repro.tuning.lookup import config_to_dict
 
@@ -61,15 +63,6 @@ SERVE_SCHEMA_VERSION = 1
 RECORD_HEADER_KEYS = frozenset({"schema_version", "wall_time", "source"})
 
 _BAND_DIR_CHARS = 16
-
-
-def band_digest(machine: "MachineSpec") -> str:
-    """Stable digest of the machine's hardware band (geometry erased)."""
-    return digest(
-        "machine-band",
-        schema=SERVE_SCHEMA_VERSION,
-        machine=machine.band(),
-    )
 
 
 def point_key(band: str, coll: str, n: int, p: int, nbytes: float) -> str:
@@ -107,8 +100,6 @@ def decision_record(
     load carry its digest so a consumer can tell a quiet-machine winner
     from an interference-aware one.
     """
-    from repro.obs.store import config_digest, traffic_digest
-
     band = band_digest(machine)
     n = machine.num_nodes if n is None else int(n)
     p = machine.ppn if p is None else int(p)
@@ -139,8 +130,38 @@ def _wins(a: dict, b: dict) -> bool:
     return a.get("config_digest", "") < b.get("config_digest", "")
 
 
+def _point_order(rec: dict) -> tuple:
+    """Canonical point order of a shard's records."""
+    return (rec["n"], rec["p"], rec["nbytes"], rec["key"])
+
+
+def _absorb(view: dict, band: str, docs) -> None:
+    """Fold ``band``'s records among ``docs`` into a resolved view."""
+    for rec in docs:
+        # a band-prefix collision lands foreign records in one shard
+        # directory; the full digest in each line keeps them apart
+        if rec.get("band") != band:
+            continue
+        cur = view.get(rec["key"])
+        if cur is None or _wins(rec, cur):
+            view[rec["key"]] = rec
+
+
+def _resolve(band: str, docs: list) -> list[tuple[str, str]]:
+    """Fold policy: each point's winner, in canonical point order."""
+    view: dict[str, dict] = {}
+    _absorb(view, band, docs)
+    return [(rec["key"], segstore.canonical_line(rec))
+            for rec in sorted(view.values(), key=_point_order)]
+
+
 class DecisionStore:
     """Sharded (band, coll) decision store with O(1) point resolution.
+
+    A policy over :mod:`repro.segstore`: records shard by
+    ``<band[:16]>/<coll>``, a fold keeps each point's winner (newest
+    ``wall_time``, then smaller ``config_digest``) in canonical point
+    order, and segments carry no sidecar.
 
     ``version`` increments on every mutation (append, merge, compact,
     refresh) so index layers (:class:`~repro.serve.service.DecisionService`)
@@ -169,48 +190,14 @@ class DecisionStore:
         if marker.exists():
             return
         marker.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=marker.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump({
-                    "schema_version": SERVE_SCHEMA_VERSION,
-                    "band": band,
-                    "machine": machine_label,
-                }, fh)
-            os.replace(tmp, marker)  # racing warmers agree on content
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        # racing warmers agree on content
+        segstore.write_atomic(marker, json.dumps({
+            "schema_version": SERVE_SCHEMA_VERSION,
+            "band": band,
+            "machine": machine_label,
+        }))
 
     # -- shard loading ------------------------------------------------------------
-
-    @staticmethod
-    def _absorb(shard: dict, rec: dict) -> bool:
-        """Fold one record into a resolved shard view; True if it won."""
-        key = rec.get("key")
-        if not key:
-            return False
-        cur = shard.get(key)
-        if cur is None or _wins(rec, cur):
-            shard[key] = rec
-            return True
-        return False
-
-    def _iter_lines(self, shard_dir: Path) -> Iterator[dict]:
-        for f in sorted(shard_dir.glob("*.jsonl")):
-            try:
-                text = f.read_text()
-            except OSError:
-                continue
-            for line in text.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn line from a dead writer: skip
 
     def _shard(self, band: str, coll: str) -> dict[str, dict]:
         view = self._shards.get((band, coll))
@@ -218,14 +205,8 @@ class DecisionStore:
             return view
         view = {}
         if self.root is not None:
-            shard_dir = self._shard_dir(band, coll)
-            if shard_dir.is_dir():
-                for rec in self._iter_lines(shard_dir):
-                    # a band-prefix collision lands foreign records in
-                    # this directory; the full digest in each line keeps
-                    # them out of the view
-                    if rec.get("band") == band:
-                        self._absorb(view, rec)
+            for f in sorted(self._shard_dir(band, coll).glob("*.jsonl")):
+                _absorb(view, band, segstore.read_docs(f)[0])
         self._shards[(band, coll)] = view
         return view
 
@@ -245,16 +226,9 @@ class DecisionStore:
         band, coll = rec["band"], rec["coll"]
         if self.root is not None:
             self._write_band_marker(band, rec.get("machine", "?"))
-            shard_dir = self._shard_dir(band, coll)
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            line = json.dumps(rec, sort_keys=True) + "\n"
-            fd = os.open(shard_dir / "open.jsonl",
-                         os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
-        self._absorb(self._shard(band, coll), rec)
+            segstore.append_line(self._shard_dir(band, coll) / segstore.OPEN,
+                                 segstore.canonical_line(rec))
+        _absorb(self._shard(band, coll), band, (rec,))
         self.appends += 1
         self.version += 1
         return rec["key"]
@@ -312,20 +286,16 @@ class DecisionStore:
 
     def records(self, band: str, coll: str) -> list[dict]:
         """Resolved records of one shard, in canonical point order."""
-        return sorted(
-            self._shard(band, coll).values(),
-            key=lambda r: (r["n"], r["p"], r["nbytes"], r["key"]),
-        )
+        return sorted(self._shard(band, coll).values(), key=_point_order)
 
     def bands(self) -> list[str]:
         """Every band digest with at least one shard."""
         out = {band for (band, _coll), view in self._shards.items() if view}
         if self.root is not None:
             for marker in self.root.glob("*/BAND.json"):
-                try:
-                    out.add(json.loads(marker.read_text())["band"])
-                except (OSError, json.JSONDecodeError, KeyError):
-                    continue
+                band = (segstore.read_object(marker) or {}).get("band")
+                if isinstance(band, str):
+                    out.add(band)
         return sorted(out)
 
     def colls(self, band: str) -> list[str]:
@@ -377,57 +347,32 @@ class DecisionStore:
 
     def compact(self, band: Optional[str] = None,
                 coll: Optional[str] = None) -> dict:
-        """Fold each shard's segments into one immutable, deduped segment.
+        """Fold each shard's files into one immutable, deduped segment.
 
         The surviving segment is content-named (``seg-<digest>.jsonl``
         over its canonical, sorted lines) and written atomically, so a
         reader never sees a half-compacted shard and re-compacting an
         already-compact shard is a no-op that reproduces the same file.
+        Safe under concurrent warmers, and raises rather than lose a
+        record when the segment cannot be written
+        (:func:`repro.segstore.fold`).
         """
+        stats = {"shards": 0, "records": 0, "removed_segments": 0}
         if self.root is None:
-            return {"shards": 0, "records": 0, "removed_segments": 0}
-        shards = 0
-        records = 0
-        removed = 0
+            return stats
         for b in ([band] if band else self.bands()):
             for c in ([coll] if coll else self.colls(b)):
-                shard_dir = self._shard_dir(b, c)
-                if not shard_dir.is_dir():
-                    continue
+                count, gone = segstore.fold(self._shard_dir(b, c),
+                                            partial(_resolve, b))
+                # reload lazily: the view must match what is on disk,
+                # late lines of concurrent writers included
                 self._shards.pop((b, c), None)
-                resolved = self.records(b, c)
-                if not resolved:
-                    continue
-                lines = "".join(
-                    json.dumps(r, sort_keys=True) + "\n" for r in resolved
-                )
-                seg_digest = hashlib.sha256(lines.encode("utf-8")).hexdigest()
-                seg = shard_dir / f"seg-{seg_digest[:12]}.jsonl"
-                old = [f for f in shard_dir.glob("*.jsonl") if f != seg]
-                if not seg.exists():
-                    fd, tmp = tempfile.mkstemp(dir=shard_dir, suffix=".tmp")
-                    try:
-                        with os.fdopen(fd, "w") as fh:
-                            fh.write(lines)
-                        os.replace(tmp, seg)
-                    except BaseException:
-                        if os.path.exists(tmp):
-                            os.unlink(tmp)
-                        raise
-                for f in old:
-                    try:
-                        f.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
-                self._shards[(b, c)] = {r["key"]: r for r in resolved}
-                shards += 1
-                records += len(resolved)
+                if count:
+                    stats["shards"] += 1
+                    stats["records"] += count
+                    stats["removed_segments"] += len(gone)
         self.version += 1
-        return {
-            "shards": shards, "records": records,
-            "removed_segments": removed,
-        }
+        return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = str(self.root) if self.root is not None else "memory"

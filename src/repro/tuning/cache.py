@@ -45,9 +45,10 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterator, Optional
+
+from repro.segstore import read_object, write_atomic
 
 __all__ = ["CACHE_VERSION", "MeasurementCache", "canonical", "digest"]
 
@@ -114,26 +115,15 @@ class MeasurementCache:
     def _file_for(self, key: str) -> Path:
         return self.path / key[:2] / f"{key}.json"
 
-    @staticmethod
-    def _read(f: Path) -> Optional[dict]:
-        """The doc in file ``f``, or None if there is no usable one.
-
-        Absent, torn by a dead writer, not UTF-8, not JSON, or JSON that
-        is not an object: all read as a miss, never as an error out of a
-        tuning run (``UnicodeDecodeError`` and ``JSONDecodeError`` are
-        both ``ValueError``).
-        """
-        try:
-            doc = json.loads(f.read_text())
-        except (OSError, ValueError):
-            return None
-        return doc if isinstance(doc, dict) else None
-
     def get(self, key: str) -> Optional[dict]:
-        """The stored doc for ``key``, or None (counted as hit/miss)."""
+        """The stored doc for ``key``, or None (counted as hit/miss).
+
+        An unusable file (torn by a dead writer, not UTF-8, not a JSON
+        object) is a miss, never an error out of a tuning run.
+        """
         doc = self._mem.get(key)
         if doc is None and self.path is not None:
-            doc = self._read(self._file_for(key))
+            doc = read_object(self._file_for(key))
             if doc is not None:
                 self._mem[key] = doc
         if doc is None:
@@ -150,15 +140,7 @@ class MeasurementCache:
             return
         f = self._file_for(key)
         f.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=f.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh)
-            os.replace(tmp, f)  # atomic publish; racing writers agree on content
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(f, json.dumps(doc))  # racing writers agree on content
 
     # -- introspection ------------------------------------------------------------
 
@@ -167,7 +149,7 @@ class MeasurementCache:
         seen = set()
         if self.path is not None:
             for f in sorted(self.path.glob("*/*.json")):
-                doc = self._read(f)
+                doc = read_object(f)
                 if doc is not None:
                     seen.add(f.stem)
                     yield f.stem, doc

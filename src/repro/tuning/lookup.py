@@ -23,6 +23,7 @@ from typing import Optional
 
 from repro.core.config import HanConfig
 from repro.core.han import HanModule
+from repro.segstore import write_atomic
 
 __all__ = ["LookupTable", "config_to_dict"]
 
@@ -114,7 +115,9 @@ class LookupTable:
             {"t": t, "n": n, "p": p, "m": m, "config": config_to_dict(cfg)}
             for (t, n, p, m), cfg in sorted(self.entries.items())
         ]
-        Path(path).write_text(json.dumps({
+        # atomic publish: a reader never finds a torn table (the
+        # table_digest stamp could only detect one after the fact)
+        write_atomic(Path(path), json.dumps({
             "version": 1,
             "schema_version": RESULT_SCHEMA_VERSION,
             "config_digest": config_digest(None),

@@ -74,7 +74,7 @@ def test_store_skips_torn_lines(tmp_path):
     store = RunStore(tmp_path)
     m = _machine()
     key = store.append(summarize_point(m, "bcast", 1024, 1e-4))
-    f = store._open_file(key)
+    (f,) = tmp_path.glob("*/open.jsonl")
     with open(f, "a") as fh:
         fh.write('{"truncated": ')  # dead writer mid-line
     assert len(store.runs(key)) == 1
@@ -103,7 +103,7 @@ def test_store_lines_are_valid_json(tmp_path):
     m = _machine()
     key = store.append(summarize_point(m, "allreduce", 2048, 2e-4,
                                        library="openmpi"))
-    f = store._open_file(key)
+    f = tmp_path / key[:2] / "open.jsonl"
     lines = f.read_text().splitlines()
     assert len(lines) == 1
     doc = json.loads(lines[0])
@@ -179,9 +179,8 @@ def test_compact_folds_later_appends_into_one_segment(tmp_path):
     store.append(_point(m, "bcast", 1024, 1.1e-3, wall=1))
     store.compact()
     (key,) = store.keys()
-    shard = store._shard_dir(key)
-    assert len(store._segments(shard)) == 1
-    assert store._mutable_files(shard) == []
+    (seg,) = (tmp_path / key[:2]).glob("*.jsonl")  # one segment, no tail
+    assert seg.name.startswith("seg-")
     assert len(store.runs(key)) == 2
 
 

@@ -1,4 +1,4 @@
-"""serve CLI: warm -> serve -> merge -> bench round trips and exit codes."""
+"""serve CLI: warm -> serve -> merge round trips and exit codes."""
 
 import json
 
@@ -104,26 +104,3 @@ def test_merge_unions_shards_across_presets(tmp_path):
                 assert (d.config, d.provenance, d.expected_time,
                         d.source_key) == (e.config, e.provenance,
                                           e.expected_time, e.source_key)
-
-
-def test_bench_quick_emits_artifact(tmp_path):
-    out = tmp_path / "BENCH_serve_qps.json"
-    # floor=1: the artifact contract is under test here, not throughput
-    assert main(["bench", "--quick", "--fleet", FLEET, "--queries", "200",
-                 "--repeat", "1", "--floor", "1", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["floor_ok"] is True
-    assert doc["qps"]["exact"] > 0 and doc["qps"]["mixed"] > 0
-    assert doc["store"]["records"] > 0
-    # the workload generator produced the provenance it intended
-    assert doc["workload_provenance"]["exact->exact"] == 200
-    assert doc["workload_provenance"]["default->default"] == 200
-    assert doc["workload_provenance"]["nearest->nearest"] == 200
-
-
-def test_bench_floor_failure_exits_1(tmp_path):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--quick", "--fleet", FLEET, "--queries", "50",
-                 "--repeat", "1", "--floor", "1e18",
-                 "--out", str(out)]) == 1
-    assert json.loads(out.read_text())["floor_ok"] is False

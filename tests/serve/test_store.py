@@ -31,6 +31,25 @@ def test_band_digest_erases_job_geometry():
     assert band_digest(base) != band_digest(shaheen2(num_nodes=2, ppn=2))
 
 
+def test_run_summaries_carry_the_band_the_decision_store_shards_by():
+    """One band identity: a fleet finding joins to the shard it indicts."""
+    from repro.hardware import MACHINE_PRESETS
+    from repro.obs.store import summarize_point
+
+    joined = 0
+    for name in sorted(MACHINE_PRESETS):
+        m = MACHINE_PRESETS[name]()
+        try:
+            m.band()
+        except ValueError:
+            continue  # gpu_pod: no band can be formed yet (ROADMAP)
+        run = summarize_point(m, "bcast", 64 * KiB, 1e-4, config=_config())
+        rec = decision_record(m, "bcast", 64 * KiB, _config())
+        assert run["band"] == rec["band"] == band_digest(m)
+        joined += 1
+    assert joined >= 4
+
+
 def test_point_key_is_content_addressed():
     band = band_digest(_machine())
     k = point_key(band, "bcast", 2, 2, 64 * KiB)
@@ -212,3 +231,14 @@ def test_torn_and_foreign_lines_are_skipped(tmp_path):
     again = DecisionStore(tmp_path / "ds")
     recs = again.records(band, "bcast")
     assert len(recs) == 1 and recs[0]["nbytes"] == float(64 * KiB)
+
+
+def test_damaged_band_marker_hides_only_its_own_band(tmp_path):
+    a, b = _machine(), shaheen2(num_nodes=2, ppn=2)
+    store = DecisionStore(tmp_path / "ds")
+    store.put_decision(a, "bcast", 64 * KiB, _config())
+    store.put_decision(b, "bcast", 64 * KiB, _config())
+    marker = tmp_path / "ds" / band_digest(b)[:16] / "BAND.json"
+    for damage in (b"[1]", b'{"band": 7}', b"\xff\xfe", b'{"band": "tor'):
+        marker.write_bytes(damage)
+        assert DecisionStore(tmp_path / "ds").bands() == [band_digest(a)]
