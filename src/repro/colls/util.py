@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.mpi.communicator import Communicator
-from repro.mpi.constants import INTERNAL_TAG_BASE
+from repro.mpi.constants import COLL_TAG_BASE, INTERNAL_TAG_BASE
 
 __all__ = ["coll_tag_block", "Segmenter", "vrank", "unvrank", "charge_reduce", "combine"]
 
@@ -16,8 +16,7 @@ __all__ = ["coll_tag_block", "Segmenter", "vrank", "unvrank", "charge_reduce", "
 # allocated monotonically — never recycled — so a long-lived collective
 # (e.g. a nonblocking inter-node phase still draining) can never alias
 # the tags of a later call on the same communicator.  The region spans
-# everything up to the internal base: 2^25 blocks of 4096 tags.
-COLL_TAG_BASE = 1 << 28
+# COLL_TAG_BASE up to the internal base: 2^25 blocks of 4096 tags.
 _TAG_BLOCK = 4096
 _TAG_SLOTS = (INTERNAL_TAG_BASE - COLL_TAG_BASE) // _TAG_BLOCK
 

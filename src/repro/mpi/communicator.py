@@ -73,6 +73,10 @@ class Communicator:
         self._split_epoch = 0
         self._barrier_epoch = 0
         self._nodes: Optional[list[int]] = None  # node_of cache, lazy
+        # the runtime's per-peer send channels and this rank's matcher,
+        # resolved on first use
+        self._channels: dict = {}
+        self._matcher = None
 
     # -- introspection -----------------------------------------------------------
 

@@ -1,67 +1,36 @@
-"""Message envelopes and MPI matching semantics.
+"""Messages in flight and MPI matching semantics.
 
 Matching follows the MPI rules: a receive names ``(source, tag)`` with
-wildcards; envelopes from one sender are matched in the order they were
+wildcards; messages from one sender are matched in the order they were
 sent (non-overtaking), which the runtime enforces with per-channel
 sequence numbers and a hold-back buffer -- flows of different sizes may
 physically finish out of order, the *matching* never does.
+
+One :class:`Transit` per ``isend`` is the only representation a message
+has from issue to receive completion, and its bound methods are the
+callbacks of every stage.  Staged -- under an overhead hook or an obs
+recorder -- a message is five engine events: ``sent``, then one latency
+later ``deliver`` (envelope) and ``start_flow`` (payload) back to back,
+``landed`` when the flow completes, ``received`` after the receive
+overhead.  On a quiet engine the latency expiries of all messages that
+reach their receivers in one instant are a single :class:`Arrivals`
+event, and zero-byte payloads land inside it: three events per message
+(DESIGN.md section 4o argues why that is exact).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.mpi.communicator import Message
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG, COLL_TAG_BASE
 from repro.mpi.request import Request
+from repro.sim.fluid import EPS_BYTES
 
-__all__ = ["Envelope", "PostedRecv", "Matcher", "Channel"]
+__all__ = ["Arrivals", "Channel", "Matcher", "Transit", "Wire"]
 
 EAGER = "eager"
 RNDV = "rndv"
-
-
-@dataclass(slots=True)
-class Envelope:
-    """The matchable part of a message plus its transfer state.
-
-    ``slots=True``: one envelope per message makes this a hot allocation
-    at paper scale; dropping the per-instance ``__dict__`` is a
-    measurable attribute-access and allocation win.
-    """
-
-    cid: int
-    src: int  # communicator rank of the sender
-    dst: int
-    tag: int
-    nbytes: float
-    payload: object
-    protocol: str
-    seq: int
-    src_world: int
-    dst_world: int
-    send_req: Optional[Request] = None
-    arrived: bool = False  # data physically at the receiver
-    matched: bool = False
-    # fired by the runtime when the match happens (rendezvous CTS trigger)
-    on_matched: Optional[Callable[["Envelope", "PostedRecv"], None]] = None
-    recv: Optional["PostedRecv"] = None
-    #: observability message id (-1 when no recorder is attached)
-    mid: int = -1
-
-
-@dataclass(slots=True)
-class PostedRecv:
-    """A posted receive waiting for a matching envelope."""
-
-    source: int
-    tag: int
-    req: Request
-
-    def matches(self, env: Envelope) -> bool:
-        return (self.source in (ANY_SOURCE, env.src)) and (
-            self.tag in (ANY_TAG, env.tag)
-        )
 
 
 class Matcher:
@@ -70,58 +39,265 @@ class Matcher:
     __slots__ = ("posted", "unexpected")
 
     def __init__(self) -> None:
-        self.posted: list[PostedRecv] = []
-        self.unexpected: list[Envelope] = []
+        #: ``(source, tag, request)`` of every receive still waiting
+        self.posted: list[tuple[int, int, Request]] = []
+        self.unexpected: list[Transit] = []
 
-    def deliver(self, env: Envelope) -> Optional[PostedRecv]:
+    def deliver(self, msg: "Transit") -> None:
         """An envelope reached the receiver; match or queue it."""
-        for i, recv in enumerate(self.posted):
-            if recv.matches(env):
+        for i, (source, tag, req) in enumerate(self.posted):
+            if _matches(source, tag, msg):
                 del self.posted[i]
-                self._bind(env, recv)
-                return recv
-        self.unexpected.append(env)
-        return None
+                msg.bind(req)
+                return
+        self.unexpected.append(msg)
 
-    def post(self, recv: PostedRecv) -> Optional[Envelope]:
+    def post(self, source: int, tag: int, req: Request) -> None:
         """A receive was posted; match a queued envelope or wait."""
-        for i, env in enumerate(self.unexpected):
-            if recv.matches(env):
+        for i, msg in enumerate(self.unexpected):
+            if _matches(source, tag, msg):
                 del self.unexpected[i]
-                self._bind(env, recv)
-                return env
-        self.posted.append(recv)
-        return None
+                msg.bind(req)
+                return
+        self.posted.append((source, tag, req))
 
-    @staticmethod
-    def _bind(env: Envelope, recv: PostedRecv) -> None:
-        env.matched = True
-        env.recv = recv
-        if env.on_matched is not None:
-            env.on_matched(env, recv)
+
+def _matches(source: int, tag: int, msg: "Transit") -> bool:
+    # ANY_TAG is for user traffic: collective and runtime-internal tags
+    # are matched by name only, or a wildcard receive would swallow a
+    # barrier round
+    return (source == msg.ch.src or source == ANY_SOURCE) and (
+        tag == msg.tag or (tag == ANY_TAG and msg.tag < COLL_TAG_BASE)
+    )
+
+
+class Wire:
+    """What the messages of one runtime share: engine, fabric, the open
+    arrival events of a quiet run and the tallies of ``message_stats``.
+
+    Not the runtime itself: channels sit in the runtime's registry, and a
+    reference back would turn every finished runtime into cyclic garbage
+    (a tuning sweep builds one per measurement).
+    """
+
+    __slots__ = ("engine", "fabric", "arrivals", "fused", "staged")
+
+    def __init__(self, engine, fabric) -> None:
+        self.engine = engine
+        self.fabric = fabric
+        #: arrival instant -> the event messages landing then may join
+        self.arrivals: dict[float, Arrivals] = {}
+        self.fused = 0
+        self.staged = 0
 
 
 class Channel:
-    """Per (comm, src, dst) FIFO enforcing in-order envelope delivery."""
+    """One (comm, src, dst) pair: the FIFO that keeps envelope delivery
+    in send order, plus everything about the pair that never changes,
+    resolved once instead of per message."""
 
-    __slots__ = ("next_send_seq", "next_deliver_seq", "holdback")
+    __slots__ = (
+        "wire", "matcher", "src", "src_world", "dst_world", "src_cpu",
+        "dst_cpu", "latency", "next_send_seq", "next_deliver_seq", "holdback",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, wire: "Wire", matcher: Matcher, src: int,
+                 src_world: int, dst_world: int) -> None:
+        self.wire = wire
+        self.matcher = matcher
+        self.src = src  # communicator rank of the sender
+        self.src_world = src_world
+        self.dst_world = dst_world
+        fabric = wire.fabric
+        self.src_cpu = fabric.progress[src_world]
+        self.dst_cpu = fabric.progress[dst_world]
+        #: one-way latency of the envelope and of the payload's first byte
+        #: (what control_latency() returns; its per-rank-pair cache would
+        #: only ever miss here, once per new channel)
+        self.latency = fabric.plan(src_world, dst_world, 0).latency
         self.next_send_seq = 0
         self.next_deliver_seq = 0
-        self.holdback: dict[int, Envelope] = {}
+        self.holdback: Optional[dict[int, Transit]] = None
 
-    def alloc_seq(self) -> int:
-        s = self.next_send_seq
-        self.next_send_seq += 1
-        return s
-
-    def deliver_in_order(
-        self, env: Envelope, sink: Callable[[Envelope], None]
-    ) -> None:
-        """Pass envelopes to ``sink`` strictly in send order."""
-        self.holdback[env.seq] = env
-        while self.next_deliver_seq in self.holdback:
-            nxt = self.holdback.pop(self.next_deliver_seq)
+    def deliver_in_order(self, msg: "Transit") -> None:
+        """Pass envelopes to the matcher strictly in send order."""
+        held = self.holdback
+        if msg.seq != self.next_deliver_seq:
+            if held is None:
+                held = self.holdback = {}
+            held[msg.seq] = msg
+            return
+        deliver = self.matcher.deliver
+        while msg is not None:
             self.next_deliver_seq += 1
-            sink(nxt)
+            deliver(msg)
+            msg = held.pop(self.next_deliver_seq, None) if held else None
+
+
+class Transit:
+    """One message, from ``isend`` to the completion of its receive.
+
+    Slotted and built positionally: one per message makes this the
+    hottest allocation of a paper-scale run.
+    """
+
+    __slots__ = (
+        "ch", "tag", "nbytes", "payload", "eager", "recv_ov", "seq",
+        "send_req", "recv_req", "arrived", "mid",
+    )
+
+    def __init__(self, ch: Channel, tag: int, nbytes: float, payload: object,
+                 eager: bool, recv_ov: float, send_req: Request, mid: int):
+        self.ch = ch
+        self.tag = tag
+        self.nbytes = nbytes
+        self.payload = payload
+        self.eager = eager
+        self.recv_ov = recv_ov
+        self.seq = ch.next_send_seq
+        ch.next_send_seq += 1
+        self.send_req = send_req
+        self.recv_req: Optional[Request] = None  # set by the match
+        self.arrived = False  # data physically at the receiver
+        #: observability message id (-1 when no recorder is attached)
+        self.mid = mid
+
+    # -- sender side -----------------------------------------------------------
+
+    def sent(self) -> None:
+        """The send overhead is paid: put the message on the wire."""
+        ch = self.ch
+        wire = ch.wire
+        engine = wire.engine
+        obs = engine.obs
+        when = engine.now + ch.latency
+        if obs is None and engine.overhead_hook is None and when > engine.now:
+            # quiet: envelope and payload latency expire in one event,
+            # shared with every message that lands right behind this one
+            batch = wire.arrivals.get(when)
+            if batch is not None and engine.is_last(when, batch.cell):
+                batch.msgs.append(self)
+            else:
+                wire.arrivals[when] = Arrivals(wire, when, self)
+        else:
+            wire.staged += 1
+            if obs is not None:
+                obs.msg_send_done(self.mid)
+            # The matchable envelope travels at control latency, in order.
+            engine.schedule(ch.latency, self.deliver)
+            if self.eager:
+                wire.fabric.start_transfer(
+                    ch.src_world, ch.dst_world, self.nbytes, self.landed
+                )
+        if self.eager:
+            # Data goes immediately (buffered at the receiver if no recv
+            # is posted yet); sender completes locally.
+            self.send_req.event.succeed(None)
+
+    # -- receiver side ---------------------------------------------------------
+
+    def deliver(self) -> None:
+        self.ch.deliver_in_order(self)
+
+    def bind(self, req: Request) -> None:
+        """Matched with a posted receive."""
+        self.recv_req = req
+        if not self.eager:
+            # Rendezvous: the receiver answers the RTS with a CTS, then
+            # the data streams.
+            ch = self.ch
+            wire = ch.wire
+            wire.engine.schedule(
+                wire.fabric.control_latency(ch.dst_world, ch.src_world),
+                self.stream,
+            )
+        elif self.arrived:
+            self.finish()
+
+    def stream(self) -> None:
+        ch = self.ch
+        ch.wire.fabric.start_transfer(
+            ch.src_world, ch.dst_world, self.nbytes, self.landed
+        )
+
+    def landed(self) -> None:
+        """The last byte is at the receiver."""
+        self.arrived = True
+        obs = self.ch.wire.engine.obs
+        if obs is not None:
+            obs.msg_arrived(self.mid)
+        if not self.eager:
+            # data lands only after the match, so the recv is known;
+            # complete both sides
+            self.send_req.event.succeed(None)
+            self.finish()
+        elif self.recv_req is not None:
+            self.finish()
+
+    def finish(self) -> None:
+        self.ch.dst_cpu.request_call(
+            self.recv_ov, self.received, "recv_ov", mid=self.mid
+        )
+
+    def received(self) -> None:
+        """The receive overhead is paid: hand the message over."""
+        ch = self.ch
+        obs = ch.wire.engine.obs
+        if obs is not None:
+            obs.msg_recv_done(self.mid)
+        self.recv_req.event.succeed(
+            Message(ch.src, self.tag, self.nbytes, self.payload)
+        )
+
+
+class Arrivals:
+    """The messages of a quiet run that reach their receivers in one
+    instant, back to back, retired as one engine event.
+
+    Staged, message *k* of such a run owns two adjacent cells (envelope,
+    ``start_flow``) and, when its payload is instantaneous, a third that
+    ``start_flow`` appends to the instant.  A message joins only while
+    this event is the newest entry of its instant, so :meth:`fire` walks
+    the very cells the staged run would have retired, in their order;
+    and it lands the instantaneous payloads itself only if it is still
+    the newest entry then -- otherwise the cells behind it come first,
+    as they would have, and one trailing event lands them.
+    """
+
+    __slots__ = ("wire", "msgs", "cell")
+
+    def __init__(self, wire: Wire, when: float, first: Transit) -> None:
+        self.wire = wire
+        self.msgs = [first]
+        self.cell = wire.engine.schedule_at(when, self.fire)
+
+    def fire(self) -> None:
+        wire = self.wire
+        engine = wire.engine
+        now = engine.now
+        if wire.arrivals.get(now) is self:
+            del wire.arrivals[now]
+        msgs = self.msgs
+        wire.fused += len(msgs)
+        fabric = wire.fabric
+        instant = []
+        for msg in msgs:
+            ch = msg.ch
+            ch.deliver_in_order(msg)
+            if msg.eager:
+                if msg.nbytes > EPS_BYTES:
+                    fabric.start_flow(
+                        ch.src_world, ch.dst_world, msg.nbytes, msg.landed
+                    )
+                else:
+                    instant.append(msg)
+        if instant:
+            if engine.is_last(now, self.cell):
+                self.land(instant)
+            else:
+                engine.schedule(0.0, lambda: self.land(instant))
+
+    @staticmethod
+    def land(msgs: list) -> None:
+        for msg in msgs:
+            msg.landed()

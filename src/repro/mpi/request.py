@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.sim.engine import SimEvent
 
@@ -21,21 +21,11 @@ class Request:
         msg = yield from comm.wait(req)
     """
 
-    __slots__ = ("event", "kind", "_meta")
+    __slots__ = ("event", "kind")
 
-    def __init__(self, event: SimEvent, kind: str, meta: Optional[dict] = None):
+    def __init__(self, event: SimEvent, kind: str):
         self.event = event
         self.kind = kind
-        self._meta = meta
-
-    @property
-    def meta(self) -> dict:
-        # lazily materialized: two requests per message at paper scale
-        # and nearly none of them ever touch metadata
-        m = self._meta
-        if m is None:
-            m = self._meta = {}
-        return m
 
     @property
     def complete(self) -> bool:

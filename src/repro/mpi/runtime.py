@@ -8,13 +8,13 @@ rank and drives the event loop to completion.
 
 from __future__ import annotations
 
-from functools import partial
+import math
 from typing import Callable, Generator, Optional
 
 from repro.hardware.spec import MachineSpec
-from repro.mpi.communicator import Communicator, Message
+from repro.mpi.communicator import Communicator
 from repro.mpi.constants import UNDEFINED
-from repro.mpi.matching import EAGER, RNDV, Channel, Envelope, Matcher, PostedRecv
+from repro.mpi.matching import EAGER, RNDV, Channel, Matcher, Transit, Wire
 from repro.mpi.request import Request
 from repro.netsim.fabric import Fabric
 from repro.netsim.profiles import P2PProfile, openmpi_profile
@@ -42,6 +42,9 @@ class MPIRuntime:
             plan.install(self)
         self._matchers: dict[tuple[int, int], Matcher] = {}
         self._channels: dict[tuple[int, int, int], Channel] = {}
+        # nbytes -> (eager, send overhead, recv overhead)
+        self._costs: dict[float, tuple[bool, float, float]] = {}
+        self._wire = Wire(self.engine, self.fabric)
         self._next_cid = 0
         # cid -> group (world ranks); split coordination state
         self._groups: dict[int, tuple[int, ...]] = {}
@@ -95,11 +98,14 @@ class MPIRuntime:
             m = self._matchers[key] = Matcher()
         return m
 
-    def _channel(self, cid: int, src: int, dst: int) -> Channel:
-        key = (cid, src, dst)
+    def _channel(self, comm: Communicator, src: int, dst: int) -> Channel:
+        key = (comm.cid, src, dst)
         c = self._channels.get(key)
         if c is None:
-            c = self._channels[key] = Channel()
+            c = self._channels[key] = Channel(
+                self._wire, self._matcher(comm.cid, dst), src,
+                comm.group[src], comm.group[dst],
+            )
         return c
 
     def coll_state(self, key) -> dict:
@@ -120,6 +126,17 @@ class MPIRuntime:
 
     # -- P2P protocol ------------------------------------------------------------
 
+    def _cost(self, nbytes: float) -> tuple[bool, float, float]:
+        """``(eager, send overhead, recv overhead)`` of one payload size,
+        computed once per size (collectives reuse a handful)."""
+        prof = self.profile
+        cost = self._costs[nbytes] = (
+            prof.is_eager(nbytes),
+            prof.send_overhead(nbytes),
+            prof.recv_overhead(nbytes),
+        )
+        return cost
+
     def _isend(
         self,
         comm: Communicator,
@@ -129,63 +146,41 @@ class MPIRuntime:
         payload: object,
         tag: int,
     ) -> Request:
-        prof = self.profile
-        src_w, dst_w = comm.group[src], comm.group[dst]
+        cost = self._costs.get(nbytes)
+        if cost is None or tag < 0:
+            # the message's route depends on nbytes from here on: refuse
+            # a bad size now, not one latency later in the fluid solver
+            # (NaN fails the comparison too), and a send tag that would
+            # alias ANY_TAG
+            if not 0 <= nbytes < math.inf or tag < 0:
+                raise ValueError(
+                    f"rank {comm.group[src]}: isend(dest={dst}, tag={tag}, "
+                    f"nbytes={nbytes}) needs a finite nbytes >= 0 and a "
+                    f"tag >= 0"
+                )
+            cost = self._cost(nbytes)
+        ch = comm._channels.get(dst)
+        if ch is None:
+            ch = comm._channels[dst] = self._channel(comm, src, dst)
         # direct SimEvent construction: event() is a pure wrapper frame
         # and this is one of the two hottest allocation sites
         req = Request(SimEvent(self.engine, "send"), "send")
-        channel = self._channel(comm.cid, src, dst)
-        protocol = EAGER if prof.is_eager(nbytes) else RNDV
+        eager, send_ov, recv_ov = cost
         obs = self.engine.obs
         mid = -1
         if obs is not None:
-            mid = obs.msg_begin(src_w, dst_w, tag, nbytes, protocol)
+            src_w, dst_w = ch.src_world, ch.dst_world
+            mid = obs.msg_begin(
+                src_w, dst_w, tag, nbytes, EAGER if eager else RNDV
+            )
             sid = obs.begin(
                 f"rank{src_w}", "send", "p2p",
                 peer=dst_w, tag=tag, nbytes=nbytes, mid=mid,
             )
             req.event.callbacks.append(lambda _ev: obs.end(sid))
-        # positional: (cid, src, dst, tag, nbytes, payload, protocol,
-        # seq, src_world, dst_world, send_req) — keyword passing through
-        # a 16-field generated __init__ is measurably slower here
-        env = Envelope(
-            comm.cid, src, dst, tag, nbytes, payload, protocol,
-            channel.alloc_seq(), src_w, dst_w, req,
-        )
-        env.mid = mid
-        if protocol == RNDV:
-            env.on_matched = self._rndv_matched
-
-        # channel and matcher resolved once at send time; delivery jumps
-        # straight to the in-order sink with no dict lookups
-        matcher = self._matcher(comm.cid, dst)
-
-        def after_send_overhead() -> None:
-            if self.engine.obs is not None:
-                self.engine.obs.msg_send_done(env.mid)
-            # The matchable envelope travels at control latency, in order.
-            # partial over lambda: one C-level call fewer per message.
-            ctrl = self.fabric.control_latency(src_w, dst_w)
-            self.engine.schedule(
-                ctrl, partial(channel.deliver_in_order, env, matcher.deliver)
-            )
-            if protocol == EAGER:
-                # Data goes immediately (buffered at the receiver if no
-                # recv is posted yet); sender completes locally.
-                self.fabric.start_transfer(
-                    src_w, dst_w, nbytes, partial(self._data_arrived, env)
-                )
-                req.event.succeed(None)
-
-        self.fabric.progress[src_w].request_call(
-            prof.send_overhead(nbytes), after_send_overhead, "send_ov", mid=mid
-        )
+        msg = Transit(ch, tag, nbytes, payload, eager, recv_ov, req, mid)
+        ch.src_cpu.request_call(send_ov, msg.sent, "send_ov", mid=mid)
         return req
-
-    def _deliver(self, env: Envelope) -> None:
-        channel = self._channel(env.cid, env.src, env.dst)
-        matcher = self._matcher(env.cid, env.dst)
-        channel.deliver_in_order(env, matcher.deliver)
 
     def _irecv(
         self, comm: Communicator, dst: int, source: int, tag: int
@@ -203,55 +198,23 @@ class MPIRuntime:
                     nbytes=getattr(ev.value, "nbytes", 0.0),
                 )
             )
-        recv = PostedRecv(source=source, tag=tag, req=req)
-        env = self._matcher(comm.cid, dst).post(recv)
-        if env is not None and env.protocol == EAGER:
-            self._try_finish_eager(env)
-        # Rendezvous envelopes trigger _rndv_matched via Matcher._bind.
+        matcher = comm._matcher
+        if matcher is None:
+            matcher = comm._matcher = self._matcher(comm.cid, dst)
+        matcher.post(source, tag, req)
         return req
 
-    def _data_arrived(self, env: Envelope) -> None:
-        env.arrived = True
-        if self.engine.obs is not None:
-            self.engine.obs.msg_arrived(env.mid)
-        if env.protocol == EAGER:
-            self._try_finish_eager(env)
-        else:
-            # Rendezvous: data lands only after the match, so the recv is
-            # known; complete both sides.
-            env.send_req.event.succeed(None)
-            self._finish_recv(env)
-
-    def _try_finish_eager(self, env: Envelope) -> None:
-        if env.arrived and env.matched:
-            self._finish_recv(env)
-
-    def _rndv_matched(self, env: Envelope, _recv: PostedRecv) -> None:
-        """Receiver matched an RTS: send CTS, then stream the data."""
-        cts = self.fabric.control_latency(env.dst_world, env.src_world)
-        self.engine.schedule(cts, partial(
-            self.fabric.start_transfer,
-            env.src_world,
-            env.dst_world,
-            env.nbytes,
-            partial(self._data_arrived, env),
-        ))
-
-    def _finish_recv(self, env: Envelope) -> None:
-        msg = Message(
-            source=env.src, tag=env.tag, nbytes=env.nbytes, payload=env.payload
-        )
-        if self.engine.obs is None:
-            # hot path: jump straight into succeed with no wrapper frame
-            complete = partial(env.recv.req.event.succeed, msg)
-        else:
-            def complete() -> None:
-                self.engine.obs.msg_recv_done(env.mid)
-                env.recv.req.event.succeed(msg)
-
-        self.fabric.progress[env.dst_world].request_call(
-            self.profile.recv_overhead(env.nbytes), complete, "recv_ov", mid=env.mid
-        )
+    def message_stats(self) -> dict[str, int]:
+        """Messages issued so far, and how many of them reached their
+        receiver through a fused :class:`~repro.mpi.matching.Arrivals`
+        event or through the staged pipeline (the rest are in flight)."""
+        return {
+            "messages": sum(
+                ch.next_send_seq for ch in self._channels.values()
+            ),
+            "fused": self._wire.fused,
+            "staged": self._wire.staged,
+        }
 
     # -- comm split ------------------------------------------------------------
 

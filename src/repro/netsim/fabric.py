@@ -296,6 +296,20 @@ class Fabric:
             nbytes, plan.resources, on_done, plan.rate_cap, 1.0, label,
         ))
 
+    def start_flow(
+        self,
+        src_rank: int,
+        dst_rank: int,
+        nbytes: float,
+        on_done: Callable[[], None],
+    ) -> None:
+        """The fluid half of :meth:`start_transfer`, for a caller on a
+        quiet engine that has already waited out the plan's latency."""
+        plan = self.plan(src_rank, dst_rank, nbytes)
+        self.solver.start_flow(
+            nbytes, plan.resources, on_done, plan.rate_cap, 1.0, ""
+        )
+
     def gpu_flow(
         self,
         node: int,

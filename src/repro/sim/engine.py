@@ -327,6 +327,20 @@ class Engine:
         self.queue_depth += 1
         return cell
 
+    def is_last(self, when: float, token: Token) -> bool:
+        """Is ``token`` the newest normal-priority entry of instant ``when``?
+
+        While it is, whatever gets scheduled for ``when`` next runs right
+        behind it -- which lets a caller fold that work into the entry
+        ``token`` stands for without moving anything in the instant's
+        order.  Fired or not makes no difference.
+        """
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            return False
+        cells = bucket[0]  # empty when only late entries are queued
+        return cells[-1] is token if cells else False
+
     def cancel(self, token: Token) -> None:
         """Cancel a previously scheduled callback.
 

@@ -80,6 +80,7 @@ import numpy as np
 from repro.sim.engine import Engine, PRIORITY_LATE
 
 __all__ = [
+    "EPS_BYTES",
     "FluidSolver",
     "Flow",
     "clear_fill_memo",
@@ -87,7 +88,9 @@ __all__ = [
     "process_memo",
 ]
 
-_EPS_BYTES = 1e-6  # flows with fewer remaining bytes are considered done
+#: flows with fewer remaining bytes are considered done; a payload this
+#: small never reaches the solver (``start_flow`` completes it at once)
+EPS_BYTES = 1e-6
 _INF = math.inf
 _EMPTY_INTP = np.empty(0, dtype=np.intp)
 
@@ -387,7 +390,7 @@ class FluidSolver:
             rids = np.asarray(resources, dtype=np.intp)
             if rids.size and (rids.min() < 0 or rids.max() >= len(self._capacity)):
                 raise IndexError("flow references unknown resource id")
-        if nbytes <= _EPS_BYTES or (rids.size == 0 and rate_cap == _INF):
+        if nbytes <= EPS_BYTES or (rids.size == 0 and rate_cap == _INF):
             # Instantaneous: no bandwidth constraint applies.
             self.engine.schedule(0.0, on_complete)
             return -1

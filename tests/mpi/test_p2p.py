@@ -268,3 +268,47 @@ def test_reduce_compute_avx_faster():
     runtime2 = rt()
     runtime2.run(prog, True, ranks=1)
     assert runtime2.engine.now < t_scalar
+
+
+def test_wildcard_receive_leaves_internal_traffic_alone():
+    """ANY_TAG is for user tags: posted ahead of a barrier, a full
+    wildcard must not swallow the barrier's own messages."""
+    runtime = MPIRuntime(tiny_cluster(num_nodes=2, ppn=2))
+
+    def prog(comm):
+        if comm.rank == 0:
+            req = comm.irecv(ANY_SOURCE, ANY_TAG)
+            yield from comm.barrier()
+            msg = yield from comm.wait(req)
+            return msg.source, msg.tag
+        yield from comm.barrier()
+        if comm.rank == 1:
+            yield from comm.send(0, nbytes=8, tag=7)
+
+    assert runtime.run(prog)[0] == (1, 7)
+
+
+@pytest.mark.parametrize("nbytes", [-5, float("nan"), float("inf")])
+def test_bad_send_size_is_refused_at_issue(nbytes):
+    runtime = MPIRuntime(tiny_cluster(num_nodes=1, ppn=2))
+
+    def prog(comm):
+        if comm.rank == 1:
+            comm.isend(0, nbytes=nbytes, tag=3)
+        yield from comm.compute(0.0)
+
+    with pytest.raises(ValueError, match=r"rank 1: isend\(dest=0, tag=3"):
+        runtime.run(prog)
+    assert runtime.engine.now == 0.0  # at the call, not a latency later
+
+
+def test_negative_send_tag_is_refused():
+    runtime = MPIRuntime(tiny_cluster(num_nodes=1, ppn=2))
+
+    def prog(comm):
+        if comm.rank == 0:
+            comm.isend(1, nbytes=8, tag=ANY_TAG)
+        yield from comm.compute(0.0)
+
+    with pytest.raises(ValueError, match=r"rank 0: isend\(dest=1, tag=-1"):
+        runtime.run(prog)

@@ -236,12 +236,10 @@ def test_loud_benches_neither_record_nor_replay(how, coll, monkeypatch):
         # an identity hook and a recorder change no number, so the whole
         # bench must be the quiet one with its barriers simulated (a cold
         # quiet bcast bench already replays one: its third program
-        # enters the barrier its first one recorded)
+        # enters the barrier its first one recorded) -- and with every
+        # message staged, which retires more events for every collective
         assert want == quiet_cold
-        if coll == "bcast":
-            assert want_events > quiet_cold_events
-        else:
-            assert want_events == quiet_cold_events
+        assert want_events > quiet_cold_events
 
 
 # -- cold start -------------------------------------------------------------------
