@@ -1,14 +1,15 @@
 """Extension bench: three hardware levels (the paper's future work).
 
 "In the future, we plan to ... explore approaches based on an increased
-number of hardware levels."  The 3-level HAN (node / dragonfly-group /
-machine) crosses the expensive global links once per group instead of
-once per node; this bench quantifies the benefit on a grouped fabric.
+number of hardware levels."  HAN with the group level (node /
+dragonfly-group / machine) crosses the expensive global links once per
+group instead of once per node; this bench quantifies the benefit on a
+grouped fabric.
 """
 
 from conftest import KiB, MiB, once
 
-from repro.core import HanConfig, HanModule, MultiLevelHanModule
+from repro.core import HanConfig, HanModule
 from repro.hardware import MachineSpec, NicSpec, NodeSpec
 from repro.mpi import MPIRuntime
 
@@ -42,7 +43,7 @@ def test_three_levels_beat_two_on_grouped_fabric(benchmark):
         out = {}
         for name, mod in (
             ("han2", HanModule(config=cfg)),
-            ("han3", MultiLevelHanModule(config=cfg)),
+            ("han3", HanModule(config=cfg, group_level=True)),
         ):
             rt = MPIRuntime(machine)
 

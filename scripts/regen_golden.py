@@ -46,8 +46,8 @@ def _suites():
 
     ``shaheen2`` is the original flat-node CPU suite; ``gpu_pod`` runs
     the same collectives on split-NVLink accelerator nodes with
-    ``smod="gpu"``, so its traces pin the fabric/node/network 3-level
-    schedules (FabricComposite intra stages).
+    ``smod="gpu"``, so its traces pin the island/node/network schedules
+    (the island-level leader composite as HAN's intra stage).
     """
     from repro.core.config import HanConfig
     from repro.hardware import gpu_pod, shaheen2

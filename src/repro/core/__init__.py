@@ -9,26 +9,23 @@ submodules --
 - intra-node level: shared-memory collectives from `sm` or `solo`,
 
 with a pipelining technique (segments of size `fs`) that overlaps the
-levels.  The per-collective configuration (Table II) lives in
-:class:`~repro.core.config.HanConfig`; the autotuner that fills it is
-:mod:`repro.tuning`.
+levels.  Further hardware levels (NVLink islands, topology groups) are
+levels of the same :class:`Hierarchy`, each turned into a collective
+module by :class:`LeaderComposite`.  The per-collective configuration
+(Table II) lives in :class:`~repro.core.config.HanConfig`; the autotuner
+that fills it is :mod:`repro.tuning`.
 """
 
 from repro.core.config import HanConfig
-from repro.core.subcomms import Hierarchy, build_hierarchy
+from repro.core.subcomms import Hierarchy, Level, build_hierarchy
+from repro.core.composite import LeaderComposite
 from repro.core.han import HanModule
-from repro.core.multilevel import (
-    Hierarchy3,
-    MultiLevelHanModule,
-    build_hierarchy3,
-)
 
 __all__ = [
     "HanConfig",
     "HanModule",
     "Hierarchy",
-    "Hierarchy3",
-    "MultiLevelHanModule",
+    "LeaderComposite",
+    "Level",
     "build_hierarchy",
-    "build_hierarchy3",
 ]

@@ -24,7 +24,6 @@ built-in static default.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,11 +34,12 @@ from repro.colls.bcast import bcast_linear
 from repro.colls.gather import gather_binomial
 from repro.colls.reduce import reduce_linear
 from repro.colls.reduce_scatter import reduce_scatter_ring
-from repro.colls.scatter import scatter_binomial
+from repro.colls.scatter import scatter_binomial, scatter_linear
+from repro.core.composite import LeaderComposite, _joined, han_segments
 from repro.core.config import HanConfig
 from repro.core.subcomms import build_hierarchy
 from repro.modules import make_module
-from repro.modules.base import CollModule
+from repro.modules.base import CollModule, observed
 from repro.mpi.constants import INTERNAL_TAG_BASE
 from repro.mpi.op import SUM
 from repro.sim.engine import AnyOf
@@ -71,41 +71,49 @@ def _coll_span(fn):
         nbytes = args[0] if args and isinstance(args[0], (int, float)) else (
             kwargs.get("nbytes", 0)
         )
-        return _spanned(rec, comm, coll_name, nbytes, gen)
+        return observed(rec, comm, gen, coll_name, "coll", nbytes=nbytes,
+                        size=comm.size)
 
     return wrapper
 
 
-def _spanned(rec, comm, name, nbytes, gen):
-    sid = rec.begin(
-        f"rank{comm.world_rank}", name, "coll", nbytes=nbytes, size=comm.size
-    )
-    try:
-        result = yield from gen
-    finally:
-        rec.end(sid)
-    return result
+def _phase(comm, phase, seg, gen):
+    """Task ``gen`` as phase ``phase`` of segment ``seg``.
 
-
-def han_segments(nbytes: float, fs: Optional[float], payload=None):
-    """Split a message into HAN pipeline segments.
-
-    Returns ``(u, seg_bytes, views)``: the segment count (identical on
-    every rank because it depends only on ``nbytes`` and ``fs``), the
-    nominal byte size of each segment, and element-aligned views of
-    ``payload`` (``None`` entries when no payload).
+    With a recorder attached the phase is one span; without one ``gen``
+    is returned untouched, so untraced task streams pay no extra frame.
     """
-    if fs is None or fs <= 0 or nbytes <= fs:
-        u = 1
-    else:
-        u = int(math.ceil(nbytes / fs))
-    seg_bytes = [min(fs, nbytes - i * fs) if u > 1 else nbytes for i in range(u)]
-    if payload is None:
-        views = [None] * u
-    else:
-        bounds = np.linspace(0, payload.size, u + 1).astype(int)
-        views = [payload[bounds[i] : bounds[i + 1]] for i in range(u)]
-    return u, seg_bytes, views
+    rec = comm.runtime.engine.obs
+    if rec is None:
+        return gen
+    return observed(rec, comm, gen, phase, "phase", seg=seg)
+
+
+def _issue(comm, phase, seg, start, *args, **kwargs):
+    """Issue the non-blocking task ``start(*args, **kwargs)`` now; returns
+    the generator that completes it.  A recorder sees one span from issue
+    to completion.
+    """
+    rec = comm.runtime.engine.obs
+    if rec is None:
+        return comm.wait(start(*args, **kwargs))
+    sid = rec.begin(f"rank{comm.world_rank}", phase, "phase", seg=seg)
+    req = start(*args, **kwargs)
+
+    def complete():
+        try:
+            value = yield req.event
+        finally:
+            rec.end(sid)
+        return value
+
+    return complete()
+
+
+def _ready(value):
+    """A task that is already done: returns ``value`` without an event."""
+    return value
+    yield  # noqa: unreachable -- makes this a generator
 
 
 class HanModule(CollModule):
@@ -120,6 +128,7 @@ class HanModule(CollModule):
         decision_fn: Optional[Callable[[int, int, float, str], HanConfig]] = None,
         degraded_timeout: Optional[float] = None,
         probe_bytes: float = 4096.0,
+        group_level: bool = False,
     ):
         #: fixed configuration (overrides the decision function)
         self.config = config
@@ -132,6 +141,11 @@ class HanModule(CollModule):
         #: payload size of the probe message -- nonzero so it rides the
         #: fluid network and actually stalls on a dead link
         self.probe_bytes = probe_bytes
+        #: add the topology-group level (dragonfly group / fat-tree edge)
+        #: between node and network: inter-node stages cross expensive
+        #: global links once per group, not once per node.  It only
+        #: engages with at least two groups of at least two nodes.
+        self.group_level = group_level
         self._mods: dict[str, CollModule] = {}
 
     # -- configuration ------------------------------------------------------------
@@ -142,24 +156,43 @@ class HanModule(CollModule):
             mod = self._mods[name] = make_module(name)
         return mod
 
-    def _intra_module(self, hier, cfg) -> CollModule:
-        """The module driving intra-node stages.
+    def _modules(self, hier, cfg) -> tuple[CollModule, CollModule]:
+        """The (inter, intra) modules HAN's tasks call for ``cfg``.
 
-        Plain ``smod`` on flat nodes; on split-NVLink nodes a fabric-
-        aware ``smod`` (gpu) is wrapped in the fabric/host composite so
-        the intra stage itself becomes a 2-level island/bridge schedule
-        -- HAN's third hardware level.
+        A level of the hierarchy beyond the node splits the stage it lies
+        in, so the stage's module is swapped for the leader composite over
+        that level: the island level splits the intra stage (for device
+        modules only -- host transports never see the NVLink islands),
+        the group level, present when the constructor asked for it,
+        splits the inter stage.  Either way HAN's task code is unchanged.
         """
-        smod = self.module(cfg.smod)
-        if hier.fab is None or not getattr(smod, "fabric_tier", False):
-            return smod
-        comp = getattr(hier, "_fabric_composite", None)
-        if comp is None:
-            from repro.core.fabric_tier import FabricComposite
+        imod, smod = self.module(cfg.imod), self.module(cfg.smod)
+        for level in hier.levels:
+            if level.name == "group":
+                imod = self._composite(hier, level, imod, imod)
+            elif level.name == "island" and smod.device:
+                smod = self._composite(hier, level, smod, self.module("sm"), "d2h")
+        return imod, smod
 
-            comp = FabricComposite(hier, smod, self.module("sm"))
-            hier._fabric_composite = comp
+    @staticmethod
+    def _composite(hier, level, inner, bridge, hop=None) -> LeaderComposite:
+        """The leader composite over ``level``, cached per hierarchy."""
+        cache = getattr(hier, "_composites", None)
+        if cache is None:
+            cache = hier._composites = {}
+        key = (level.name, inner, bridge)
+        comp = cache.get(key)
+        if comp is None:
+            comp = cache[key] = LeaderComposite(level, inner, bridge, hop)
         return comp
+
+    def _plan(self, hier, nbytes, coll, config, segsize=None):
+        """Resolve ``coll``'s configuration and the modules its tasks call:
+        ``(cfg, imod, smod)``."""
+        cfg = self.resolve_config(hier, nbytes, coll, config)
+        if segsize is not None:
+            cfg = cfg.with_(fs=segsize)
+        return (cfg, *self._modules(hier, cfg))
 
     @staticmethod
     def _position_map(comm, hier) -> dict:
@@ -299,7 +332,7 @@ class HanModule(CollModule):
     ):
         if comm.size == 1:
             return payload
-        hier = yield from build_hierarchy(comm)
+        hier = yield from build_hierarchy(comm, self.group_level)
         degraded = yield from self._check_degraded(comm, hier)
         if degraded:
             # Dead inter-node link: a hierarchical schedule would wedge on
@@ -308,20 +341,13 @@ class HanModule(CollModule):
             # failed non-root link).
             out = yield from bcast_linear(comm, nbytes, root=root, payload=payload)
             return out
-        cfg = self.resolve_config(hier, nbytes, "bcast", config)
-        if segsize is not None:
-            cfg = cfg.with_(fs=segsize)
-        imod, smod = self.module(cfg.imod), self._intra_module(hier, cfg)
+        cfg, imod, smod = self._plan(hier, nbytes, "bcast", config, segsize)
+        low, up = hier.low, hier.up
         root_local = hier.local_rank_of(root)
         root_up = hier.up_rank_of(root)
-        on_ib_layer = hier.local_rank == root_local
         u, seg_bytes, views = han_segments(
             nbytes, cfg.fs, payload if comm.rank == root else None
         )
-        low, up = hier.low, hier.up
-        pieces: list = [None] * u
-        rec = comm.runtime.engine.obs
-        trk = f"rank{comm.world_rank}" if rec is not None else ""
 
         if low.size == 1:
             # Degenerate: one rank per node -> pure inter-node bcast.
@@ -329,68 +355,36 @@ class HanModule(CollModule):
                 up, nbytes, root=root_up, payload=payload,
                 algorithm=cfg.ibalg, segsize=cfg.ibs,
             )
-            return out if payload is None or comm.rank == root else out
+            return out
 
-        if on_ib_layer and up.size > 1:
-            # leaders: ib(0), sbib(1..u-1), sb(u-1)
-            s_ib = rec.begin(trk, "ib", "phase", seg=0) if rec else -1
-            req = imod.ibcast(
-                up, seg_bytes[0], root=root_up, payload=views[0],
-                algorithm=cfg.ibalg, segsize=cfg.ibs,
+        pieces: list = [None] * u
+        if hier.local_rank == root_local and up.size > 1:
+            # leaders: ib(0), sbib(1) ... sbib(u-1), sb(u-1)
+            prev = yield from _issue(
+                up, "ib", 0, imod.ibcast, up, seg_bytes[0], root=root_up,
+                payload=views[0], algorithm=cfg.ibalg, segsize=cfg.ibs,
             )
-            prev = yield from up.wait(req)  # task ib(0)
-            if rec:
-                rec.end(s_ib)
             for i in range(1, u):
-                if rec:
-                    s_ib = rec.begin(trk, "ib", "phase", seg=i)
-                req = imod.ibcast(
-                    up, seg_bytes[i], root=root_up, payload=views[i],
-                    algorithm=cfg.ibalg, segsize=cfg.ibs,
-                )  # start ib(i) ...
-                if rec:
-                    s_sb = rec.begin(trk, "sb", "phase", seg=i - 1)
-                pieces[i - 1] = yield from smod.bcast(
+                # sbib(i): start ib(i), overlap it with sb(i-1)
+                done = _issue(
+                    up, "ib", i, imod.ibcast, up, seg_bytes[i], root=root_up,
+                    payload=views[i], algorithm=cfg.ibalg, segsize=cfg.ibs,
+                )
+                pieces[i - 1] = yield from _phase(comm, "sb", i - 1, smod.bcast(
                     low, seg_bytes[i - 1], root=root_local, payload=prev
-                )  # ... overlap with sb(i-1): the sbib(i) task
-                if rec:
-                    rec.end(s_sb)
-                prev = yield from up.wait(req)
-                if rec:
-                    rec.end(s_ib)
-            if rec:
-                s_sb = rec.begin(trk, "sb", "phase", seg=u - 1)
-            pieces[u - 1] = yield from smod.bcast(
+                ))
+                prev = yield from done
+            pieces[u - 1] = yield from _phase(comm, "sb", u - 1, smod.bcast(
                 low, seg_bytes[u - 1], root=root_local, payload=prev
-            )  # final sb(u-1)
-            if rec:
-                rec.end(s_sb)
-        elif on_ib_layer:
-            # single node: the "leader" just feeds the intra level
-            for i in range(u):
-                if rec:
-                    s_sb = rec.begin(trk, "sb", "phase", seg=i)
-                pieces[i] = yield from smod.bcast(
-                    low, seg_bytes[i], root=root_local, payload=views[i]
-                )
-                if rec:
-                    rec.end(s_sb)
+            ))
         else:
-            # other processes: sb(0) ... sb(u-1)
+            # other processes: sb(0) ... sb(u-1); on a single node the
+            # "leader" (the root: only it holds views) feeds the intra level
             for i in range(u):
-                if rec:
-                    s_sb = rec.begin(trk, "sb", "phase", seg=i)
-                pieces[i] = yield from smod.bcast(
-                    low, seg_bytes[i], root=root_local, payload=None
-                )
-                if rec:
-                    rec.end(s_sb)
-
-        if comm.rank == root:
-            return payload
-        if any(p is None for p in pieces):
-            return None
-        return pieces[0] if u == 1 else np.concatenate(pieces)
+                pieces[i] = yield from _phase(comm, "sb", i, smod.bcast(
+                    low, seg_bytes[i], root=root_local, payload=views[i]
+                ))
+        return payload if comm.rank == root else _joined(pieces)
 
     # -- MPI_Allreduce (paper Fig 5) -----------------------------------------------------
 
@@ -406,7 +400,7 @@ class HanModule(CollModule):
                 "HAN's MPI_Allreduce assumes a commutative operation "
                 "(paper section III-B1)"
             )
-        hier = yield from build_hierarchy(comm)
+        hier = yield from build_hierarchy(comm, self.group_level)
         degraded = yield from self._check_degraded(comm, hier)
         if degraded:
             # Flat star fallback: reduce-to-root + broadcast-from-root
@@ -414,131 +408,63 @@ class HanModule(CollModule):
             red = yield from reduce_linear(comm, nbytes, root=0, payload=payload, op=op)
             out = yield from bcast_linear(comm, nbytes, root=0, payload=red)
             return out
-        cfg = self.resolve_config(hier, nbytes, "allreduce", config)
-        if segsize is not None:
-            cfg = cfg.with_(fs=segsize)
-        imod, smod = self.module(cfg.imod), self._intra_module(hier, cfg)
+        cfg, imod, smod = self._plan(hier, nbytes, "allreduce", config, segsize)
         low, up = hier.low, hier.up
         u, seg_bytes, views = han_segments(nbytes, cfg.fs, payload)
-        pieces: list = [None] * u
-        layer0 = hier.local_rank == 0
-        rec = comm.runtime.engine.obs
-        trk = f"rank{comm.world_rank}" if rec is not None else ""
-
-        if low.size == 1:
-            # one rank per node: explicit ir + ib on the wire
-            result = yield from self._inter_allreduce(
-                imod, up, nbytes, payload, op, cfg, u, seg_bytes, views
-            )
-            return result
         if up.size == 1:
             # single node: pure shared-memory allreduce
             result = yield from smod.allreduce(low, nbytes, payload=payload, op=op)
             return result
 
-        if layer0:
-            srres: dict[int, object] = {}
-            irreq: dict[int, object] = {}
-            ibreq: dict[int, object] = {}
-            ir_sid: dict[int, int] = {}
-            ib_sid: dict[int, int] = {}
+        intra = low.size > 1  # one rank per node: explicit ir + ib only
+
+        pieces: list = [None] * u
+        if hier.local_rank == 0:
+            srres: dict = {}
+            irs: dict = {}
+            ibs: dict = {}
             for i in range(u + 3):
                 if 0 <= i - 1 < u:
                     # start ir(i-1): inter-node reduce of the intra result
-                    if rec:
-                        ir_sid[i - 1] = rec.begin(trk, "ir", "phase", seg=i - 1)
-                    irreq[i - 1] = imod.ireduce(
-                        up, seg_bytes[i - 1], root=0,
-                        payload=srres.pop(i - 1), op=op,
-                        algorithm=cfg.iralg, segsize=cfg.irs,
+                    irs[i - 1] = _issue(
+                        up, "ir", i - 1, imod.ireduce, up, seg_bytes[i - 1],
+                        root=0, op=op, algorithm=cfg.iralg, segsize=cfg.irs,
+                        payload=srres.pop(i - 1) if intra else views[i - 1],
                     )
                 if 0 <= i - 2 < u:
                     # start ib(i-2): broadcast the reduced segment back
-                    red = yield from up.wait(irreq.pop(i - 2))
-                    if rec:
-                        rec.end(ir_sid.pop(i - 2))
-                        ib_sid[i - 2] = rec.begin(trk, "ib", "phase", seg=i - 2)
-                    ibreq[i - 2] = imod.ibcast(
-                        up, seg_bytes[i - 2], root=0, payload=red,
-                        algorithm=cfg.ibalg, segsize=cfg.ibs,
+                    red = yield from irs.pop(i - 2)
+                    ibs[i - 2] = _issue(
+                        up, "ib", i - 2, imod.ibcast, up, seg_bytes[i - 2],
+                        root=0, payload=red, algorithm=cfg.ibalg,
+                        segsize=cfg.ibs,
                     )
                 if 0 <= i - 3 < u:
                     # sb(i-3): distribute on the node
-                    res = yield from up.wait(ibreq.pop(i - 3))
-                    if rec:
-                        rec.end(ib_sid.pop(i - 3))
-                        s_sb = rec.begin(trk, "sb", "phase", seg=i - 3)
-                    pieces[i - 3] = yield from smod.bcast(
-                        low, seg_bytes[i - 3], root=0, payload=res
-                    )
-                    if rec:
-                        rec.end(s_sb)
-                if i < u:
+                    res = yield from ibs.pop(i - 3)
+                    if intra:
+                        res = yield from _phase(comm, "sb", i - 3, smod.bcast(
+                            low, seg_bytes[i - 3], root=0, payload=res
+                        ))
+                    pieces[i - 3] = res
+                if intra and i < u:
                     # sr(i): intra-node reduction of the next segment
-                    if rec:
-                        s_sr = rec.begin(trk, "sr", "phase", seg=i)
-                    srres[i] = yield from smod.reduce(
+                    srres[i] = yield from _phase(comm, "sr", i, smod.reduce(
                         low, seg_bytes[i], root=0, payload=views[i], op=op
-                    )
-                    if rec:
-                        rec.end(s_sr)
+                    ))
         else:
             # other processes: the sbsr task stream
             for i in range(u + 3):
                 if 0 <= i - 3 < u:
-                    if rec:
-                        s_sb = rec.begin(trk, "sb", "phase", seg=i - 3)
-                    pieces[i - 3] = yield from smod.bcast(
-                        low, seg_bytes[i - 3], root=0, payload=None
-                    )
-                    if rec:
-                        rec.end(s_sb)
+                    pieces[i - 3] = yield from _phase(
+                        comm, "sb", i - 3, smod.bcast(
+                            low, seg_bytes[i - 3], root=0, payload=None
+                        ))
                 if i < u:
-                    if rec:
-                        s_sr = rec.begin(trk, "sr", "phase", seg=i)
-                    yield from smod.reduce(
+                    yield from _phase(comm, "sr", i, smod.reduce(
                         low, seg_bytes[i], root=0, payload=views[i], op=op
-                    )
-                    if rec:
-                        rec.end(s_sr)
-
-        if any(p is None for p in pieces):
-            return None
-        return pieces[0] if u == 1 else np.concatenate(pieces)
-
-    def _inter_allreduce(self, imod, up, nbytes, payload, op, cfg, u, seg_bytes, views):
-        """Pipelined explicit ir+ib allreduce on a pure inter-node comm."""
-        irreq: dict[int, object] = {}
-        ibreq: dict[int, object] = {}
-        pieces: list = [None] * u
-        rec = up.runtime.engine.obs
-        trk = f"rank{up.world_rank}" if rec is not None else ""
-        ir_sid: dict[int, int] = {}
-        ib_sid: dict[int, int] = {}
-        for i in range(u + 2):
-            if 0 <= i < u:
-                if rec:
-                    ir_sid[i] = rec.begin(trk, "ir", "phase", seg=i)
-                irreq[i] = imod.ireduce(
-                    up, seg_bytes[i], root=0, payload=views[i], op=op,
-                    algorithm=cfg.iralg, segsize=cfg.irs,
-                )
-            if 0 <= i - 1 < u:
-                red = yield from up.wait(irreq.pop(i - 1))
-                if rec:
-                    rec.end(ir_sid.pop(i - 1))
-                    ib_sid[i - 1] = rec.begin(trk, "ib", "phase", seg=i - 1)
-                ibreq[i - 1] = imod.ibcast(
-                    up, seg_bytes[i - 1], root=0, payload=red,
-                    algorithm=cfg.ibalg, segsize=cfg.ibs,
-                )
-            if 0 <= i - 2 < u:
-                pieces[i - 2] = yield from up.wait(ibreq.pop(i - 2))
-                if rec:
-                    rec.end(ib_sid.pop(i - 2))
-        if any(p is None for p in pieces):
-            return None
-        return pieces[0] if u == 1 else np.concatenate(pieces)
+                    ))
+        return _joined(pieces)
 
     # -- extensions (paper section III: "similar designs can be extended") ------------
 
@@ -552,17 +478,12 @@ class HanModule(CollModule):
             return payload
         if not op.commutative:
             raise ValueError("HAN reduce assumes a commutative operation")
-        hier = yield from build_hierarchy(comm)
-        cfg = self.resolve_config(hier, nbytes, "reduce", config)
-        if segsize is not None:
-            cfg = cfg.with_(fs=segsize)
-        imod, smod = self.module(cfg.imod), self._intra_module(hier, cfg)
+        hier = yield from build_hierarchy(comm, self.group_level)
+        cfg, imod, smod = self._plan(hier, nbytes, "reduce", config, segsize)
         low, up = hier.low, hier.up
         root_local = hier.local_rank_of(root)
         root_up = hier.up_rank_of(root)
         u, seg_bytes, views = han_segments(nbytes, cfg.fs, payload)
-        on_layer = hier.local_rank == root_local
-        pieces: list = [None] * u
 
         if up.size == 1:
             result = yield from smod.reduce(
@@ -570,65 +491,41 @@ class HanModule(CollModule):
             )
             return result if comm.rank == root else None
 
-        rec = comm.runtime.engine.obs
-        trk = f"rank{comm.world_rank}" if rec is not None else ""
-        if on_layer:
-            # the irsr task stream: irsr(i) starts the inter-node reduce
-            # of segment i-1, overlaps it with the intra reduce of
-            # segment i, and completes it at task end
-            srres: dict[int, object] = {}
-            irreq = None
-            s_ir = -1
-            for i in range(u + 1):
-                if 0 <= i - 1 < u:
-                    if rec:
-                        s_ir = rec.begin(trk, "ir", "phase", seg=i - 1)
-                    irreq = imod.ireduce(
-                        up, seg_bytes[i - 1], root=root_up,
-                        payload=srres.pop(i - 1), op=op,
-                        algorithm=cfg.iralg, segsize=cfg.irs,
-                    )
-                if i < u:
-                    if rec:
-                        s_sr = rec.begin(trk, "sr", "phase", seg=i)
-                    if low.size > 1:
-                        srres[i] = yield from smod.reduce(
-                            low, seg_bytes[i], root=root_local,
-                            payload=views[i], op=op,
-                        )
-                    else:
-                        srres[i] = views[i]
-                    if rec:
-                        rec.end(s_sr)
-                if 0 <= i - 1 < u:
-                    pieces[i - 1] = yield from up.wait(irreq)
-                    if rec:
-                        rec.end(s_ir)
-        else:
+        if hier.local_rank != root_local:
             for i in range(u):
-                if rec:
-                    s_sr = rec.begin(trk, "sr", "phase", seg=i)
-                yield from smod.reduce(
+                yield from _phase(comm, "sr", i, smod.reduce(
                     low, seg_bytes[i], root=root_local, payload=views[i], op=op
+                ))
+            return None
+        # the irsr task stream: irsr(i) starts the inter-node reduce of
+        # segment i-1, overlaps it with the intra reduce of segment i, and
+        # completes it at task end
+        pieces: list = [None] * u
+        srres: dict = {}
+        for i in range(u + 1):
+            if 0 <= i - 1 < u:
+                done = _issue(
+                    up, "ir", i - 1, imod.ireduce, up, seg_bytes[i - 1],
+                    root=root_up, payload=srres.pop(i - 1), op=op,
+                    algorithm=cfg.iralg, segsize=cfg.irs,
                 )
-                if rec:
-                    rec.end(s_sr)
-            return None
-
-        if comm.rank != root:
-            return None
-        if any(p is None for p in pieces):
-            return None
-        return pieces[0] if u == 1 else np.concatenate(pieces)
+            if i < u:
+                srres[i] = yield from _phase(
+                    comm, "sr", i, smod.reduce(
+                        low, seg_bytes[i], root=root_local, payload=views[i],
+                        op=op,
+                    ) if low.size > 1 else _ready(views[i]))
+            if 0 <= i - 1 < u:
+                pieces[i - 1] = yield from done
+        return _joined(pieces) if comm.rank == root else None
 
     @_coll_span
     def gather(self, comm, nbytes, root=0, payload=None, config=None):
         """Intra-node gather (sg) then inter-node gather (ig) of node blocks."""
         if comm.size == 1:
             return payload
-        hier = yield from build_hierarchy(comm)
-        cfg = self.resolve_config(hier, nbytes, "gather", config)
-        smod = self._intra_module(hier, cfg)
+        hier = yield from build_hierarchy(comm, self.group_level)
+        _, _, smod = self._plan(hier, nbytes, "gather", config)
         low, up = hier.low, hier.up
         root_local = hier.local_rank_of(root)
         root_up = hier.up_rank_of(root)
@@ -653,9 +550,8 @@ class HanModule(CollModule):
         """sg + inter-node allgather + sb, as sketched in the paper."""
         if comm.size == 1:
             return payload
-        hier = yield from build_hierarchy(comm)
-        cfg = self.resolve_config(hier, nbytes, "allgather", config)
-        smod = self._intra_module(hier, cfg)
+        hier = yield from build_hierarchy(comm, self.group_level)
+        _, _, smod = self._plan(hier, nbytes, "allgather", config)
         low, up = hier.low, hier.up
 
         node_block = payload
@@ -682,8 +578,7 @@ class HanModule(CollModule):
         """Inter-node scatter of node blocks, then intra-node scatter."""
         if comm.size == 1:
             return payload
-        hier = yield from build_hierarchy(comm)
-        cfg = self.resolve_config(hier, nbytes, "scatter", config)
+        hier = yield from build_hierarchy(comm, self.group_level)
         low, up = hier.low, hier.up
         root_local = hier.local_rank_of(root)
         root_up = hier.up_rank_of(root)
@@ -699,16 +594,8 @@ class HanModule(CollModule):
         if low.size == 1:
             return node_block
         # intra-node scatter from the layer member (simple linear over shm)
-        result = yield from self._intra_scatter(
-            comm, hier, nbytes / up.size, root_local, node_block
-        )
-        return result
-
-    def _intra_scatter(self, comm, hier, node_bytes, root_local, node_block):
-        from repro.colls.scatter import scatter_linear
-
         result = yield from scatter_linear(
-            hier.low, node_bytes, root=root_local, payload=node_block
+            low, nbytes / up.size, root=root_local, payload=node_block
         )
         return result
 
@@ -732,9 +619,8 @@ class HanModule(CollModule):
             raise ValueError(
                 "hierarchical reduce_scatter requires a commutative op"
             )
-        hier = yield from build_hierarchy(comm)
-        cfg = self.resolve_config(hier, nbytes, "reduce_scatter", config)
-        smod = self._intra_module(hier, cfg)
+        hier = yield from build_hierarchy(comm, self.group_level)
+        _, _, smod = self._plan(hier, nbytes, "reduce_scatter", config)
         low, up = hier.low, hier.up
         P, p, n_nodes = comm.size, low.size, up.size
 
@@ -793,9 +679,8 @@ class HanModule(CollModule):
         """
         if comm.size == 1:
             return payload
-        hier = yield from build_hierarchy(comm)
-        cfg = self.resolve_config(hier, nbytes, "alltoall", config)
-        smod = self._intra_module(hier, cfg)
+        hier = yield from build_hierarchy(comm, self.group_level)
+        _, _, smod = self._plan(hier, nbytes, "alltoall", config)
         low, up = hier.low, hier.up
         P, p, n_nodes = comm.size, low.size, up.size
 
@@ -845,14 +730,12 @@ class HanModule(CollModule):
         """sb-style barrier: low, then up (layer 0), then low again."""
         if comm.size == 1:
             return
-        hier = yield from build_hierarchy(comm)
-        cfg = self.resolve_config(hier, 0, "barrier", config)
-        smod = self._intra_module(hier, cfg)
+        hier = yield from build_hierarchy(comm, self.group_level)
+        _, imod, smod = self._plan(hier, 0, "barrier", config)
         low, up = hier.low, hier.up
         if low.size > 1:
             yield from smod.barrier(low)
         if hier.local_rank == 0 and up.size > 1:
-            imod = self.module(cfg.imod)
             yield from imod.barrier(up)
         if low.size > 1:
             yield from smod.barrier(low)

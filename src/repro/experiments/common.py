@@ -101,12 +101,15 @@ def tuned_decision(
     space: Optional[SearchSpace] = None,
     workers: int = 0,
     decision_store=None,
+    save: bool = True,
 ):
     """Autotune HAN (task method) for this machine, with result caching.
 
     Returns a decision function for :class:`HanModule` /
     :class:`OpenMPIHan`.  The lookup table is cached under ``results/``
-    so repeated experiment runs skip the tuning step.
+    so repeated experiment runs skip the tuning step; ``save=False`` (an
+    experiment run with ``--no-save``) still reads a cached table but
+    writes none.
 
     ``decision_store`` (a directory or
     :class:`~repro.serve.store.DecisionStore`) switches the experiment
@@ -133,7 +136,6 @@ def tuned_decision(
                          space=space, workers=workers)
         return DecisionService(store).as_decision_fn(machine)
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     key = cache_key or (
         f"tuning_{machine.name}_{machine.num_nodes}x{machine.ppn}_"
         + "_".join(sorted(colls))
@@ -150,7 +152,9 @@ def tuned_decision(
         )
     tuner = Autotuner(machine, space=space, warm_iters=6, workers=workers)
     report = tuner.tune(colls=colls, method="task+h")
-    report.table.save(path)
+    if save:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        report.table.save(path)
     return report.table.as_decision_fn()
 
 

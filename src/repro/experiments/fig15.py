@@ -34,7 +34,7 @@ def run(scale: str = "small", save: bool = True) -> dict:
         machine = geometry("stampede2", "small").scaled(
             num_nodes=nodes, ppn=ppn
         )
-        decide = tuned_decision(machine, colls=("allreduce",))
+        decide = tuned_decision(machine, colls=("allreduce",), save=save)
         libs = [
             OpenMPIHan(decision_fn=decide),
             library_by_name("intelmpi"),

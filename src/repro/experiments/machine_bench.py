@@ -39,7 +39,7 @@ def bench_against_libraries(
     sizes = small + large
 
     decide = tuned_decision(
-        machine, colls=(coll,), decision_store=decision_store
+        machine, colls=(coll,), decision_store=decision_store, save=save
     )
     libs = [OpenMPIHan(decision_fn=decide)] + [
         library_by_name(r) for r in rivals

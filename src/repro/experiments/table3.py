@@ -34,7 +34,7 @@ def run(scale: str = "small", save: bool = True) -> dict:
     """Regenerate Table III."""
     machine = geometry("stampede2", scale)
     n = N_VERTICES[scale]
-    decide = tuned_decision(machine, colls=("bcast",))
+    decide = tuned_decision(machine, colls=("bcast",), save=save)
     han = OpenMPIHan(decision_fn=decide)
     libs = [
         han,

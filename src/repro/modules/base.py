@@ -32,6 +32,9 @@ class CollModule:
     avx: bool = False
     #: supports non-blocking collectives (paper: only Libnbc and ADAPT)
     nonblocking: bool = False
+    #: moves device buffers over the node's NVLink fabric, so it sees
+    #: split islands (HAN wraps it in the island-level leader composite)
+    device: bool = False
     #: algorithm names accepted by bcast/ibcast (empty -> no choice)
     bcast_algorithms: tuple[str, ...] = ()
     #: algorithm names accepted by reduce/ireduce
@@ -105,7 +108,7 @@ class CollModule:
         """Run ``gen`` as a concurrent child of this rank; Request wraps it."""
         obs = comm.runtime.engine.obs
         if obs is not None:
-            gen = _observed_schedule(obs, comm, gen, kind)
+            gen = observed(obs, comm, gen, kind, "module")
         proc = comm.runtime.engine.spawn_eager(
             gen, name=f"{kind}@w{comm.world_rank}"
         )
@@ -122,13 +125,15 @@ class CollModule:
         return f"<{type(self).__name__}>"
 
 
-def _observed_schedule(obs, comm: Communicator, gen: Generator, kind: str):
-    """Wrap a non-blocking schedule in an observability span.
+def observed(obs, comm: Communicator, gen: Generator, name: str, cat: str,
+             **args):
+    """Wrap a collective schedule in an observability span.
 
     The span covers the schedule's whole lifetime on the issuing rank's
-    track (category ``module``), closing even if the schedule dies.
+    track (category ``cat``: ``module`` for a non-blocking schedule,
+    ``coll`` for a HAN collective), closing even if the schedule dies.
     """
-    sid = obs.begin(f"rank{comm.world_rank}", kind, "module")
+    sid = obs.begin(f"rank{comm.world_rank}", name, cat, **args)
     try:
         result = yield from gen
     finally:

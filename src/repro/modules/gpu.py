@@ -34,9 +34,7 @@ class GpuModule(ShmModule):
     name = "gpu"
     avx = True  # reductions run on-device, far above CPU AVX rates
     nonblocking = False
-    #: on split-fabric nodes HAN swaps this module for the fabric/host
-    #: composite (repro.core.fabric_tier) instead of calling it flat
-    fabric_tier = True
+    device = True
 
     def __init__(self, setup_overhead: float = 1.0e-6):
         self.setup_overhead = setup_overhead
@@ -50,7 +48,7 @@ class GpuModule(ShmModule):
         ev = comm.runtime.engine.event(f"gpu-{path}")
         # NVLink flows ride the calling rank's own island; on split-fabric
         # nodes a comm spanning islands puts each rank's traffic on its
-        # local fabric (the fabric-aware composite in repro.core routes
+        # local fabric (the island-level composite in repro.core routes
         # cross-island bytes over PCIe instead of calling this flat path).
         fabric.gpu_flow(
             state["node"], nbytes, lambda: ev.succeed(None), path=path,

@@ -38,9 +38,9 @@ def make_test_module(name: str, config=None):
 
         return HanModule(config=config)
     if name == "han3":
-        from repro.core.multilevel import MultiLevelHanModule
+        from repro.core import HanModule
 
-        return MultiLevelHanModule(config=config)
+        return HanModule(config=config, group_level=True)
     from repro.modules import make_module
 
     return make_module(name)

@@ -5,8 +5,9 @@ Covers the three layers of the fabric/node/network composition:
 - hardware: ``NodeSpec.fabric_domains`` validation and the ``gpu_pod``
   preset,
 - runtime: per-island NVLink resources and ``fabric_domain_of``,
-- hierarchy: ``fab``/``fleaders`` sub-communicators from
-  ``build_hierarchy`` and the :class:`FabricComposite` HAN wires in
+- hierarchy: the ``island`` level (my NVLink island plus the island
+  leaders) from ``build_hierarchy`` and the
+  :class:`~repro.core.composite.LeaderComposite` HAN wires in over it
   when ``smod="gpu"`` meets a split node.
 """
 
@@ -17,8 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import HanConfig, HanModule
-from repro.core.fabric_tier import FabricComposite
+from repro.core import HanConfig, HanModule, LeaderComposite
 from repro.core.subcomms import build_hierarchy
 from repro.hardware import MACHINE_PRESETS, gpu_cluster, gpu_pod, tiny_cluster
 from repro.hardware.spec import MachineSpec, NicSpec, NodeSpec
@@ -124,12 +124,16 @@ def _hier_props(machine, ranks):
 
     def prog(comm):
         hier = yield from build_hierarchy(comm)
+        island = hier.level("island")
+        fab = island.comm if island else None
+        fleaders = island.leaders if island else None
         return {
-            "has_fabric": hier.has_fabric_tier,
-            "fab_size": hier.fab.size if hier.fab else None,
-            "fab_rank": hier.fab.rank if hier.fab else None,
-            "is_leader": hier.fleaders is not None,
-            "fleaders_size": hier.fleaders.size if hier.fleaders else None,
+            "has_fabric": island is not None,
+            "outer_is_low": island is not None and island.outer is hier.low,
+            "fab_size": fab.size if fab else None,
+            "fab_rank": fab.rank if fab else None,
+            "is_leader": fleaders is not None,
+            "fleaders_size": fleaders.size if fleaders else None,
         }
 
     return runtime.run(prog, ranks=ranks)
@@ -147,7 +151,7 @@ class TestHierarchyComms:
 
     def test_pod_fab_and_fleaders_structure(self):
         props = _hier_props(gpu_pod(num_nodes=2, ppn=8), 16)
-        assert all(p["has_fabric"] for p in props)
+        assert all(p["has_fabric"] and p["outer_is_low"] for p in props)
         # islands of ppn / domains = 4 ranks each
         assert all(p["fab_size"] == 4 for p in props)
         # exactly the island leaders (fab rank 0) carry fleaders,
@@ -159,7 +163,7 @@ class TestHierarchyComms:
         assert all(p["fab_rank"] != 0 for p in props if not p["is_leader"])
 
 
-class TestFabricComposite:
+class TestIslandComposite:
     def _run_pod(self, prog, num_nodes=1, ppn=8):
         runtime = MPIRuntime(gpu_pod(num_nodes=num_nodes, ppn=ppn))
         return runtime.run(prog, ranks=num_nodes * ppn)
@@ -170,27 +174,28 @@ class TestFabricComposite:
         def prog(comm):
             hier = yield from build_hierarchy(comm)
             cfg = HanConfig(fs=None, imod="libnbc", smod="gpu")
-            comp = han._intra_module(hier, cfg)
-            assert isinstance(comp, FabricComposite)
-            with pytest.raises(ValueError, match="node comm"):
+            _, comp = han._modules(hier, cfg)
+            assert isinstance(comp, LeaderComposite)
+            with pytest.raises(ValueError, match="outer comm"):
                 next(comp.bcast(comm, 64))
             return True
 
         assert all(self._run_pod(prog))
 
-    def test_intra_module_wraps_and_caches(self):
+    def test_modules_wrap_and_cache(self):
         han = HanModule()
 
         def prog(comm):
             hier = yield from build_hierarchy(comm)
             gpu_cfg = HanConfig(fs=None, imod="libnbc", smod="gpu")
-            comp = han._intra_module(hier, gpu_cfg)
-            again = han._intra_module(hier, gpu_cfg)
-            host = han._intra_module(
+            _, comp = han._modules(hier, gpu_cfg)
+            _, again = han._modules(hier, gpu_cfg)
+            _, host = han._modules(
                 hier, HanConfig(fs=None, imod="libnbc", smod="sm")
             )
             return (
-                isinstance(comp, FabricComposite),
+                isinstance(comp, LeaderComposite),
+                comp.level is hier.level("island"),
                 comp is again,  # cached per hierarchy
                 type(host).name == "sm",  # host smods bypass the wrapper
             )
@@ -203,7 +208,7 @@ class TestFabricComposite:
 
         def prog(comm):
             hier = yield from build_hierarchy(comm)
-            mod = han._intra_module(
+            _, mod = han._modules(
                 hier, HanConfig(fs=None, imod="libnbc", smod="gpu")
             )
             return type(mod).name == "gpu"
@@ -218,7 +223,7 @@ class TestFabricComposite:
 
         def prog(comm):
             hier = yield from build_hierarchy(comm)
-            comp = han._intra_module(
+            _, comp = han._modules(
                 hier, HanConfig(fs=None, imod="libnbc", smod="gpu")
             )
             out = yield from comp.allreduce(

@@ -129,3 +129,46 @@ def test_tuned_decision_caches(tmp_path, monkeypatch):
     cfg1 = fn1(2, 2, 1024 * 1024, "bcast")
     cfg2 = fn2(2, 2, 1024 * 1024, "bcast")
     assert cfg1 == cfg2
+
+
+def test_tuned_decision_no_save_writes_nothing(tmp_path, monkeypatch):
+    """``--no-save`` tunes in memory: no table is left under results/,
+    and an existing table is still read."""
+    monkeypatch.setattr(common, "RESULTS_DIR", tmp_path / "results")
+    from repro.tuning import SearchSpace
+
+    machine = geometry("shaheen2", "small").scaled(num_nodes=2, ppn=2)
+    space = SearchSpace(
+        seg_sizes=(256 * 1024,),
+        messages=(1024 * 1024,),
+        adapt_algorithms=("binary",),
+        inner_segs=(None,),
+    )
+    fn = common.tuned_decision(machine, colls=("bcast",), space=space,
+                               save=False)
+    assert not (tmp_path / "results").exists()
+    saved = common.tuned_decision(machine, colls=("bcast",), space=space,
+                                  cache_key="t1")
+    cached = common.tuned_decision(machine, colls=("bcast",), cache_key="t1",
+                                   save=False)
+    assert [p.name for p in (tmp_path / "results").iterdir()] == ["t1.json"]
+    cfgs = {f(2, 2, 1024 * 1024, "bcast") for f in (fn, saved, cached)}
+    assert len(cfgs) == 1
+
+
+@pytest.mark.parametrize("name, result", [
+    ("fig06", "fig06_ib_ir_overlap"),
+    ("fig11", "fig11_netpipe"),
+])
+def test_committed_paper_results_are_current(name, result):
+    """The committed ``results/*.json`` are what the code produces now
+    (provenance header aside), so the paper record cannot go stale."""
+    import importlib
+
+    fresh = importlib.import_module(f"repro.experiments.{name}").run(
+        save=False
+    )
+    committed = json.loads((common.RESULTS_DIR / f"{result}.json").read_text())
+    # the same JSON round trip save_result applies
+    fresh = json.loads(json.dumps(fresh, default=str))
+    assert fresh == common.strip_result_header(committed)

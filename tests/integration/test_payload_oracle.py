@@ -7,7 +7,7 @@ tolerance check.
 
 The matrix axes:
 
-- **module**: han, han3 (3-level), gpu (device transport), tuned,
+- **module**: han, han3 (HAN with the group level), gpu (device transport), tuned,
   libnbc, sm, solo;
 - **fabric**: ``flat`` single-domain nodes vs ``pod`` split-NVLink
   nodes (the ``gpu_pod`` preset, ``fabric_domains=2``) — on pod the HAN
