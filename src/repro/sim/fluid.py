@@ -28,8 +28,8 @@ rates are recomputed and a single "next completion" callback is
 `PRIORITY_LATE` callback so a collective step that starts P flows triggers
 one recomputation, not P.
 
-Two solver modes share one vectorized progressive-filling kernel
-(:meth:`FluidSolver._progressive_fill`):
+Two solver modes share one memoized progressive-filling entry point
+(:meth:`FluidSolver._progressive_fill`) over two bit-identical kernels:
 
 ``"incremental"`` (the default)
     A resource→flow incidence index is maintained; each recompute
@@ -43,11 +43,13 @@ Two solver modes share one vectorized progressive-filling kernel
     re-committed when a rate actually *changes*, the floating-point
     history of every flow is bit-identical to the reference mode.
     Completions are tracked in a lazy heap of ``(t_done, fid, epoch)``
-    entries instead of an O(n) horizon scan.
+    entries instead of an O(n) horizon scan.  Components are small, so
+    they are solved by the scalar kernel (``_fill_scalar``).
 
 ``"reference"``
-    The retained global solver: every recompute re-solves all flows and
-    scans all completion horizons.  It exists as the verification oracle
+    The retained global solver: every recompute re-solves all flows with
+    the vectorized numpy kernel (``_fill_vectorized``) and scans all
+    completion horizons.  It exists as the verification oracle
     for the differential suite (``tests/sim/test_fluid_differential.py``)
     and as an escape hatch (``REPRO_FLUID_SOLVER=reference``).
 
@@ -61,15 +63,19 @@ Bit-identity between the modes rests on three disciplines:
    is computed once per rate commit and placed on the engine heap
    verbatim via :meth:`Engine.schedule_at`; a flow retires exactly when
    ``t_done <= now`` in both modes.
-3. *Order-stable kernels*: component flows are solved in fid order with
-   resource ids remapped through a sorted index, so every per-resource
-   accumulation (``np.add.at`` / ``np.minimum.at``) sees the same value
-   sequence as the global solve restricted to that component.
+3. *Order-stable kernels*: flows are solved in fid order, and both
+   kernels accumulate each resource's weight sum and residual in
+   (fid, route) order, so a component solve sees the same value
+   sequence per resource as the global solve restricted to that
+   component; the instantaneous load of a resource is likewise always a
+   fid-order sum of its flows' rates from 0.0
+   (see :meth:`FluidSolver._refresh_load`).
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -92,14 +98,15 @@ __all__ = [
 #: small never reaches the solver (``start_flow`` completes it at once)
 EPS_BYTES = 1e-6
 _INF = math.inf
-_EMPTY_INTP = np.empty(0, dtype=np.intp)
 
 #: environment override for the default solver mode (benchmark A/B switch)
 _MODE_ENV = "REPRO_FLUID_SOLVER"
 _MODES = ("incremental", "reference")
 
 #: process-wide progressive-fill memo (see FluidSolver._progressive_fill):
-#: (capacity-vector tuple, ((route, rate_cap, weight), ...)) -> rates.
+#: (caps id, flow item id, ...) -> rates, where a caps id names one
+#: capacity vector and an item id one flow's (route, rate_cap, weight),
+#: both interned (see _intern), so a key is a flat tuple of ints.
 #: Bounded by *generational* eviction: entries live in a current
 #: generation and one read-mostly previous generation; when the current
 #: generation reaches half of _FILL_MEMO_MAX it becomes the previous one
@@ -116,6 +123,25 @@ _FILL_MEMO: dict = {}
 _FILL_MEMO_OLD: dict = {}
 _FILL_MEMO_MAX = 200_000
 _FILL_MEMO_ENV = "REPRO_FLUID_FILL_MEMO"
+
+#: intern tables for the memo key parts: capacity vector -> id and
+#: (route, rate_cap, weight) -> id.  Every id comes from one process-wide
+#: counter that nothing resets, so an id names one value for the life of
+#: the process: the tables may be dropped at any time (clear_fill_memo,
+#: or a table reaching _FILL_MEMO_MAX) and an id a live solver or flow
+#: still holds can only miss afterwards, never alias another value.
+_CAPS_IDS: dict = {}
+_ITEM_IDS: dict = {}
+_NEXT_ID = itertools.count()
+
+
+def _intern(table: dict, value) -> int:
+    got = table.get(value)
+    if got is None:
+        if len(table) >= _FILL_MEMO_MAX:
+            table.clear()
+        got = table[value] = next(_NEXT_ID)
+    return got
 
 
 def _fill_memo_enabled() -> bool:
@@ -174,6 +200,8 @@ def clear_fill_memo() -> None:
     """
     _FILL_MEMO.clear()
     _FILL_MEMO_OLD.clear()
+    _CAPS_IDS.clear()
+    _ITEM_IDS.clear()
     for memo in _PROCESS_MEMOS:
         memo.clear()
 
@@ -195,12 +223,11 @@ class Flow:
     t_done: float = _INF  # completion instant at the current rate
     epoch: int = 0  # bumped per rate commit; invalidates heap entries
     res_list: list = field(default_factory=list)  # resources.tolist() cache
-    res_key: tuple = ()  # hashable route, for the solve memo cache
     res_unique: list = field(default_factory=list)  # distinct rids, route order
     res_uset: frozenset = frozenset()  # distinct rids, for the component BFS
-    # res_unique as intp, for the vectorized load refresh (np.add.at)
-    res_uarr: np.ndarray = field(default_factory=lambda: _EMPTY_INTP)
-    memo_item: tuple = ()  # (res_key, rate_cap, weight), built once per flow
+    # interned (route, rate_cap, weight): set on the flow's first memoized
+    # multi-flow fill, -1 before (singleton fills never need it)
+    memo_id: int = -1
 
 
 class FluidSolver:
@@ -253,21 +280,22 @@ class FluidSolver:
         #: configurations (ubiquitous on tuning paths: warm iterations,
         #: per-segment pipeline rounds, repeated measurement runtimes)
         #: reuse the solved rates verbatim.  The memo is process-wide
-        #: (keyed by the full capacity vector), so the many short-lived
-        #: solvers an autotuning sweep creates share one warm cache.
+        #: (keyed by the interned capacity vector), so the many
+        #: short-lived solvers an autotuning sweep creates share one warm
+        #: cache.
         self.fill_cache_hits = 0
         self._fill_memo_on = _fill_memo_enabled()
-        self._caps_key: Optional[tuple] = None  # lazy tuple(self._capacity)
+        self._caps_id = -1  # interned tuple(self._capacity); -1 = stale
         # route arrays arriving on the trusted fast path are cached,
-        # immutable fabric plans — derive (res_list, res_key, res_unique)
+        # immutable fabric plans — derive (res_list, res_unique, res_uset)
         # once per distinct array object instead of per flow start.  The
         # cached array reference keeps the id() key stable and is checked
         # by identity before reuse.
         self._route_derived: dict[int, tuple] = {}
         # time-integrated accounting, maintained by _advance_accounting():
         # per-resource seconds with nonzero load, and bytes served.  The
-        # instantaneous load vector (_load) is refreshed whenever rates
-        # change (_recompute / last flow retired).
+        # instantaneous load vector (_load) is refreshed on the resources
+        # whose flows or rates changed, at each recompute.
         self._load = np.zeros(0)
         self._busy_time = np.zeros(0)
         self._served_bytes = np.zeros(0)
@@ -287,12 +315,12 @@ class FluidSolver:
 
     def add_resource(self, capacity: float, name: str = "") -> int:
         """Register a shared resource with ``capacity`` bytes/s; returns id."""
-        if capacity <= 0:
-            raise ValueError(f"resource capacity must be positive, got {capacity}")
+        if not capacity > 0:
+            raise ValueError(f"add_resource: capacity must be > 0, got {capacity!r}")
         self._capacity.append(float(capacity))
         self._names.append(name)
         self._res_flows.append(set())
-        self._caps_key = None  # capacity vector changed: new memo keyspace
+        self._caps_id = -1  # capacity vector changed: new memo keyspace
         # accounting arrays grow lazily (_ensure_arrays): a paper-scale
         # fabric registers thousands of resources back to back
         return len(self._capacity) - 1
@@ -341,8 +369,10 @@ class FluidSolver:
         """
         changed: list[tuple[int, float]] = []
         for rid, capacity in updates:
-            if capacity < 0:
-                raise ValueError(f"resource capacity must be >= 0, got {capacity}")
+            if not capacity >= 0:
+                raise ValueError(
+                    f"set_capacity: capacity must be >= 0, got {capacity!r}"
+                )
             if float(capacity) != self._capacity[rid]:
                 changed.append((rid, float(capacity)))
         if not changed:
@@ -354,13 +384,13 @@ class FluidSolver:
             self._capacity[rid] = capacity
             self._cap_arr[rid] = capacity
             self._dirty_rids.add(rid)
-        self._caps_key = None
+        self._caps_id = -1
         self._mark_dirty()
 
     def scale_capacity(self, rid: int, factor: float) -> None:
         """Multiply a resource's current capacity by ``factor`` (>= 0)."""
-        if factor < 0:
-            raise ValueError(f"capacity factor must be >= 0, got {factor}")
+        if not factor >= 0:
+            raise ValueError(f"scale_capacity: factor must be >= 0, got {factor!r}")
         self.set_capacity(rid, self._capacity[rid] * factor)
 
     # -- flows ---------------------------------------------------------------
@@ -380,8 +410,15 @@ class FluidSolver:
         once the last byte has drained.  Zero-byte flows complete on the
         next timestep without touching the solver.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative flow size {nbytes}")
+        # spelled `not x > 0` so that NaN fails the checks too
+        if not nbytes >= 0:
+            raise ValueError(f"start_flow: nbytes must be >= 0, got {nbytes!r}")
+        if not rate_cap > 0:
+            raise ValueError(f"start_flow: rate_cap must be > 0, got {rate_cap!r}")
+        if not 0 < weight < _INF:
+            raise ValueError(
+                f"start_flow: weight must be finite and > 0, got {weight!r}"
+            )
         if type(resources) is np.ndarray and resources.dtype == np.intp:
             # trusted fast path: the fabric passes cached, pre-validated
             # route arrays (per-flow min/max reductions are a hot spot)
@@ -401,14 +438,7 @@ class FluidSolver:
         if derived is None or derived[0] is not rids:
             res_list = rids.tolist()
             res_unique = list(dict.fromkeys(res_list))
-            derived = (
-                rids,
-                res_list,
-                tuple(res_list),
-                res_unique,
-                frozenset(res_list),
-                np.asarray(res_unique, dtype=np.intp),
-            )
+            derived = (rids, res_list, res_unique, frozenset(res_list))
             if rids is resources:  # only cache caller-owned (fabric) arrays
                 self._route_derived[id(rids)] = derived
         flow = Flow(
@@ -421,14 +451,8 @@ class FluidSolver:
             drained_at=self.engine.now,
             res_list=derived[1],
         )
-        flow.res_key = derived[2]
-        flow.res_unique = derived[3]
-        flow.res_uset = derived[4]
-        flow.res_uarr = derived[5]
-        # the solve-memo key fragment is invariant over the flow's life;
-        # building it here (once) instead of per recompute matters when
-        # the memo hit rate is high (~90% at paper scale)
-        flow.memo_item = (derived[2], flow.rate_cap, flow.weight)
+        flow.res_unique = derived[2]
+        flow.res_uset = derived[3]
         self._flows[fid] = flow
         for rid in flow.res_unique:
             self._res_flows[rid].add(fid)
@@ -526,12 +550,12 @@ class FluidSolver:
         if due:
             self._retire(due)
         if self._incremental:
-            rid_arr = self._recompute_incremental()
+            touched = self._recompute_incremental()
         else:
-            rid_arr = self._recompute_reference()
+            touched = self._recompute_reference()
         obs = self.engine.obs
         if obs is not None:
-            self._sample_utilization(obs, rid_arr)
+            self._sample_utilization(obs, touched)
         else:
             self._obs_last_recorder = None
         self._schedule_next()
@@ -542,8 +566,7 @@ class FluidSolver:
         self._dirty_rids.clear()
         flows = list(self._flows.values())  # fids are monotonic: dict order == fid order
         if flows:
-            rid_index = np.arange(self.num_resources, dtype=np.intp)
-            rates = self._progressive_fill(flows, rid_index)
+            rates = self._progressive_fill(flows)
             self._apply_rates(flows, rates, push_heap=False)
             self.kernel_flows_solved += len(flows)
         self._load[:] = 0.0
@@ -553,13 +576,13 @@ class FluidSolver:
         self._load_any = bool(self._flows)
         return None
 
-    def _recompute_incremental(self) -> Optional[np.ndarray]:
+    def _recompute_incremental(self) -> Optional[list[int]]:
         """Re-solve only the component(s) touching the dirty seeds."""
         # Fast path: one freshly started flow sharing no resource with
         # any other — its component is itself, so the BFS, the sort and
         # the dict-based load refresh all collapse.  Produces the exact
         # arithmetic of the generic path restricted to one flow
-        # (_progressive_fill dispatches singletons to _fill_single too).
+        # (_progressive_fill dispatches singletons to _fill_scalar too).
         dirty_fids = self._dirty_fids
         if len(dirty_fids) == 1 and not self._dirty_rids:
             (fid,) = dirty_fids
@@ -568,7 +591,7 @@ class FluidSolver:
                 len(self._res_flows[rid]) == 1 for rid in f.res_unique
             ):
                 dirty_fids.clear()
-                self._apply_rates([f], self._fill_single(f), push_heap=True)
+                self._apply_rates([f], self._fill_scalar([f]), push_heap=True)
                 self.kernel_flows_solved += 1
                 load = self._load
                 r = f.rate
@@ -577,42 +600,50 @@ class FluidSolver:
                 self._load_any = True
                 if self.engine.obs is None:
                     return None
-                return np.fromiter(
-                    sorted(f.res_unique), dtype=np.intp,
-                    count=len(f.res_unique),
-                )
+                return sorted(f.res_unique)
         comp_fids, comp_rids = self._affected_component()
+        dirty_rids = self._dirty_rids
         self._dirty_fids.clear()
-        self._dirty_rids.clear()
+        self._dirty_rids = set()
         if not comp_rids and not comp_fids:
             return None
-        rid_arr = np.fromiter(sorted(comp_rids), dtype=np.intp, count=len(comp_rids))
         flows = [self._flows[fid] for fid in sorted(comp_fids)]
+        changed: list[Flow] = []
         if flows:
-            rates = self._progressive_fill(flows, rid_arr)
-            self._apply_rates(flows, rates, push_heap=True)
+            rates = self._progressive_fill(flows)
+            changed = self._apply_rates(flows, rates, push_heap=True)
             self.kernel_flows_solved += len(flows)
-        # Partial load refresh: by closure, every resource in rid_arr is
-        # used only by component flows, so zero-then-readd reproduces the
-        # full rebuild exactly.  A rid appearing twice in one flow
-        # (intra-node double bus crossing) counts once, matching the
-        # buffered fancy-indexed `+=` of the reference rebuild.
-        # np.add.at applies its adds unbuffered, in index order, so each
-        # rid accumulates in fid order with the identical IEEE adds a
-        # per-flow scalar loop would perform.
-        load = self._load
-        if rid_arr.size:
-            load[rid_arr] = 0.0
-        if flows:
-            nfl = len(flows)
-            uarrs = [f.res_uarr for f in flows]
-            counts = np.fromiter((a.size for a in uarrs), dtype=np.intp,
-                                 count=nfl)
-            per_flow = np.fromiter((f.rate for f in flows), dtype=np.float64,
-                                   count=nfl)
-            np.add.at(load, np.concatenate(uarrs), np.repeat(per_flow, counts))
+        self._refresh_load(changed, dirty_rids)
         self._load_any = bool(self._flows)
-        return rid_arr
+        # the sorted rids feed only the utilization samples
+        return None if self.engine.obs is None else sorted(comp_rids)
+
+    def _refresh_load(self, changed: list[Flow], dirty_rids: set[int]) -> None:
+        """Re-sum ``_load`` on the resources whose load may have moved.
+
+        Those are the routes of the flows whose rate ``_apply_rates``
+        changed, plus the dirty rids (flows retired or aborted there, or
+        a capacity rescale).  Every other resource kept the rate of each
+        of its flows and at most gained flows still at rate 0.0 (a start
+        on a dead resource), whose exact ``+ 0.0`` moves no sum, so its
+        load is already the value a rebuild would produce.  Each
+        refreshed rid re-sums its incident rates from 0.0 in fid order
+        with plain scalar adds (not ``sum``, which compensates on 3.12+):
+        the exact IEEE sequence of the reference rebuild's per-flow
+        ``load[route] += rate``, where a rid appearing twice in one route
+        (a double bus crossing) counts once.  ``dirty_rids`` is consumed.
+        """
+        rids = dirty_rids
+        for f in changed:
+            rids |= f.res_uset
+        flows = self._flows
+        res_flows = self._res_flows
+        load = self._load
+        for rid in rids:
+            acc = 0.0
+            for fid in sorted(res_flows[rid]):
+                acc += flows[fid].rate
+            load[rid] = acc
 
     def _affected_component(self) -> tuple[set[int], set[int]]:
         """Closure of flows transitively sharing a resource with the seeds.
@@ -683,9 +714,11 @@ class FluidSolver:
             self.engine.schedule(0.0, f.on_complete)
 
     def _apply_rates(
-        self, flows: list[Flow], rates: np.ndarray, push_heap: bool
-    ) -> None:
+        self, flows: list[Flow], rates: list[float], push_heap: bool
+    ) -> list[Flow]:
         """Commit newly solved rates; untouched rates commit nothing.
+
+        Returns the flows whose rate changed, in ``flows`` order.
 
         The commit discipline is the heart of cross-mode bit-identity: a
         flow drains (remaining -= rate * dt) only here, and only when the
@@ -696,9 +729,11 @@ class FluidSolver:
         """
         now = self.engine.now
         cheap = self._cheap
-        for f, r in zip(flows, rates.tolist()):
+        changed = []
+        for f, r in zip(flows, rates):
             if r == f.rate:
                 continue
+            changed.append(f)
             rem = f.remaining - f.rate * (now - f.drained_at)
             f.remaining = rem if rem > 0.0 else 0.0
             f.drained_at = now
@@ -710,23 +745,25 @@ class FluidSolver:
                     heapq.heappush(cheap, [f.t_done, f.fid, f.epoch])
             else:
                 f.t_done = _INF
+        return changed
 
-    def _sample_utilization(self, obs, rid_arr: Optional[np.ndarray]) -> None:
+    def _sample_utilization(self, obs, touched: Optional[list[int]]) -> None:
         """Emit per-resource utilization counter samples (obs attached).
 
-        ``rid_arr`` limits emission to the resources the recompute
-        touched; unchanged resources would emit the identical value and
-        be deduplicated by the recorder anyway.  A recorder change forces
-        a full emission so fresh observers see every resource once.
+        ``touched`` (sorted) limits emission to the resources the
+        recompute touched; unchanged resources would emit the identical
+        value and be deduplicated by the recorder anyway.  A recorder
+        change forces a full emission so fresh observers see every
+        resource once.
         """
         if obs is not self._obs_last_recorder:
             self._obs_last_recorder = obs
-            rid_arr = None
+            touched = None
         cap = self._cap_arr
         util = np.divide(
             self._load, cap, out=np.zeros_like(self._load), where=cap > 0
         )
-        rids = range(len(self._capacity)) if rid_arr is None else rid_arr.tolist()
+        rids = range(len(self._capacity)) if touched is None else touched
         for rid in rids:
             obs.counter(
                 f"res:{self._names[rid] or rid}", "utilization",
@@ -748,62 +785,138 @@ class FluidSolver:
         # size/latency distributions count transfers, not route hops
         obs.flow_done(nbytes, self.engine.now - t0, sid=sid)
 
-    def _progressive_fill(
-        self, flows: list[Flow], rid_index: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized progressive filling with per-flow rate caps.
+    def _progressive_fill(self, flows: list[Flow]) -> list[float]:
+        """The solved rate of each of ``flows`` (fid order), memoized.
 
-        ``flows`` must be in fid order and ``rid_index`` a sorted array
-        of the resource ids they (collectively) cross; returns the
-        solved rate per flow.  Resource ids are remapped to positions in
-        ``rid_index``, so a component solve performs the same
-        per-resource accumulation sequences as a global solve restricted
-        to that component — the remap changes array sizes, never operand
-        values or order.
+        A miss runs the mode's kernel: the scalar one for the
+        incremental mode's components, the vectorized one for the
+        reference mode's global solve.  A single flow always takes the
+        scalar kernel and skips the memo.
         """
-        nf = len(flows)
-        if nf == 1:
-            return self._fill_single(flows[0])
+        if len(flows) == 1:
+            return self._fill_scalar(flows)
         # Solve memo: rates depend only on routes, weights, rate caps and
         # capacities (never on remaining bytes), so an identical
         # configuration — same flows in the same fid order under the same
-        # capacity vector — reuses the previously solved array verbatim
-        # (bit-identical by construction: it *is* the kernel's output).
-        # The rid_index is omitted from the key on purpose: resources
-        # outside the flows' union carry no edges and cannot influence
-        # the solution, and the remap preserves accumulation order.
+        # capacity vector — reuses the previously solved list verbatim
+        # (bit-identical by construction: it *is* a kernel's output, and
+        # the two kernels agree bit for bit).  Resources outside the
+        # flows' union carry no edges and cannot influence the solution,
+        # so the capacity vector, not the component's rids, keys it.
         key = None
         if self._fill_memo_on:
-            if self._caps_key is None:
-                self._caps_key = tuple(self._capacity)
-            key = (
-                self._caps_key,
-                tuple(f.memo_item for f in flows),
-            )
+            caps_id = self._caps_id
+            if caps_id < 0:
+                caps_id = self._caps_id = _intern(_CAPS_IDS, tuple(self._capacity))
+            ids = [f.memo_id for f in flows]
+            if -1 in ids:  # some flow's first memoized fill
+                for i, f in enumerate(flows):
+                    if f.memo_id < 0:
+                        f.memo_id = _intern(
+                            _ITEM_IDS, (tuple(f.res_list), f.rate_cap, f.weight)
+                        )
+                    ids[i] = f.memo_id
+            key = (caps_id, *ids)
             cached = _fill_memo_get(key)
             if cached is not None:
                 self.fill_cache_hits += 1
                 return cached
+        if self._incremental:
+            rate = self._fill_scalar(flows)
+        else:
+            rate = self._fill_vectorized(flows)
+        if key is not None:
+            _fill_memo_store(key, rate)
+        return rate
+
+    def _fill_scalar(self, flows: list[Flow]) -> list[float]:
+        """Progressive filling with per-flow rate caps, one float at a time.
+
+        Bit-exact mirror of :meth:`_fill_vectorized`.  Per round, each
+        resource's weight sum adds its active flows' weights from 0.0 in
+        (fid, route) order, the order of ``np.add.at``; a flow's share
+        is the minimum over its route, which no order changes; every
+        flow within ``1e-12`` of the bottleneck is fixed; and the fixed
+        rates leave the residuals in (fid, route) order again.  A
+        residual is clipped at 0.0 after each subtraction rather than
+        once per round: rates are non-negative, so a residual that dips
+        below zero stays below and both clip it to the same 0.0.  The
+        incremental mode's components are small (about 40 flows over 15
+        resources on a tuning sweep's fresh solves), where numpy's
+        per-call cost outweighs these loops.
+        """
+        cap = self._capacity
+        routes = [f.res_list for f in flows]
+        residual: dict[int, float] = {}
+        for route in routes:
+            for rid in route:
+                residual[rid] = cap[rid]
+        rate = [0.0] * len(flows)
+        active: Sequence[int] = range(len(flows))
+        while active:
+            wsum: dict[int, float] = {}
+            for i in active:
+                w = flows[i].weight
+                for rid in routes[i]:
+                    wsum[rid] = wsum.get(rid, 0.0) + w
+            share = {rid: residual[rid] / w for rid, w in wsum.items()}
+            allocs = []
+            bottleneck = _INF
+            for i in active:
+                f = flows[i]
+                a = _INF
+                for rid in routes[i]:
+                    s = share[rid]
+                    if s < a:
+                        a = s
+                a *= f.weight
+                if f.rate_cap < a:
+                    a = f.rate_cap
+                allocs.append(a)
+                if a < bottleneck:
+                    bottleneck = a
+            if not bottleneck < _INF:
+                # the remaining flows are unconstrained: each gets its cap
+                for i in active:
+                    rate[i] = flows[i].rate_cap
+                break
+            limit = bottleneck * (1 + 1e-12)
+            rest = []
+            for i, a in zip(active, allocs):
+                if a <= limit:
+                    rate[i] = a
+                    for rid in routes[i]:
+                        left = residual[rid] + -a
+                        residual[rid] = 0.0 if left < 0.0 else left
+                else:
+                    rest.append(i)
+            active = rest
+        return rate
+
+    def _fill_vectorized(self, flows: list[Flow]) -> list[float]:
+        """Progressive filling over every resource, vectorized with numpy.
+
+        The reference mode's kernel (the oracle the differential suite
+        holds :meth:`_fill_scalar` to); ``flows`` must be in fid order.
+        """
+        nf = len(flows)
         lens = np.fromiter((f.resources.size for f in flows), dtype=np.intp, count=nf)
         caps_flow = np.fromiter((f.rate_cap for f in flows), dtype=np.float64, count=nf)
         weights = np.fromiter((f.weight for f in flows), dtype=np.float64, count=nf)
         if int(lens.sum()) == 0:
-            if key is not None:
-                _fill_memo_store(key, caps_flow)
-            return caps_flow
-        flat_global = np.concatenate([f.resources for f in flows if f.resources.size])
-        flat_rids = np.searchsorted(rid_index, flat_global)
+            return caps_flow.tolist()
+        flat_rids = np.concatenate([f.resources for f in flows if f.resources.size])
         flat_fids = np.repeat(np.arange(nf), lens)
 
-        residual = self._cap_arr[rid_index]
-        nr = rid_index.size
+        residual = self._cap_arr.copy()
+        nr = residual.size
         rate = np.zeros(nf)
         active = np.ones(nf, dtype=bool)
 
-        for _ in range(nr + nf + 1):
+        # each round fixes at least the bottleneck flow; a round whose
+        # active flows cross no resource still fixes them at their caps
+        for _ in range(nf):
             act_edge = active[flat_fids]
-            if not act_edge.any():
-                break
             rids = flat_rids[act_edge]
             fids = flat_fids[act_edge]
             # Weighted fair share on each resource still carrying active flows.
@@ -818,8 +931,7 @@ class FluidSolver:
             alloc = np.where(active, np.minimum(flow_share * weights, caps_flow), _INF)
             bottleneck = alloc[active].min()
             if not np.isfinite(bottleneck):
-                # Remaining active flows are unconstrained (shouldn't happen
-                # when every flow has at least one finite-capacity resource).
+                # the remaining flows are unconstrained: each gets its cap
                 rate[active] = caps_flow[active]
                 break
             # Fix every flow whose allocation equals the bottleneck value.
@@ -832,45 +944,7 @@ class FluidSolver:
             active &= ~newly
             if not active.any():
                 break
-
-        if key is not None:
-            _fill_memo_store(key, rate)
-        return rate
-
-    def _fill_single(self, f: Flow) -> np.ndarray:
-        """Scalar progressive fill for a one-flow component.
-
-        Bit-exact mirror of the vectorized kernel at ``nf == 1``: the
-        per-resource weight sums accumulate one ``w`` per route
-        occurrence in the same order as ``np.add.at``, the share minimum
-        is order-independent, and every operation is an IEEE-754 double
-        op identical to its numpy counterpart — so the solved rate is
-        the same float the array path would produce.  Roughly a fifth of
-        tuning-path fills are single-flow components; skipping the array
-        setup there is a measurable win.
-        """
-        res = f.res_list
-        if not res:
-            return np.asarray([f.rate_cap])
-        w = f.weight
-        cap = self._cap_arr
-        wsum: dict[int, float] = {}
-        for rid in res:
-            wsum[rid] = wsum.get(rid, 0.0) + w
-        share = _INF
-        for rid, ws in wsum.items():
-            if ws > 0.0:
-                s = cap[rid] / ws
-                if s < share:
-                    share = s
-        alloc = share * w
-        if f.rate_cap < alloc:
-            alloc = f.rate_cap
-        if not math.isfinite(alloc):
-            # mirrors the kernel's unconstrained branch (and its NaN
-            # handling for zero-weight flows): fall back to the cap
-            alloc = f.rate_cap
-        return np.asarray([alloc], dtype=np.float64)
+        return rate.tolist()
 
     def _schedule_next(self) -> None:
         """(Re)arm the completion callback at the earliest ``t_done``.

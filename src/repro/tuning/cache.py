@@ -40,6 +40,7 @@ work within one process, e.g. across the four Fig 8 methods).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -48,6 +49,7 @@ import os
 from pathlib import Path
 from typing import Iterator, Optional
 
+from repro.hardware.spec import MachineSpec
 from repro.segstore import read_object, write_atomic
 
 __all__ = ["CACHE_VERSION", "MeasurementCache", "canonical", "digest"]
@@ -84,11 +86,35 @@ def canonical(obj):
     )
 
 
+#: digest()'s canonical renderings of machine specs, by object identity:
+#: a tuning sweep digests the one machine object it shares across every
+#: point.  Each entry keeps the spec alive, so no other object can take
+#: its id while the entry exists, and a copy of the spec's one mutable
+#: field, ``topo_params``, which must still compare equal for the entry
+#: to be used.
+_MACHINE_DOCS: dict[int, tuple] = {}
+_MACHINE_DOCS_MAX = 64
+
+
+def _canonical_machine(machine: MachineSpec) -> dict:
+    hit = _MACHINE_DOCS.get(id(machine))
+    if hit is not None and hit[1] == machine.topo_params:
+        return hit[2]
+    doc = canonical(machine)
+    if len(_MACHINE_DOCS) >= _MACHINE_DOCS_MAX:
+        _MACHINE_DOCS.clear()
+    _MACHINE_DOCS[id(machine)] = (machine, copy.deepcopy(machine.topo_params), doc)
+    return doc
+
+
 def digest(kind: str, **parts) -> str:
     """Stable content digest of one cache entry's inputs."""
     doc = {"__cache_version__": CACHE_VERSION, "__kind__": kind}
     for name, value in parts.items():
-        doc[name] = canonical(value)
+        if type(value) is MachineSpec:
+            doc[name] = _canonical_machine(value)
+        else:
+            doc[name] = canonical(value)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -150,6 +150,22 @@ def test_abort_flow_frees_bandwidth():
     assert done["live"] == pytest.approx(12.5)
 
 
+@pytest.mark.parametrize("mode", ["incremental", "reference"])
+def test_capped_flow_without_resources_beside_a_routed_flow(mode):
+    """Started in the same instant as a routed flow, a capped flow that
+    crosses no resource used to be left at rate 0: a stall error in the
+    incremental mode, a late finish (1.2 s) in the reference one."""
+    eng = Engine()
+    net = FluidSolver(eng, mode=mode)
+    r = net.add_resource(100.0)
+    done = {}
+    net.start_flow(100.0, [r], record_completion(done, eng, "routed"))
+    net.start_flow(100.0, [], record_completion(done, eng, "capped"),
+                   rate_cap=500.0)
+    eng.run()
+    assert done == {"routed": 1.0, "capped": 0.2}
+
+
 def test_unknown_resource_rejected():
     eng, net = make()
     with pytest.raises(IndexError):
@@ -169,6 +185,77 @@ def test_negative_bytes_rejected():
     r = net.add_resource(1.0)
     with pytest.raises(ValueError):
         net.start_flow(-1.0, [r], lambda: None)
+
+
+NAN = float("nan")
+
+
+def one_byte_flow_time(**kw):
+    """Completion instant of a 1 B flow on a 1 B/s resource (valid: 1 s)."""
+    eng, net = make()
+    r = net.add_resource(1.0)
+    done = {}
+    net.start_flow(kw.pop("nbytes", 1.0), [r],
+                   record_completion(done, eng, "f"), **kw)
+    eng.run()
+    return done["f"]
+
+
+def test_valid_one_byte_flow_takes_one_second():
+    assert one_byte_flow_time() == 1.0
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("nbytes", NAN),
+    ("weight", NAN),
+    ("weight", 0.0),
+    ("weight", -1.0),
+    ("weight", float("inf")),
+    ("rate_cap", -5.0),
+    ("rate_cap", NAN),
+    ("rate_cap", 0.0),
+])
+def test_bad_flow_argument_rejected_at_the_call(arg, value):
+    """Each of these used to be accepted: the flow finished at t = 0.0
+    with no error (or, for a negative cap, raised a misleading stall)."""
+    with pytest.raises(ValueError, match=rf"{arg} must be .*got {value!r}"):
+        one_byte_flow_time(**{arg: value})
+
+
+def test_nan_capacity_resource_rejected():
+    _, net = make()
+    with pytest.raises(ValueError, match=r"capacity must be > 0, got nan"):
+        net.add_resource(NAN)
+    assert net.num_resources == 0
+
+
+@pytest.mark.parametrize("mode", ["incremental", "reference"])
+def test_nan_capacity_rescale_rejected_mid_flow(mode):
+    """set_capacity(r, nan) mid-flow used to end the flow at the rescale
+    instant; now it raises, and the flow keeps its 1 s schedule."""
+    eng = Engine()
+    net = FluidSolver(eng, mode=mode)
+    r = net.add_resource(1.0)
+    done, errors = {}, []
+    net.start_flow(1.0, [r], record_completion(done, eng, "f"))
+
+    def rescale():
+        with pytest.raises(ValueError, match=r"capacity must be >= 0, got nan"):
+            net.set_capacity(r, NAN)
+        errors.append(eng.now)
+
+    eng.schedule(0.5, rescale)
+    eng.run()
+    assert errors == [0.5]
+    assert done["f"] == 1.0
+    assert net.capacity(r) == 1.0
+
+
+def test_nan_capacity_factor_rejected():
+    _, net = make()
+    r = net.add_resource(1.0)
+    with pytest.raises(ValueError, match=r"factor must be >= 0, got nan"):
+        net.scale_capacity(r, NAN)
 
 
 def test_parking_lot_topology_max_min():

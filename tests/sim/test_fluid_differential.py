@@ -235,3 +235,27 @@ def test_incremental_kernel_without_memo(seed, monkeypatch):
     inc = run_schedule("incremental", schedule, memo=False,
                        monkeypatch=monkeypatch)
     assert inc == ref
+
+
+@pytest.mark.parametrize("seed", range(0, 300, 3))
+def test_scalar_kernel_matches_vectorized(seed):
+    """The two fill kernels, head to head on one whole schedule's flows
+    (dead and rescaled resources, duplicate rids, caps, weights, and a
+    capped flow that crosses no resource), bit for bit."""
+    make = make_fabric_schedule if seed % 2 else make_schedule
+    caps, flows, cap_events, _aborts, _probes = make(seed)
+    solver = FluidSolver(Engine(), mode="reference")
+    for cap in caps:
+        solver.add_resource(cap)
+    for _t, rid, cap in cap_events[:2]:
+        solver.set_capacity(rid, cap)
+    for _start, nbytes, route, rate_cap, weight in flows:
+        solver.start_flow(nbytes, route, lambda: None, rate_cap=rate_cap,
+                          weight=weight)
+    solver.start_flow(50.0, [], lambda: None, rate_cap=123.0)
+    solver.sync_accounting()  # sizes the capacity array the numpy kernel reads
+    everything = list(solver._flows.values())
+    scalar = np.asarray(solver._fill_scalar(everything))
+    vectorized = np.asarray(solver._fill_vectorized(everything))
+    assert scalar.tobytes() == vectorized.tobytes()
+    assert scalar[-1] == 123.0

@@ -24,11 +24,8 @@ def _isolated_memo():
 
 
 def _key(i: int) -> tuple:
-    # shape of a real memo key: (caps, ((route, rate_cap, weight), ...))
-    return (
-        (100.0 + i, 200.0),
-        (((0, 1), float("inf"), 1.0), ((1,), 50.0 + i, 2.0)),
-    )
+    # shape of a real memo key: (caps id, flow item id, ...), all interned
+    return (1000 + i, 7, 8 + i)
 
 
 def _value(i: int) -> np.ndarray:
