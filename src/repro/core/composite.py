@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from repro.modules.base import CollModule, NotSupportedError
-from repro.modules.shm_common import ShmModule
+from repro.modules.shm_common import ShmModule, gpu_copy
 from repro.mpi.op import SUM
 
 __all__ = ["LeaderComposite", "han_segments"]
@@ -126,21 +126,6 @@ class LeaderComposite(CollModule):
     def _is_leader(self) -> bool:
         return self.level.leaders is not None
 
-    def _hop(self, comm, nbytes: float):
-        """One explicit staging flow (e.g. device->host) charged by this rank."""
-        if self.hop is None or nbytes <= 0:
-            return
-        fabric = comm.runtime.fabric
-        ev = comm.runtime.engine.event(f"ftier-{self.hop}")
-        fabric.gpu_flow(
-            fabric.node_of(comm.world_rank),
-            nbytes,
-            lambda: ev.succeed(None),
-            path=self.hop,
-            domain=fabric.fabric_domain_of(comm.world_rank),
-        )
-        yield ev
-
     def _deliver(self, comm, root, value, nbytes, **kw):
         """Hand a result held by the root group's leader to ``root``.
 
@@ -158,7 +143,8 @@ class LeaderComposite(CollModule):
         )
         if comm.rank != root:
             return None
-        yield from self._hop(comm, nbytes)
+        if self.hop is not None:
+            yield from gpu_copy(comm, nbytes, self.hop)
         return res
 
     def _cut(self, nbytes, segsize, payload):
@@ -230,9 +216,9 @@ class LeaderComposite(CollModule):
         else:
             def first(j):
                 x = yield from fan_out(j, views[j], self._rank[root])
-                if lead and comm.rank != root:
+                if lead and comm.rank != root and self.hop is not None:
                     # the leader needs a staged copy to feed the bridge
-                    yield from self._hop(comm, sub[j])
+                    yield from gpu_copy(comm, sub[j], self.hop)
                 return x
 
             second = bridge if lead else None

@@ -3,7 +3,8 @@
 HAN does not implement collective algorithms itself; it *composes*
 existing modules (paper section III): "it selects the proper collective
 frameworks as submodules to utilize the hardware capabilities of each
-level".  The four submodules HAN uses, plus the flat default:
+level".  The four submodules HAN uses, the GPU submodule of the paper's
+future work, and the flat default:
 
 ========  =======================  ==========================================
 module    scope                    character
@@ -18,7 +19,12 @@ module    scope                    character
 `solo`    intra-node               one-sided single-copy, chunk-parallel AVX
                                    reductions; window-sync setup -> best for
                                    large messages
+`gpu`     intra-node, GPU nodes    NVLink device collectives, PCIe host
+                                   staging; launch latency per copy step
 ========  =======================  ==========================================
+
+`sm`, `solo` and `gpu` are transport policies over one shared-memory
+call protocol, :class:`~repro.modules.shm_common.ShmModule`.
 """
 
 from repro.modules.base import CollModule, NotSupportedError

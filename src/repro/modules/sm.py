@@ -18,6 +18,7 @@ import math
 
 from repro.modules.shm_common import ShmModule
 from repro.mpi.op import SUM
+from repro.sim.engine import Sleep
 
 __all__ = ["SMModule"]
 
@@ -26,116 +27,116 @@ class SMModule(ShmModule):
     name = "sm"
     avx = False
     nonblocking = False
-    _ds_write_copies = 2  # bounce buffer: staging writes cross the bus
 
-    def __init__(
-        self,
-        fragment: float = 8 * 1024,
-        frag_overhead: float = 0.05e-6,
-        setup_overhead: float = 0.2e-6,
-        pipe_efficiency: float = 0.6,
-    ):
-        self.fragment = fragment
-        self.frag_overhead = frag_overhead
+    #: shared-segment fragment size (bytes)
+    fragment = 8 * 1024
+    #: flag handling per fragment (seconds)
+    frag_overhead = 0.05e-6
+    #: fraction of peak copy bandwidth a reader achieves through the
+    #: fragment pipeline (flag polling between 8KB fragments); this is
+    #: SM's large-message handicap vs SOLO's single big copy.
+    pipe_efficiency = 0.6
+
+    def __init__(self, setup_overhead: float = 0.2e-6):
         self.setup_overhead = setup_overhead
-        #: fraction of peak copy bandwidth a reader achieves through the
-        #: fragment pipeline (flag polling between 8KB fragments); this
-        #: is SM's large-message handicap vs SOLO's single big copy.
-        self.pipe_efficiency = pipe_efficiency
-
-    def _reader_cap(self, comm) -> float:
-        return comm.runtime.machine.node.copy_bw * self.pipe_efficiency
-
-    def _frag_cost(self, comm, nbytes: float):
-        """Per-fragment flag handling, charged as one CPU lump."""
-        nfrag = max(1, math.ceil(nbytes / self.fragment))
-        yield from comm.compute(nfrag * self.frag_overhead)
 
     def _stage_cost(self, comm, nbytes: float):
-        """Generic shared-segment ops pay SM's per-fragment flag dance."""
-        yield from self._frag_cost(comm, nbytes)
-
-    def _pipe_head_delay(self, comm, nbytes: float) -> float:
-        """Time until the first fragment is available to readers."""
-        node = comm.runtime.machine.node
-        first = min(self.fragment, nbytes)
-        return node.shm_latency + first / node.copy_bw
+        """Per-fragment flag handling, charged as one CPU lump."""
+        nfrag = max(1, math.ceil(nbytes / self.fragment))
+        return comm.compute(nfrag * self.frag_overhead)
 
     # -- bcast ----------------------------------------------------------------
 
     def bcast(self, comm, nbytes, root=0, payload=None, algorithm=None, segsize=None):
+        """Fragment pipeline: readers start as soon as the first fragment
+        landed and drain the bounce buffer at the pipeline rate."""
         if comm.size == 1:
             return payload
-        state = self._begin(comm)
-        ready = self._event(comm, state, "bcast-ready")
+        state = self._begin(comm, "bcast", nbytes, root)
+        ready = self._event(comm, state, "staged")
+        drained = self._event(comm, state, "drained")
         yield from self._setup(comm)
+        node = comm.runtime.machine.node
         if comm.rank == root:
             state["payload"] = payload
             # Readers may start as soon as the first fragment landed.
+            first = min(self.fragment, nbytes)
             comm.runtime.engine.schedule(
-                self._pipe_head_delay(comm, nbytes), lambda: ready.succeed(None)
+                node.shm_latency + first / node.copy_bw,
+                lambda: ready.succeed(None),
             )
-            yield from self._frag_cost(comm, nbytes)
-            yield from self._flow(comm, state, nbytes, copies=2,
-                                  rate_cap=comm.runtime.machine.node.copy_bw)
-            result = payload
+            yield from self._stage_cost(comm, nbytes)
+            yield from self._flow(comm, state, nbytes)
             # Bounce-buffer backpressure: the fragment pool is finite, so
             # the root cannot retire the call until readers drained it.
-            drained = self._event(comm, state, "bcast-drained")
             yield drained
         else:
             if payload is not None:
                 raise ValueError("payload may only be supplied at the root")
             yield ready
-            yield from self._frag_cost(comm, nbytes)
+            yield from self._stage_cost(comm, nbytes)
             # the bounce fragment is cache-resident when read: one bus
             # crossing (the write to the destination buffer)
             yield from self._flow(comm, state, nbytes, copies=1,
-                                  rate_cap=self._reader_cap(comm))
-            result = state.get("payload")
-            state["readers_done"] = state.get("readers_done", 0) + 1
-            if state["readers_done"] == comm.size - 1:
-                self._event(comm, state, "bcast-drained").succeed(None)
+                                  rate_cap=node.copy_bw * self.pipe_efficiency)
+            self._arrive(state, "read", comm.size - 1, drained)
         self._finish(comm, state)
-        return result
+        return state["payload"]
 
-    # -- reduce ----------------------------------------------------------------
+    # -- reduce and gather: children write, the root drains ------------------------
 
     def reduce(
         self, comm, nbytes, root=0, payload=None, op=SUM, algorithm=None, segsize=None
     ):
+        """Root drains contributions in rank order: read + scalar combine."""
         if comm.size == 1:
             return payload
-        state = self._begin(comm)
+        state = self._begin(comm, "reduce", nbytes, root)
         contrib = state.setdefault("contrib", {})
-        written = [
-            self._event(comm, state, f"reduce-w{r}") for r in range(comm.size)
-        ]
+        written = [self._event(comm, state, f"w{r}") for r in range(comm.size)]
         yield from self._setup(comm)
-        node = comm.runtime.machine.node
         if comm.rank != root:
             contrib[comm.rank] = payload
-            yield from self._frag_cost(comm, nbytes)
-            yield from self._flow(comm, state, nbytes, copies=2,
-                                  rate_cap=node.copy_bw)
+            yield from self._stage_cost(comm, nbytes)
+            yield from self._flow(comm, state, nbytes)
             written[comm.rank].succeed(None)
             self._finish(comm, state)
             return None
-        # Root drains contributions in rank order: read + scalar combine.
         acc = payload
-        yield from self._frag_cost(comm, nbytes)
+        yield from self._stage_cost(comm, nbytes)
         for r in range(comm.size):
             if r == root:
                 continue
             yield written[r]
-            yield from self._flow(comm, state, nbytes, copies=2,
-                                  rate_cap=node.copy_bw)
+            yield from self._flow(comm, state, nbytes)
             yield from comm.reduce_compute(nbytes, avx=self.avx)
             incoming = contrib.get(r)
             if acc is not None and incoming is not None:
                 acc = op(acc, incoming)
         self._finish(comm, state)
         return acc
+
+    def gather(self, comm, nbytes, root=0, payload=None):
+        """Children write blocks to the shared segment; root reads them all."""
+        if comm.size == 1:
+            return payload
+        state = self._begin(comm, "gather", nbytes, root)
+        contrib = state.setdefault("contrib", {})
+        written = [self._event(comm, state, f"w{r}") for r in range(comm.size)]
+        yield from self._setup(comm)
+        contrib[comm.rank] = payload
+        if comm.rank != root:
+            yield from self._stage_cost(comm, nbytes)
+            yield from self._flow(comm, state, nbytes)
+            written[comm.rank].succeed(None)
+            self._finish(comm, state)
+            return None
+        for r in range(comm.size):
+            if r != root:
+                yield written[r]
+                yield from self._flow(comm, state, nbytes)
+        self._finish(comm, state)
+        return self._gathered([contrib.get(r) for r in range(comm.size)])
 
     # -- composed collectives ----------------------------------------------------------------
 
@@ -146,49 +147,9 @@ class SMModule(ShmModule):
         )
         return result
 
-    def gather(self, comm, nbytes, root=0, payload=None):
-        """Children write blocks to the shared segment; root reads them all."""
-        import numpy as np
-
-        if comm.size == 1:
-            return payload
-        state = self._begin(comm)
-        contrib = state.setdefault("contrib", {})
-        written = [self._event(comm, state, f"gather-w{r}") for r in range(comm.size)]
-        yield from self._setup(comm)
-        node = comm.runtime.machine.node
-        if comm.rank != root:
-            contrib[comm.rank] = payload
-            yield from self._frag_cost(comm, nbytes)
-            yield from self._flow(comm, state, nbytes, copies=2, rate_cap=node.copy_bw)
-            written[comm.rank].succeed(None)
-            self._finish(comm, state)
-            return None
-        contrib[root] = payload
-        parts = []
-        for r in range(comm.size):
-            if r != root:
-                yield written[r]
-                yield from self._flow(
-                    comm, state, nbytes, copies=2, rate_cap=node.copy_bw
-                )
-            parts.append(contrib.get(r))
-        self._finish(comm, state)
-        if any(p is None for p in parts):
-            return None
-        return np.concatenate(parts)
-
     def barrier(self, comm):
-        """Flag counter in the shared segment."""
-        if comm.size == 1:
-            return
-        state = self._begin(comm)
-        release = self._event(comm, state, "barrier-release")
-        yield from self._setup(comm)
-        yield from self._latency(comm)
-        state["arrived"] = state.get("arrived", 0) + 1
-        if state["arrived"] == comm.size:
-            release.succeed(None)
-        yield release
-        yield from self._latency(comm)
-        self._finish(comm, state)
+        """Flag counter in the shared segment; leaving reads the release
+        flag once more."""
+        yield from super().barrier(comm)
+        if comm.size > 1:
+            yield Sleep(comm.runtime.machine.node.shm_latency)

@@ -12,14 +12,17 @@ microsecond fixed cost -- "due to the differences in algorithms and
 implementations, SM has better performance for small messages while SOLO
 performs significantly better as the communication size increases", and
 the paper's heuristic only considers SOLO above 512 KB (section III-C).
+
+Everything but the reductions is :class:`ShmModule`'s generic protocol:
+a root only exposes its window (one flag delay) and readers pull from it
+directly; a window fence is itself a barrier.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.modules.shm_common import ShmModule
 from repro.mpi.op import SUM
+from repro.sim.engine import Sleep
 
 __all__ = ["SoloModule"]
 
@@ -28,179 +31,54 @@ class SoloModule(ShmModule):
     name = "solo"
     avx = True
     nonblocking = False
-    _ds_write_copies = 0  # one-sided: peers read straight from the source
 
     def __init__(self, setup_overhead: float = 2.5e-6):
         #: RMA window synchronization (fence/flush) per call per rank
         self.setup_overhead = setup_overhead
 
-    # -- bcast ----------------------------------------------------------------
+    def _stage(self, comm, state, nbytes):
+        """One-sided: the root only exposes its window (one flag delay);
+        peers read straight from the source."""
+        yield Sleep(comm.runtime.machine.node.shm_latency)
 
-    def bcast(self, comm, nbytes, root=0, payload=None, algorithm=None, segsize=None):
+    # -- reduce / allreduce (chunk-parallel) ------------------------------------------
+
+    def _chunk_parallel(self, comm, coll, nbytes, payload, op, root=None):
+        """Every rank reduces one 1/P chunk across the other P-1 exposed
+        buffers (reads are direct, kernels are AVX).  With a ``root`` the
+        chunks are deposited into the root's result buffer; without one
+        (allreduce) every rank reads back the finished vector."""
         if comm.size == 1:
             return payload
-        state = self._begin(comm)
-        exposed = self._event(comm, state, "bcast-exposed")
+        state = self._begin(comm, coll, nbytes, 0 if root is None else root)
+        exposed = self._event(comm, state, "all-exposed")
+        folded = self._event(comm, state, "folded")
         yield from self._setup(comm)
-        if comm.rank == root:
-            state["payload"] = payload
-            yield from self._latency(comm)
-            exposed.succeed(None)
-            result = payload
-            # Root waits for all readers before closing the epoch.
-            done = self._event(comm, state, "bcast-drained")
-            yield done
-        else:
-            if payload is not None:
-                raise ValueError("payload may only be supplied at the root")
-            yield exposed
-            yield from self._flow(
-                comm, state, nbytes, copies=2,
-                rate_cap=comm.runtime.machine.node.copy_bw,
-            )
-            result = state.get("payload")
-            state["readers_done"] = state.get("readers_done", 0) + 1
-            if state["readers_done"] == comm.size - 1:
-                self._event(comm, state, "bcast-drained").succeed(None)
+        yield from self._expose(comm, state, payload, exposed)
+        yield exposed
+        size = comm.size
+        chunk = nbytes / size
+        yield from self._flow(comm, state, (size - 1) * chunk)
+        yield from comm.reduce_compute((size - 1) * chunk, avx=self.avx)
+        mine = root is None or comm.rank == root
+        if not mine:
+            yield from self._flow(comm, state, chunk)
+        if self._arrive(state, "reduced", size):
+            self._fold(state, size, op)
+            folded.succeed(None)
+        if mine:
+            yield folded
+        if root is None:
+            # read back the other P-1 chunks of the finished vector
+            yield from self._flow(comm, state, (size - 1) * chunk)
         self._finish(comm, state)
-        return result
-
-    # -- reduce (chunk-parallel) ------------------------------------------------------
+        return state["result"] if mine else None
 
     def reduce(
         self, comm, nbytes, root=0, payload=None, op=SUM, algorithm=None, segsize=None
     ):
-        if comm.size == 1:
-            return payload
-        state = self._begin(comm)
-        contrib = state.setdefault("contrib", {})
-        all_exposed = self._event(comm, state, "reduce-exposed")
-        result_ready = self._event(comm, state, "reduce-result")
-        yield from self._setup(comm)
-
-        contrib[comm.rank] = payload
-        yield from self._latency(comm)
-        state["exposed_count"] = state.get("exposed_count", 0) + 1
-        if state["exposed_count"] == comm.size:
-            all_exposed.succeed(None)
-        yield all_exposed
-
-        # Every rank reduces one 1/P chunk across the other P-1 buffers
-        # (reads are direct, kernels are AVX), then deposits it into the
-        # root's result buffer.
-        size = comm.size
-        chunk = nbytes / size
-        node = comm.runtime.machine.node
-        yield from self._flow(comm, state, (size - 1) * chunk, copies=2,
-                              rate_cap=node.copy_bw)
-        yield from comm.reduce_compute((size - 1) * chunk, avx=self.avx)
-        if comm.rank != root:
-            yield from self._flow(comm, state, chunk, copies=2,
-                                  rate_cap=node.copy_bw)
-        state["chunks_done"] = state.get("chunks_done", 0) + 1
-        if state["chunks_done"] == size:
-            # Data result (computed once; the *cost* was charged in
-            # parallel chunks above).
-            vals = [contrib[r] for r in range(size)]
-            if all(v is not None for v in vals):
-                acc = vals[0]
-                for v in vals[1:]:
-                    acc = op(acc, v)
-            else:
-                acc = None
-            state["result"] = acc
-            result_ready.succeed(None)
-        if comm.rank == root:
-            yield result_ready
-            result = state.get("result")
-        else:
-            result = None
-        self._finish(comm, state)
-        return result
-
-    # -- composed collectives ----------------------------------------------------------------
+        return self._chunk_parallel(comm, "reduce", nbytes, payload, op, root)
 
     def allreduce(self, comm, nbytes, payload=None, op=SUM, algorithm=None, segsize=None):
         """Chunk-parallel reduce, then every rank reads the full result."""
-        if comm.size == 1:
-            return payload
-        state = self._begin(comm)
-        contrib = state.setdefault("contrib", {})
-        all_exposed = self._event(comm, state, "ar-exposed")
-        result_ready = self._event(comm, state, "ar-result")
-        yield from self._setup(comm)
-        contrib[comm.rank] = payload
-        yield from self._latency(comm)
-        state["exposed_count"] = state.get("exposed_count", 0) + 1
-        if state["exposed_count"] == comm.size:
-            all_exposed.succeed(None)
-        yield all_exposed
-
-        size = comm.size
-        chunk = nbytes / size
-        node = comm.runtime.machine.node
-        yield from self._flow(comm, state, (size - 1) * chunk, copies=2,
-                              rate_cap=node.copy_bw)
-        yield from comm.reduce_compute((size - 1) * chunk, avx=self.avx)
-        state["chunks_done"] = state.get("chunks_done", 0) + 1
-        if state["chunks_done"] == size:
-            vals = [contrib[r] for r in range(size)]
-            if all(v is not None for v in vals):
-                acc = vals[0]
-                for v in vals[1:]:
-                    acc = op(acc, v)
-            else:
-                acc = None
-            state["result"] = acc
-            result_ready.succeed(None)
-        yield result_ready
-        # read back the other P-1 chunks of the finished vector
-        yield from self._flow(comm, state, (size - 1) * chunk, copies=2,
-                              rate_cap=node.copy_bw)
-        result = state.get("result")
-        self._finish(comm, state)
-        return result
-
-    def gather(self, comm, nbytes, root=0, payload=None):
-        """Root directly reads every rank's exposed buffer."""
-        if comm.size == 1:
-            return payload
-        state = self._begin(comm)
-        contrib = state.setdefault("contrib", {})
-        all_exposed = self._event(comm, state, "gather-exposed")
-        done = self._event(comm, state, "gather-done")
-        yield from self._setup(comm)
-        contrib[comm.rank] = payload
-        yield from self._latency(comm)
-        state["exposed_count"] = state.get("exposed_count", 0) + 1
-        if state["exposed_count"] == comm.size:
-            all_exposed.succeed(None)
-        if comm.rank == root:
-            yield all_exposed
-            yield from self._flow(
-                comm, state, (comm.size - 1) * nbytes, copies=2,
-                rate_cap=comm.runtime.machine.node.copy_bw,
-            )
-            parts = [contrib.get(r) for r in range(comm.size)]
-            done.succeed(None)
-            self._finish(comm, state)
-            if any(p is None for p in parts):
-                return None
-            return np.concatenate(parts)
-        yield done
-        self._finish(comm, state)
-        return None
-
-    def barrier(self, comm):
-        """A window fence is itself a barrier."""
-        if comm.size == 1:
-            return
-        state = self._begin(comm)
-        release = self._event(comm, state, "barrier-release")
-        yield from self._setup(comm)
-        yield from self._latency(comm)
-        state["arrived"] = state.get("arrived", 0) + 1
-        if state["arrived"] == comm.size:
-            release.succeed(None)
-        yield release
-        self._finish(comm, state)
+        return self._chunk_parallel(comm, "allreduce", nbytes, payload, op)

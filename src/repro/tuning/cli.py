@@ -1,6 +1,6 @@
 """Command-line front end for the tuning engine.
 
-Run, inspect and benchmark HAN autotuning without writing a driver::
+Run and inspect HAN autotuning without writing a driver::
 
     # tune, fanning measurements over 4 worker processes, with a
     # persistent measurement cache (re-runs become near-instant)
@@ -10,9 +10,6 @@ Run, inspect and benchmark HAN autotuning without writing a driver::
 
     # what is in the cache?
     python -m repro.tuning.cli inspect --cache .tuning-cache
-
-    # the serial-cold vs parallel-cold vs warm-cache wall-clock study
-    python -m repro.tuning.cli bench --workers 4 --out BENCH_tuning_wallclock.json
 
     # tune under background tenant load, with successive-halving trials
     python -m repro.tuning.cli run --machine tiny --trials 5 \
@@ -32,21 +29,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
-import shutil
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
 from repro.faults import FaultPlan, OsNoise
 from repro.hardware import MACHINE_PRESETS, small_cluster, tiny_cluster
-from repro.sim.fluid import clear_fill_memo
 from repro.tenancy import TRAFFIC_PRESETS, TrafficPlan, load_traffic
 from repro.tuning.autotuner import ALLOCATIONS, METHODS, Autotuner
 from repro.tuning.cache import MeasurementCache
-from repro.tuning.parallel import effective_workers
 from repro.tuning.space import SearchSpace
 
 __all__ = ["main"]
@@ -72,13 +63,6 @@ def _space(name: str) -> SearchSpace:
         return SearchSpace()
     if name == "gpu":  # accelerator nodes: gpu joins the smod axis
         return SearchSpace.gpu()
-    if name == "bench":  # the wall-clock study sweep (see cmd_bench)
-        return SearchSpace(
-            seg_sizes=(256 * KiB, 512 * KiB, 1 * MiB),
-            messages=[2.0 ** k for k in range(16, 23)],  # 64KB .. 4MB
-            adapt_algorithms=("chain", "binomial"),
-            inner_segs=(None,),
-        )
     if name == "sens":  # the sensitivity-experiment sweep (see cmd_bandit)
         return SearchSpace(
             seg_sizes=(128 * KiB, 512 * KiB),
@@ -174,112 +158,6 @@ def cmd_inspect(args) -> int:
     for kind, count in sorted(kinds.items()):
         print(f"  {kind}: {count}")
     return 0
-
-
-# -- bench -------------------------------------------------------------------------
-
-
-def cmd_bench(args) -> int:
-    """Serial-cold vs parallel-cold vs warm-cache on one exhaustive sweep.
-
-    This regenerates ``BENCH_tuning_wallclock.json`` — the perf
-    trajectory artifact: the same search, three execution strategies,
-    plus proof that all three produced bit-identical tuning decisions.
-    """
-    machine = _machine(args)
-    space = _space("bench")
-    coll, method = "bcast", "exhaustive"
-    traffic = _traffic(args)
-    cache_dir = args.cache or tempfile.mkdtemp(prefix="han-tuning-cache-")
-    own_tmp = args.cache is None
-
-    def tuned(workers: int, cache: Optional[MeasurementCache]):
-        # every run starts cold (no fill memo, no recorded barrier
-        # schedule): "cold" means what a new process would pay
-        clear_fill_memo()
-        tuner = Autotuner(
-            machine, space=space, workers=workers, cache=cache,
-            trials=args.trials, allocation=args.allocation,
-            traffic_plan=traffic,
-        )
-        t0 = time.perf_counter()
-        report = tuner.tune(colls=(coll,), method=method)
-        return report, time.perf_counter() - t0
-
-    def fastest(runs):
-        return min(runs, key=lambda run: run[1])
-
-    try:
-        cores = os.cpu_count() or 1
-        print(f"bench sweep: {machine.name} {machine.num_nodes}x{machine.ppn} "
-              f"{coll}/{method}, {space.size()} configs x "
-              f"{len(space.messages)} messages ({cores} cores)")
-        # min-of-N (scheduler noise only ever adds time), serial and
-        # parallel interleaved so a slow spell of the box hits both
-        repeat = range(max(1, args.repeat))
-        cold = [
-            (tuned(workers=0, cache=None), tuned(workers=args.workers, cache=None))
-            for _ in repeat
-        ]
-        serial, t_serial = fastest(run for run, _ in cold)
-        par, t_par = fastest(run for _, run in cold)
-        print(f"  serial-cold:   {t_serial:7.2f}s wall")
-        print(f"  parallel-cold: {t_par:7.2f}s wall (workers={args.workers})")
-        # populate the cache off the clock, then time the warm replay
-        tuned(workers=args.workers, cache=MeasurementCache(cache_dir))
-        warm_cache = MeasurementCache(cache_dir)
-        warm, t_warm = fastest(
-            tuned(workers=0, cache=warm_cache) for _ in repeat
-        )
-        print(f"  warm-cache:    {t_warm:7.2f}s wall "
-              f"({warm_cache.stats()['hits']} hits)")
-
-        identical = (
-            serial.candidates == par.candidates == warm.candidates
-            and serial.table.entries == par.table.entries == warm.table.entries
-            and serial.tuning_cost == par.tuning_cost == warm.tuning_cost
-        )
-        out = {
-            "machine": f"{machine.name} {machine.num_nodes}x{machine.ppn}",
-            "sweep": {
-                "coll": coll,
-                "method": method,
-                "configs": space.size(),
-                "messages": len(space.messages),
-                "points": serial.searches,
-            },
-            "workers": args.workers,
-            "repeat": args.repeat,
-            "trials": args.trials,
-            "allocation": args.allocation,
-            "traffic_plan": args.traffic_plan,
-            "trials_spent": serial.trials_spent,
-            "effective_workers": effective_workers(
-                args.workers, serial.searches
-            ),
-            "cpu_count": cores,
-            "wallclock_s": {
-                "serial_cold": t_serial,
-                "parallel_cold": t_par,
-                "warm_cache": t_warm,
-            },
-            "speedup_vs_serial_cold": {
-                "parallel_cold": t_serial / t_par if t_par else float("inf"),
-                "warm_cache": t_serial / t_warm if t_warm else float("inf"),
-            },
-            "tuning_cost_simulated_s": serial.tuning_cost,
-            "results_bit_identical": identical,
-            "cache": warm_cache.stats(),
-        }
-        Path(args.out).write_text(json.dumps(out, indent=1))
-        print(f"\nparallel-cold {out['speedup_vs_serial_cold']['parallel_cold']:.2f}x, "
-              f"warm-cache {out['speedup_vs_serial_cold']['warm_cache']:.2f}x "
-              f"vs serial-cold; results identical: {identical}")
-        print(f"written to {args.out}")
-        return 0 if identical else 1
-    finally:
-        if own_tmp:
-            shutil.rmtree(cache_dir, ignore_errors=True)
 
 
 # -- bandit ------------------------------------------------------------------------
@@ -421,14 +299,14 @@ def main(argv=None) -> int:
                        help="comma-separated collectives")
     p_run.add_argument("--method", choices=METHODS, default="task")
     p_run.add_argument("--space",
-                       choices=("small", "full", "gpu", "bench", "sens"),
+                       choices=("small", "full", "gpu", "sens"),
                        default="small",
                        help="configuration space: small (fast subset), "
                             "full (paper Tables I-II), gpu (adds the gpu "
                             "intra module for accelerator presets such as "
                             "gpu_cluster/gpu_pod; on gpu_pod's split-NVLink "
                             "nodes smod=gpu engages the fabric tier), "
-                            "bench/sens (experiment sweeps)")
+                            "sens (the sensitivity-experiment sweep)")
     p_run.add_argument("--workers", type=int, default=0,
                        help="measurement worker processes (0 = serial)")
     _add_allocation_args(p_run)
@@ -445,19 +323,6 @@ def main(argv=None) -> int:
     p_ins.add_argument("-v", "--verbose", action="store_true")
     p_ins.set_defaults(fn=cmd_inspect)
 
-    p_bench = sub.add_parser(
-        "bench", help="serial-cold vs parallel-cold vs warm-cache wall-clock"
-    )
-    _add_machine_args(p_bench)
-    p_bench.add_argument("--workers", type=int, default=4)
-    p_bench.add_argument("--repeat", type=int, default=1,
-                         help="runs per strategy; wall-clock is the min")
-    p_bench.add_argument("--cache", default=None,
-                         help="cache directory to (re)use; default: temp dir")
-    p_bench.add_argument("--out", default="BENCH_tuning_wallclock.json")
-    _add_allocation_args(p_bench)
-    p_bench.set_defaults(fn=cmd_bench)
-
     p_ban = sub.add_parser(
         "bandit", help="fixed vs successive-halving trial budgets "
                        "(emits BENCH_bandit_trials.json, gated exit code)"
@@ -466,7 +331,7 @@ def main(argv=None) -> int:
     p_ban.add_argument("--colls", default="bcast,allreduce",
                        help="comma-separated collectives")
     p_ban.add_argument("--space",
-                       choices=("small", "full", "gpu", "bench", "sens"),
+                       choices=("small", "full", "gpu", "sens"),
                        default="sens")
     p_ban.add_argument("--seed", type=int, default=2026,
                        help="fault-plan seed (the sensitivity experiment's)")

@@ -110,14 +110,3 @@ def test_bandit_gate_failure_is_exit_one(tmp_path, capsys):
                  "--colls", "bcast", "--trials", "2", "--min-savings", "0.999",
                  "--out", str(tmp_path / "b.json")]) == 1
 
-
-def test_bench_writes_artifact(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--machine", "tiny", "--nodes", "2", "--ppn", "2",
-                 "--workers", "2", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["results_bit_identical"] is True
-    assert set(doc["wallclock_s"]) == {"serial_cold", "parallel_cold",
-                                       "warm_cache"}
-    assert doc["speedup_vs_serial_cold"]["warm_cache"] > 1.0
-    assert doc["cache"]["hits"] == doc["sweep"]["points"]
