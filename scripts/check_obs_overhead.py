@@ -40,7 +40,7 @@ import time
 from repro.core.config import HanConfig
 from repro.hardware import shaheen2
 from repro.obs import ObsRecorder
-from repro.tuning.measure import _run_once
+from repro.tuning.measure import run_once
 
 BUDGET = 0.02  # disabled path: 2% of wall-clock
 METRICS_BUDGET = 0.05  # metrics-enabled path: 5% of wall-clock
@@ -65,7 +65,7 @@ def workload_points():
 def run_disabled() -> tuple[float, list]:
     t0 = time.perf_counter()
     results = [
-        _run_once(machine, coll, m, cfg, 0, 1, None)
+        run_once(machine, coll, m, cfg)[:2]
         for machine, coll, m, cfg in workload_points()
     ]
     return time.perf_counter() - t0, results

@@ -195,8 +195,10 @@ class MVAPICH2(TwoLevelMixin, MPILibrary):
 
     name = "mvapich2"
 
-    def __init__(self, leaders_per_node: int = 4):
-        self.leaders_per_node = leaders_per_node
+    #: DPML leaders per node (each owns 1/L of the vector)
+    leaders_per_node = 4
+
+    def __init__(self):
         self._sm = SMModule()
         # DPML's node-level reduction is partitioned across the leaders;
         # the chunk-parallel one-sided path models that aggregate rate.

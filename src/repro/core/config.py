@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Optional
 
 __all__ = ["HanConfig"]
+
+#: the tuned parameters, in Table II order: the identity of a config
+#: (:meth:`HanConfig.key`) and the fields of its JSON form
+#: (:meth:`HanConfig.to_dict`)
+_TUNED_FIELDS = ("fs", "imod", "smod", "ibalg", "iralg", "ibs", "irs")
+_tuned = attrgetter(*_TUNED_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -89,15 +96,11 @@ class HanConfig:
 
     def key(self) -> tuple:
         """Hashable identity used by lookup tables."""
-        return (
-            self.fs,
-            self.imod,
-            self.smod,
-            self.ibalg,
-            self.iralg,
-            self.ibs,
-            self.irs,
-        )
+        return _tuned(self)
+
+    def to_dict(self) -> dict:
+        """The tuned fields, JSON-ready (seed excluded)."""
+        return dict(zip(_TUNED_FIELDS, _tuned(self)))
 
     def describe(self) -> str:
         parts = [f"fs={_fmt(self.fs)}", f"imod={self.imod}", f"smod={self.smod}"]

@@ -52,6 +52,9 @@ _PROBE_TAG = INTERNAL_TAG_BASE + 2048
 _VOTE_TAG = INTERNAL_TAG_BASE + 2049
 _VERDICT_TAG = INTERNAL_TAG_BASE + 2050
 _SHARE_TAG = INTERNAL_TAG_BASE + 2051
+#: payload of the degraded-mode probe message -- nonzero so it rides
+#: the fluid network and actually stalls on a dead link
+_PROBE_BYTES = 4096.0
 
 
 def _coll_span(fn):
@@ -127,7 +130,6 @@ class HanModule(CollModule):
         config: Optional[HanConfig] = None,
         decision_fn: Optional[Callable[[int, int, float, str], HanConfig]] = None,
         degraded_timeout: Optional[float] = None,
-        probe_bytes: float = 4096.0,
         group_level: bool = False,
     ):
         #: fixed configuration (overrides the decision function)
@@ -138,9 +140,6 @@ class HanModule(CollModule):
         #: the fabric degraded; ``None`` (default) disables the probe and
         #: leaves every schedule bit-identical to the pre-probe module
         self.degraded_timeout = degraded_timeout
-        #: payload size of the probe message -- nonzero so it rides the
-        #: fluid network and actually stalls on a dead link
-        self.probe_bytes = probe_bytes
         #: add the topology-group level (dragonfly group / fat-tree edge)
         #: between node and network: inter-node stages cross expensive
         #: global links once per group, not once per node.  It only
@@ -255,7 +254,7 @@ class HanModule(CollModule):
     def _probe_up(self, up):
         """Leader-side liveness probe of every up-comm peer.
 
-        Exchanges a ``probe_bytes`` message with each peer and races every
+        Exchanges a ``_PROBE_BYTES`` message with each peer and races every
         reply against one shared deadline ``degraded_timeout`` seconds
         out.  A reply crossing a dead link stalls in the fluid network,
         so the deadline wins and the leader votes "degraded".
@@ -264,7 +263,7 @@ class HanModule(CollModule):
         peers = [p for p in range(up.size) if p != up.rank]
         recvs = [up.irecv(source=p, tag=_PROBE_TAG) for p in peers]
         for p in peers:
-            up.isend(p, nbytes=self.probe_bytes, tag=_PROBE_TAG)
+            up.isend(p, nbytes=_PROBE_BYTES, tag=_PROBE_TAG)
         deadline = engine.event("han:probe-deadline")
         token = engine.schedule(self.degraded_timeout, deadline.succeed)
         bad = False
@@ -727,11 +726,20 @@ class HanModule(CollModule):
 
     @_coll_span
     def barrier(self, comm, config=None):
-        """sb-style barrier: low, then up (layer 0), then low again."""
+        """sb-style barrier: low, then up (layer 0), then low again.
+
+        ADAPT has no barrier (neither has Open MPI's coll/adapt), so under
+        an ADAPT config the up stage takes Libnbc's, the other inter-node
+        module, as a communicator's barrier would fall through to the
+        next component offering one.
+        """
         if comm.size == 1:
             return
         hier = yield from build_hierarchy(comm, self.group_level)
-        _, imod, smod = self._plan(hier, 0, "barrier", config)
+        cfg = self.resolve_config(hier, 0, "barrier", config)
+        if cfg.imod == "adapt":
+            cfg = HanConfig(fs=cfg.fs, smod=cfg.smod)
+        imod, smod = self._modules(hier, cfg)
         low, up = hier.low, hier.up
         if low.size > 1:
             yield from smod.barrier(low)

@@ -29,9 +29,8 @@ class LibnbcModule(CollModule):
     bcast_algorithms = ("binomial",)
     reduce_algorithms = ("binomial",)
 
-    def __init__(self, round_overhead: float = 0.6e-6):
-        #: progression cost charged per schedule round (test/wait driven)
-        self.round_overhead = round_overhead
+    #: progression cost charged per schedule round (test/wait driven)
+    round_overhead = 0.6e-6
 
     # -- blocking wrappers (ibcast + wait) -----------------------------------------
 

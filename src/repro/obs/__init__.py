@@ -65,7 +65,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     merge_registries,
 )
-from repro.obs.record import record_collective
 from repro.obs.severity import Severity, grade_excess, severity
 from repro.obs.store import (
     RunStore,
@@ -74,7 +73,6 @@ from repro.obs.store import (
     run_key,
     summarize_measurement,
     summarize_point,
-    summarize_record,
     traffic_digest,
 )
 
@@ -111,14 +109,12 @@ __all__ = [
     "phase_overlap",
     "phase_totals",
     "quick_workload",
-    "record_collective",
     "resource_timeline",
     "run_insights",
     "run_key",
     "severity",
     "summarize_measurement",
     "summarize_point",
-    "summarize_record",
     "traffic_digest",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -30,7 +30,7 @@ import sys
 
 from repro.obs import critpath as cp
 from repro.obs import export as ex
-from repro.obs.record import record_collective
+from repro.tuning.measure import run_once
 
 _SUFFIX = {"": 1, "k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
@@ -65,8 +65,9 @@ def _load(path: str):
 
 def cmd_record(ns: argparse.Namespace) -> int:
     machine = _machine(ns.machine, ns.nodes, ns.ppn)
-    record = record_collective(
-        machine, ns.coll, parse_nbytes(ns.nbytes), root=ns.root
+    _, _, record = run_once(
+        machine, ns.coll, parse_nbytes(ns.nbytes), root=ns.root,
+        record="full",
     )
     if ns.out:
         ex.write_jsonl(record, ns.out)
@@ -187,9 +188,9 @@ def cmd_metrics(ns: argparse.Namespace) -> int:
             return 1
     else:
         machine = _machine(ns.machine, ns.nodes, ns.ppn)
-        record = record_collective(
+        _, _, record = run_once(
             machine, ns.coll, parse_nbytes(ns.nbytes), root=ns.root,
-            mode="metrics",
+            record="metrics",
         )
         doc = record.metrics
     if ns.json:

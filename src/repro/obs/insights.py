@@ -389,17 +389,11 @@ class InsightEngine:
         rel_floor: float = REGRESS_REL_FLOOR,
         min_runs: int = 2,
         tol: float = GUIDELINE_TOL,
-        mono_tol: float = MONOTONE_TOL,
-        straggler_threshold: float = STRAGGLER_THRESHOLD,
-        interference_threshold: float = INTERFERENCE_THRESHOLD,
     ):
         self.k = k
         self.rel_floor = rel_floor
         self.min_runs = min_runs
         self.tol = tol
-        self.mono_tol = mono_tol
-        self.straggler_threshold = straggler_threshold
-        self.interference_threshold = interference_threshold
         self.records = 0
         self.duplicates = 0
         #: key -> sorted [(order, time)] history
@@ -554,8 +548,7 @@ class InsightEngine:
             times = {pt: t for pt, (_order, t) in self._ctx[ctx].items()}
             suffix = self._ctx_suffix(ctx)
             machine, library, faulted, traffic = ctx
-            for check in guideline_insights(times, tol=self.tol,
-                                            mono_tol=self.mono_tol):
+            for check in guideline_insights(times, tol=self.tol):
                 out.append(replace(
                     check, name=check.name + suffix,
                     data={**check.data, "machine": machine,
@@ -569,10 +562,7 @@ class InsightEngine:
         out: list[Insight] = []
         for ctx in sorted(self._strag, key=str):
             (_rank, metrics_doc, label) = self._strag[ctx]
-            out.append(straggler_insight(
-                metrics_doc, threshold=self.straggler_threshold,
-                label=label,
-            ))
+            out.append(straggler_insight(metrics_doc, label=label))
         return out
 
     def interference(self) -> list[Insight]:
@@ -591,7 +581,7 @@ class InsightEngine:
                     "solo_time": quiet[1],
                     "loaded_time": loaded_t,
                     "traffic": f"traffic {traffic[:12]}",
-                }, threshold=self.interference_threshold))
+                }))
         return out
 
     def insights(self) -> list[Insight]:
@@ -668,8 +658,12 @@ def quick_workload(
     """
     from repro.core.config import HanConfig
     from repro.faults.machine import FaultyMachineSpec
-    from repro.obs.record import record_collective
-    from repro.obs.store import summarize_record
+    from repro.obs.store import summarize_measurement
+    from repro.tuning.measure import (
+        CollectiveMeasurement,
+        resolve_plan,
+        run_once,
+    )
 
     if machine is None:
         from repro.hardware.machines import shaheen2
@@ -679,33 +673,27 @@ def quick_workload(
         config = HanConfig(fs=512 * 1024)
 
     target = machine
-    plan = None
-    if fault_plan is not None and fault_plan.injectors:
-        plan = fault_plan.resolve_seed(config.seed)
+    plan = resolve_plan(fault_plan, config)
+    if plan is not None:
         target = FaultyMachineSpec.wrap(machine, plan.for_trial(0))
 
     han_times: dict = {}
     metrics: dict = {}
     for coll in colls:
         for nb in sizes:
-            rec = record_collective(target, coll, nb, config=config,
-                                    mode="metrics")
-            han_times[(coll, nb)] = rec.meta["time"]
+            per_rank, sim_cost, rec = run_once(target, coll, nb, config,
+                                               record="metrics")
+            meas = CollectiveMeasurement(
+                coll=coll, nbytes=nb, config=config, time=max(per_rank),
+                per_rank=per_rank, sim_cost=sim_cost,
+            )
+            han_times[(coll, nb)] = meas.time
             metrics[(coll, nb)] = rec.metrics
             if store is not None:
-                doc = summarize_record(
-                    rec, machine=machine, config=config,
-                    source="obs.insights",
-                )
-                if plan is not None:
-                    from repro.obs.store import run_key
-
-                    doc["key"] = run_key(
-                        machine, coll, nb, config,
-                        extra={"plan": plan},
-                    )
-                    doc["faulted"] = True
-                store.append(doc)
+                store.append(summarize_measurement(
+                    machine, meas, source="obs.insights",
+                    metrics=rec.metrics, plan=plan,
+                ))
 
     rival_times: dict = {}
     if rivals:

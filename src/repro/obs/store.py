@@ -59,7 +59,6 @@ from repro.tuning.cache import digest
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import HanConfig
     from repro.hardware.spec import MachineSpec
-    from repro.obs.core import RunRecord
     from repro.tuning.measure import CollectiveMeasurement
 
 __all__ = [
@@ -70,7 +69,6 @@ __all__ = [
     "run_key",
     "summarize_measurement",
     "summarize_point",
-    "summarize_record",
     "traffic_digest",
 ]
 
@@ -219,59 +217,6 @@ def summarize_point(
         "spread": 0.0,
         "sim_cost": float(sim_cost),
         "metrics": {},
-        "source": source,
-        "wall_time": time.time(),
-    }
-
-
-def summarize_record(
-    record: "RunRecord",
-    machine: Optional["MachineSpec"] = None,
-    config: Optional["HanConfig"] = None,
-    source: str = "record_collective",
-    library: str = "han",
-) -> dict:
-    """One store line for an observed run (:class:`RunRecord`).
-
-    When ``machine`` is given the summary gets the content-addressed
-    group key; without it the line is stored under a digest of the
-    record's own meta (still stable, but only as comparable as the meta).
-    """
-    meta = record.meta
-    coll = meta.get("coll", "?")
-    nbytes = float(meta.get("nbytes", 0.0))
-    if machine is not None:
-        key = run_key(machine, coll, nbytes, config, library=library)
-        machine_label = f"{machine.name} {machine.num_nodes}x{machine.ppn}"
-        band = band_digest(machine)
-    else:
-        key = digest(
-            "runstore-meta",
-            schema=STORE_SCHEMA_VERSION,
-            coll=coll, nbytes=nbytes,
-            machine=str(meta.get("machine", "?")),
-            config=str(meta.get("config", "")),
-            library=library,
-        )
-        machine_label = str(meta.get("machine", "?"))
-        band = None
-    return {
-        "schema_version": STORE_SCHEMA_VERSION,
-        "key": key,
-        "machine": machine_label,
-        "band": band,
-        "coll": coll,
-        "nbytes": nbytes,
-        "library": library,
-        "config": config.describe() if config is not None
-        else str(meta.get("config", "")),
-        "config_digest": config_digest(config),
-        "time": float(meta.get("time", record.sim_time)),
-        "per_rank": list(meta.get("per_rank", ())),
-        "trials": 1,
-        "spread": 0.0,
-        "sim_cost": record.sim_time,
-        "metrics": dict(record.metrics),
         "source": source,
         "wall_time": time.time(),
     }

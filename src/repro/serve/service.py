@@ -86,8 +86,6 @@ class Decision:
     rejected_config: Optional[HanConfig] = None
 
     def to_doc(self) -> dict:
-        from repro.tuning.lookup import config_to_dict
-
         q = self.query
         return {
             "coll": q.coll,
@@ -95,9 +93,9 @@ class Decision:
             "commsize": int(q.commsize),
             "band": q.band or "",
             "provenance": self.provenance,
-            "config": (config_to_dict(self.config)
+            "config": (self.config.to_dict()
                        if self.config is not None else None),
-            "rejected_config": (config_to_dict(self.rejected_config)
+            "rejected_config": (self.rejected_config.to_dict()
                                 if self.rejected_config is not None else None),
             "expected_time": self.expected_time,
             "refused": self.refused,
@@ -151,14 +149,11 @@ class DecisionService:
         self,
         store: DecisionStore,
         strict: bool = False,
-        validate: bool = True,
-        registry: Optional[MetricsRegistry] = None,
         max_spans: int = 256,
     ):
         self.store = store
         self.strict = strict
-        self.validate = validate
-        self.metrics = registry if registry is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         #: bounded wall-clock spans over decide_batch calls
         self.spans: list[Span] = []
         self.max_spans = max_spans
@@ -310,8 +305,7 @@ class DecisionService:
 
     def _finish(self, q: Query, band: str, commsize: int, rec: dict,
                 provenance: str, served_time) -> Decision:
-        verdict = (self._verdict_for(band, rec) if self.validate
-                   else _default_verdict("validation disabled"))
+        verdict = self._verdict_for(band, rec)
         config = self._configs.get(rec["key"])
         if config is None:
             config = HanConfig(**rec["config"])

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Optional
 from repro import segstore
 from repro.obs.store import band_digest, config_digest, traffic_digest
 from repro.tuning.cache import digest
-from repro.tuning.lookup import config_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import HanConfig
@@ -113,7 +112,7 @@ def decision_record(
         "p": p,
         "commsize": n * p,
         "nbytes": float(nbytes),
-        "config": config_to_dict(config),
+        "config": config.to_dict(),
         "config_digest": config_digest(config),
         "expected_time": None if expected_time is None else float(expected_time),
         "traffic_digest": None if traffic is None else traffic_digest(traffic),

@@ -164,23 +164,17 @@ class TrafficPlan:
 
     def to_doc(self) -> dict:
         """JSON-safe rendering (CLI file specs, result provenance)."""
-        tenants = []
-        for t in self.tenants:
-            doc = {
+        tenants = [
+            {
                 "name": t.name, "coll": t.coll, "pattern": t.pattern,
                 "nbytes": t.nbytes, "sizes": list(t.sizes),
                 "gap": t.gap, "jitter": t.jitter, "burst": t.burst,
                 "ranks": None if t.ranks is None else list(t.ranks),
-                "config": None, "root": t.root, "max_ops": t.max_ops,
+                "config": None if t.config is None else t.config.to_dict(),
+                "root": t.root, "max_ops": t.max_ops,
             }
-            if t.config is not None:
-                doc["config"] = {
-                    "fs": t.config.fs, "imod": t.config.imod,
-                    "smod": t.config.smod, "ibalg": t.config.ibalg,
-                    "iralg": t.config.iralg, "ibs": t.config.ibs,
-                    "irs": t.config.irs,
-                }
-            tenants.append(doc)
+            for t in self.tenants
+        ]
         return {
             "__kind__": "traffic_plan",
             "seed": self.seed,

@@ -25,7 +25,6 @@ from repro.tuning.measure import (
     CollectiveMeasurement,
     measure_collective,
     measurement_from_doc,
-    measurement_key,
     measurement_to_doc,
     resolve_traffic,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "estimate_reduce",
     "measure_collective",
     "measurement_from_doc",
-    "measurement_key",
     "measurement_to_doc",
     "resolve_traffic",
     "parallel_map",

@@ -47,6 +47,10 @@ __all__ = ["Autotuner", "TuningReport"]
 
 METHODS = ("exhaustive", "exhaustive+h", "task", "task+h")
 ALLOCATIONS = ("fixed", "bandit")
+#: iterations a real benchmark loop would run per measurement; scales
+#: the tuning-cost accounting without changing the (deterministic)
+#: simulated measurement itself
+BENCH_ITERS = 10
 
 
 @dataclass
@@ -94,10 +98,6 @@ class Autotuner:
     machine: MachineSpec
     space: SearchSpace = field(default_factory=SearchSpace.small)
     profile: Optional[P2PProfile] = None
-    #: iterations a real benchmark loop would run per measurement; scales
-    #: the tuning-cost accounting without changing the (deterministic)
-    #: simulated measurement itself
-    bench_iters: int = 10
     warm_iters: int = 8
     #: perturb exhaustive measurements with this fault plan (see
     #: :mod:`repro.faults`); every measurement consumes ``trials`` fresh
@@ -116,14 +116,11 @@ class Autotuner:
     selection: str = "best"
     #: ``"fixed"`` spends ``trials`` realizations on every candidate;
     #: ``"bandit"`` races them with successive halving
-    #: (:class:`~repro.tuning.bandit.BanditAllocator`), spending the
-    #: budget on contenders and eliminating losers early.  Noise-free,
-    #: both pick the same winner bit-for-bit
+    #: (:class:`~repro.tuning.bandit.BanditAllocator`, at its default
+    #: rate and first rung), spending the budget on contenders and
+    #: eliminating losers early.  Noise-free, both pick the same winner
+    #: bit-for-bit
     allocation: str = "fixed"
-    #: successive-halving rate: each rung keeps ~1/eta of the field
-    bandit_eta: int = 2
-    #: samples per arm in the bandit's first (cheapest) rung
-    bandit_min_rung: int = 1
     #: fan independent measurements across this many worker processes;
     #: <= 1 keeps everything in-process.  Results are reassembled in
     #: submission order, so reports are bit-identical to a serial run.
@@ -233,19 +230,12 @@ class Autotuner:
             trial_offset=trial_offset,
         )
 
-    def _fold(self, report: TuningReport, meas, cfg: HanConfig) -> None:
-        report.tuning_cost += meas.sim_cost * self.bench_iters
+    def _fold(self, report: TuningReport, meas, point: MeasurePoint) -> None:
+        report.tuning_cost += meas.sim_cost * BENCH_ITERS
         report.searches += 1
         report.trials_spent += len(meas.trial_times) or 1
         if self.store is not None:
-            from repro.obs.store import summarize_measurement
-            from repro.tuning.measure import resolve_plan, resolve_traffic
-
-            self.store.append(summarize_measurement(
-                self.machine, meas, source="autotuner.exhaustive",
-                plan=resolve_plan(self.fault_plan, cfg),
-                traffic=resolve_traffic(self.traffic_plan, cfg),
-            ))
+            point.log(self.store, meas, "autotuner.exhaustive")
 
     def _allocate_fixed(self, coll, report, per_message) -> None:
         """Classic path: every candidate gets the full ``trials`` budget."""
@@ -255,13 +245,14 @@ class Autotuner:
             for m, configs, bases in per_message
             for cfg, base in zip(configs, bases)
         ]
-        measurements = iter(run_cached(points, workers=self.workers, cache=self.cache))
+        measured = zip(points, run_cached(points, workers=self.workers,
+                                          cache=self.cache))
         for m, configs, _bases in per_message:
             cands = []
             scores = []
             for cfg in configs:
-                meas = next(measurements)
-                self._fold(report, meas, cfg)
+                point, meas = next(measured)
+                self._fold(report, meas, point)
                 cands.append((cfg, meas.time))
                 score = meas.time
                 if self.selection == "confident":
@@ -280,12 +271,7 @@ class Autotuner:
         so the realizations a sample sees match the fixed path's.
         """
         n, p = self.machine.num_nodes, self.machine.ppn
-        allocator = BanditAllocator(
-            trials=self.trials,
-            eta=self.bandit_eta,
-            min_rung=self.bandit_min_rung,
-            selection=self.selection,
-        )
+        allocator = BanditAllocator(trials=self.trials, selection=self.selection)
         for m, configs, bases in per_message:
 
             def sample(requests):
@@ -294,8 +280,8 @@ class Autotuner:
                     for i, start, count in requests
                 ]
                 measured = run_cached(pts, workers=self.workers, cache=self.cache)
-                for (i, _start, _count), meas in zip(requests, measured):
-                    self._fold(report, meas, configs[i])
+                for point, meas in zip(pts, measured):
+                    self._fold(report, meas, point)
                 return [meas.trial_times for meas in measured]
 
             result = allocator.run(len(configs), sample)
@@ -347,7 +333,7 @@ class Autotuner:
         for (s, algo, smod), task_costs in zip(axis, results):
             costs[(s, tuple(sorted(algo.items())), smod)] = task_costs
             report.searches += 1
-            report.tuning_cost += task_costs.sim_cost * self.bench_iters
+            report.tuning_cost += task_costs.sim_cost * BENCH_ITERS
 
         estimator = {
             "bcast": estimate_bcast,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import HanConfig
-from repro.tuning.lookup import LookupTable, _cfg_to_dict
+from repro.tuning.lookup import LookupTable
 
 __all__ = ["DecisionRules", "compile_rules"]
 
@@ -84,7 +84,7 @@ class DecisionRules:
                     "n": n,
                     "p": p,
                     "uppers": list(band.uppers),
-                    "configs": [_cfg_to_dict(c) for c in band.configs],
+                    "configs": [c.to_dict() for c in band.configs],
                 }
                 for (t, n, p), band in sorted(self.bands.items())
             ],

@@ -25,23 +25,7 @@ from repro.core.config import HanConfig
 from repro.core.han import HanModule
 from repro.segstore import write_atomic
 
-__all__ = ["LookupTable", "config_to_dict"]
-
-
-def config_to_dict(cfg: HanConfig) -> dict:
-    """The tuned fields of a config, JSON-ready (seed excluded)."""
-    return {
-        "fs": cfg.fs,
-        "imod": cfg.imod,
-        "smod": cfg.smod,
-        "ibalg": cfg.ibalg,
-        "iralg": cfg.iralg,
-        "ibs": cfg.ibs,
-        "irs": cfg.irs,
-    }
-
-
-_cfg_to_dict = config_to_dict  # backwards-compatible alias
+__all__ = ["LookupTable"]
 
 
 def _table_digest(rows: list[dict]) -> str:
@@ -112,7 +96,7 @@ class LookupTable:
         from repro.obs.store import config_digest
 
         rows = [
-            {"t": t, "n": n, "p": p, "m": m, "config": config_to_dict(cfg)}
+            {"t": t, "n": n, "p": p, "m": m, "config": cfg.to_dict()}
             for (t, n, p, m), cfg in sorted(self.entries.items())
         ]
         # atomic publish: a reader never finds a torn table (the

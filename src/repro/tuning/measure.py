@@ -15,7 +15,7 @@ from __future__ import annotations
 import statistics
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import HanConfig
 from repro.core.han import HanModule
@@ -29,15 +29,18 @@ from repro.tenancy.plan import TrafficPlan
 from repro.tenancy.scheduler import TenantScheduler
 from repro.tuning.cache import MeasurementCache, digest
 
+if TYPE_CHECKING:
+    from repro.obs.core import RunRecord
+
 __all__ = [
     "CollectiveMeasurement",
     "StartGate",
     "measure_collective",
     "measurement_from_doc",
-    "measurement_key",
     "measurement_to_doc",
     "resolve_plan",
     "resolve_traffic",
+    "run_once",
 ]
 
 AGGREGATES = ("median", "min", "mean")
@@ -100,7 +103,7 @@ class StartGate:
 
     "Quiet" is read off the run itself -- no fault plan on the machine,
     no overhead hook on the engine, no obs recorder attached, and the
-    caller's ``quiet`` (``_run_once`` passes False under tenant
+    caller's ``quiet`` (``run_once`` passes False under tenant
     traffic) -- never a flag; anything else simulates the barrier,
     recording nothing.  A barrier on one-rank communicators exchanges
     nothing and is never recorded.  The schedules go with
@@ -183,22 +186,38 @@ class CollectiveMeasurement:
     spread: float = 0.0  # median absolute deviation of trial_times
 
 
-def _run_once(
+#: collectives that take a root
+_ROOTED = ("bcast", "reduce", "gather", "scatter")
+
+
+def run_once(
     machine: MachineSpec,
     coll: str,
     nbytes: float,
-    config: HanConfig,
-    root: int,
-    iterations: int,
-    profile: Optional[P2PProfile],
-    trace_out: str = "",
+    config: Optional[HanConfig] = None,
+    *,
+    root: int = 0,
+    iterations: int = 1,
+    profile: Optional[P2PProfile] = None,
     traffic: Optional[TrafficPlan] = None,
-) -> tuple[tuple[float, ...], float]:
-    """One fresh simulated benchmark; (per-rank durations, sim cost).
+    record: Optional[str] = None,
+) -> tuple[tuple[float, ...], float, Optional["RunRecord"]]:
+    """One fresh simulated benchmark: ``(per-rank durations, sim cost,
+    run record)``.
 
-    ``trace_out`` attaches an observability recorder and writes a
-    Perfetto-loadable Chrome trace of the run; the recorder never touches
-    timing, so traced and untraced runs are bit-identical.
+    This is the one program that runs a HAN collective for measurement:
+    every rank passes the start barrier, then calls ``coll``
+    ``iterations`` times back to back; its duration is the mean per
+    call.  ``config=None`` lets HAN pick its configuration.
+
+    ``record`` (``"full"`` or ``"metrics"``, see
+    :class:`~repro.obs.core.ObsRecorder`) attaches an observability
+    recorder for the whole run and returns its
+    :class:`~repro.obs.core.RunRecord`, whose meta carries the
+    collective, the machine shape, ``root``, the headline ``time`` and
+    the ``per_rank`` profile; without it the record is ``None``.  The
+    recorder never touches timing, so recorded and plain runs are
+    bit-identical.
 
     ``traffic`` (a realized :class:`TrafficPlan` with tenants) replays
     background jobs while the benchmark runs: the foreground program
@@ -213,32 +232,28 @@ def _run_once(
     simulation.  It goes through the shared :class:`StartGate`
     (``"world"`` scope): simulated by the first quiet run of a (machine,
     profile) in this process, replayed bit-identically after that.
-    Tenant traffic and a trace recorder make the run loud.
+    Tenant traffic and a recorder make the run loud.
     """
     runtime = MPIRuntime(machine, profile=profile)
-    han = HanModule(config=config)
+    op = getattr(HanModule(config=config), coll)
+    args = () if coll == "barrier" else (nbytes,)
+    kwargs = {"root": root} if coll in _ROOTED else {}
     durations: dict[int, float] = {}
 
     def prog(comm):
-        op = getattr(han, coll)
         yield from gate.wait(comm)
         start = comm.now
         for _ in range(iterations):
-            if coll == "barrier":
-                yield from op(comm)
-            elif coll in ("bcast", "reduce"):
-                yield from op(comm, nbytes, root=root)
-            else:
-                yield from op(comm, nbytes)
+            yield from op(comm, *args, **kwargs)
         durations[comm.rank] = (comm.now - start) / iterations
 
     recorder = nullcontext()
-    if trace_out:
-        from repro.obs import ObsRecorder, write_chrome_trace
+    if record is not None:
+        from repro.obs.core import ObsRecorder
 
-        recorder = ObsRecorder(runtime.engine)
+        recorder = ObsRecorder(runtime.engine, mode=record)
     with recorder as rec:
-        # built with the recorder attached, so the gate sees a traced run
+        # built with the recorder attached, so the gate sees a loud run
         gate = StartGate(runtime, "world", quiet=traffic is None)
         if traffic is not None:
             TenantScheduler(runtime, traffic).run(prog, name="measure")
@@ -246,16 +261,21 @@ def _run_once(
             runtime.run(prog)
         if rec is not None:
             rec.snapshot_resources(runtime.fabric.solver)
-    if rec is not None:
-        write_chrome_trace(
-            rec.run_record(meta={
-                "coll": coll, "nbytes": float(nbytes),
-                "config": repr(config),
-            }),
-            trace_out,
-        )
     per_rank = tuple(durations[r] for r in sorted(durations))
-    return per_rank, runtime.engine.now
+    sim_cost = runtime.engine.now
+    if rec is None:
+        return per_rank, sim_cost, None
+    meta = {
+        "coll": coll,
+        "nbytes": float(nbytes),
+        "machine": f"{machine.num_nodes}x{machine.ppn}",
+        "root": root,
+        "time": max(per_rank),
+        "per_rank": list(per_rank),
+    }
+    if config is not None:
+        meta["config"] = repr(config)
+    return per_rank, sim_cost, rec.run_record(meta=meta)
 
 
 def measure_collective(
@@ -320,46 +340,54 @@ def measure_collective(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if aggregate not in AGGREGATES:
         raise ValueError(f"aggregate must be one of {AGGREGATES}, got {aggregate!r}")
-    plan = resolve_plan(fault_plan, config)
-    traffic = resolve_traffic(traffic_plan, config)
+    from repro.tuning.parallel import MeasurePoint
 
-    key = None
+    point = MeasurePoint(
+        machine, coll, nbytes, config, root, iterations, profile,
+        fault_plan, traffic_plan, trials, trial_offset, aggregate,
+    )
+    key = doc = None
     if cache is not None:
-        key = measurement_key(
-            machine, coll, nbytes, config, root, iterations, profile,
-            plan, trials, trial_offset, aggregate, traffic=traffic,
-        )
+        key = point.cache_key()
         doc = cache.get(key)
-        if doc is not None:
-            meas = measurement_from_doc(doc)
-            if store is not None:
-                from repro.obs.store import summarize_measurement
+    if doc is not None:
+        meas = measurement_from_doc(doc)
+    else:
+        meas = _measure(point, trace_out)
+        if cache is not None:
+            cache.put(key, measurement_to_doc(meas))
+    if store is not None:
+        point.log(store, meas, store_source)
+    return meas
 
-                store.append(summarize_measurement(
-                    machine, meas, source=store_source, plan=plan,
-                    traffic=traffic,
-                ))
-            return meas
 
+def _measure(point, trace_out: str) -> CollectiveMeasurement:
+    """Simulate every trial of ``point`` and aggregate them."""
+    plan = resolve_plan(point.fault_plan, point.config)
+    traffic = resolve_traffic(point.traffic_plan, point.config)
     times: list[float] = []
     per_rank_by_trial: list[tuple[float, ...]] = []
     sim_cost = 0.0
-    for trial in range(trials):
-        m = machine
+    for trial in range(point.trials):
+        realization = point.trial_offset + trial
+        m = point.machine
         if plan is not None:
-            m = FaultyMachineSpec.wrap(machine, plan.for_trial(trial_offset + trial))
-        tr = None
-        if traffic is not None:
-            tr = traffic.for_trial(trial_offset + trial)
-        per_rank, cost = _run_once(
-            m, coll, nbytes, config, root, iterations, profile,
-            trace_out=trace_out if trial == 0 else "",
-            traffic=tr,
+            m = FaultyMachineSpec.wrap(m, plan.for_trial(realization))
+        per_rank, cost, rec = run_once(
+            m, point.coll, point.nbytes, point.config, root=point.root,
+            iterations=point.iterations, profile=point.profile,
+            traffic=None if traffic is None else traffic.for_trial(realization),
+            record="full" if trace_out and trial == 0 else None,
         )
+        if rec is not None:
+            from repro.obs.export import write_chrome_trace
+
+            write_chrome_trace(rec, trace_out)
         per_rank_by_trial.append(per_rank)
         times.append(max(per_rank))
         sim_cost += cost
 
+    aggregate = point.aggregate
     if aggregate == "median":
         time = statistics.median(times)
     elif aggregate == "mean":
@@ -377,25 +405,16 @@ def measure_collective(
         spread = 0.0
     # report the per-rank profile of the trial closest to the aggregate
     rep = min(range(len(times)), key=lambda i: (abs(times[i] - time), i))
-    meas = CollectiveMeasurement(
-        coll=coll,
-        nbytes=nbytes,
-        config=config,
+    return CollectiveMeasurement(
+        coll=point.coll,
+        nbytes=point.nbytes,
+        config=point.config,
         time=time,
         per_rank=per_rank_by_trial[rep],
         sim_cost=sim_cost,
         trial_times=tuple(times),
         spread=spread,
     )
-    if cache is not None:
-        cache.put(key, measurement_to_doc(meas))
-    if store is not None:
-        from repro.obs.store import summarize_measurement
-
-        store.append(summarize_measurement(
-            machine, meas, source=store_source, plan=plan, traffic=traffic,
-        ))
-    return meas
 
 
 # -- cache plumbing -----------------------------------------------------------------
@@ -424,52 +443,6 @@ def resolve_traffic(
     return None
 
 
-def measurement_key(
-    machine: MachineSpec,
-    coll: str,
-    nbytes: float,
-    config: HanConfig,
-    root: int,
-    iterations: int,
-    profile: Optional[P2PProfile],
-    plan: Optional[FaultPlan],
-    trials: int,
-    trial_offset: int,
-    aggregate: str,
-    traffic: Optional[TrafficPlan] = None,
-) -> str:
-    """Content digest identifying one measurement point.
-
-    ``plan`` and ``traffic`` must already be resolved (see
-    :func:`resolve_plan` / :func:`resolve_traffic`).  The trial window
-    enters the key only under an active plan — without noise or
-    background traffic every trial is identical, so sweeps that differ
-    merely in trial bookkeeping share cache entries.  An active traffic
-    plan enters the digest whole (tenants, seed, trial window), so a
-    loaded measurement can never alias a quiet one.
-    """
-    realization = None
-    if plan is not None:
-        realization = {"plan": plan, "trial_offset": int(trial_offset)}
-    background = None
-    if traffic is not None:
-        background = {"traffic": traffic, "trial_offset": int(trial_offset)}
-    return digest(
-        "measure",
-        machine=machine,
-        coll=coll,
-        nbytes=float(nbytes),
-        config=list(config.key()),
-        root=int(root),
-        iterations=int(iterations),
-        profile=profile,
-        realization=realization,
-        background=background,
-        trials=int(trials),
-        aggregate=aggregate,
-    )
-
-
 def measurement_to_doc(meas: CollectiveMeasurement) -> dict:
     """JSON-safe cache record of one measurement."""
     cfg = meas.config
@@ -477,11 +450,7 @@ def measurement_to_doc(meas: CollectiveMeasurement) -> dict:
         "__kind__": "measure",
         "coll": meas.coll,
         "nbytes": meas.nbytes,
-        "config": {
-            "fs": cfg.fs, "imod": cfg.imod, "smod": cfg.smod,
-            "ibalg": cfg.ibalg, "iralg": cfg.iralg,
-            "ibs": cfg.ibs, "irs": cfg.irs, "seed": cfg.seed,
-        },
+        "config": {**cfg.to_dict(), "seed": cfg.seed},
         "time": meas.time,
         "per_rank": list(meas.per_rank),
         "sim_cost": meas.sim_cost,

@@ -36,7 +36,6 @@ from repro.tuning.measure import (
     CollectiveMeasurement,
     measure_collective,
     measurement_from_doc,
-    measurement_key,
     measurement_to_doc,
     resolve_plan,
     resolve_traffic,
@@ -86,28 +85,50 @@ class MeasurePoint:
         )
 
     def cache_key(self) -> str:
-        return measurement_key(
-            self.machine,
-            self.coll,
-            self.nbytes,
-            self.config,
-            self.root,
-            self.iterations,
-            self.profile,
-            resolve_plan(self.fault_plan, self.config),
-            self.trials,
-            self.trial_offset,
-            self.aggregate,
-            traffic=resolve_traffic(self.traffic_plan, self.config),
+        """Content digest identifying this measurement point.
+
+        The fault and traffic plans enter resolved (see
+        :func:`~repro.tuning.measure.resolve_plan` /
+        :func:`~repro.tuning.measure.resolve_traffic`).  The trial window
+        enters the key only under an active plan -- without noise or
+        background traffic every trial is identical, so sweeps that
+        differ merely in trial bookkeeping share cache entries.  An
+        active traffic plan enters the digest whole (tenants, seed, trial
+        window), so a loaded measurement can never alias a quiet one.
+        """
+        plan = resolve_plan(self.fault_plan, self.config)
+        traffic = resolve_traffic(self.traffic_plan, self.config)
+        offset = int(self.trial_offset)
+        return digest(
+            "measure",
+            machine=self.machine,
+            coll=self.coll,
+            nbytes=float(self.nbytes),
+            config=list(self.config.key()),
+            root=int(self.root),
+            iterations=int(self.iterations),
+            profile=self.profile,
+            realization=None if plan is None
+            else {"plan": plan, "trial_offset": offset},
+            background=None if traffic is None
+            else {"traffic": traffic, "trial_offset": offset},
+            trials=int(self.trials),
+            aggregate=self.aggregate,
         )
 
-    @staticmethod
-    def to_doc(result: CollectiveMeasurement) -> dict:
-        return measurement_to_doc(result)
+    def log(self, store, meas: CollectiveMeasurement, source: str) -> None:
+        """Append ``meas`` to a :class:`~repro.obs.store.RunStore`, keyed
+        by this point's machine, config and resolved plans."""
+        from repro.obs.store import summarize_measurement
 
-    @staticmethod
-    def from_doc(doc: dict) -> CollectiveMeasurement:
-        return measurement_from_doc(doc)
+        store.append(summarize_measurement(
+            self.machine, meas, source=source,
+            plan=resolve_plan(self.fault_plan, self.config),
+            traffic=resolve_traffic(self.traffic_plan, self.config),
+        ))
+
+    to_doc = staticmethod(measurement_to_doc)
+    from_doc = staticmethod(measurement_from_doc)
 
 
 @dataclass(frozen=True)
@@ -145,13 +166,8 @@ class TaskPoint:
             profile=self.profile,
         )
 
-    @staticmethod
-    def to_doc(result) -> dict:
-        return costs_to_doc(result)
-
-    @staticmethod
-    def from_doc(doc: dict):
-        return costs_from_doc(doc)
+    to_doc = staticmethod(costs_to_doc)
+    from_doc = staticmethod(costs_from_doc)
 
 
 def _run_point(point):

@@ -125,11 +125,7 @@ def costs_to_doc(costs) -> dict:
     doc = {
         "__kind__": "taskbench",
         "__costs__": kind,
-        "config": {
-            "fs": cfg.fs, "imod": cfg.imod, "smod": cfg.smod,
-            "ibalg": cfg.ibalg, "iralg": cfg.iralg,
-            "ibs": cfg.ibs, "irs": cfg.irs, "seed": cfg.seed,
-        },
+        "config": {**cfg.to_dict(), "seed": cfg.seed},
     }
     for f in fields(costs):
         if f.name == "config":

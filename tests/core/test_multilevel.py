@@ -258,17 +258,15 @@ class TestFourLevels:
                 comm, blocks[me].nbytes, payload=blocks[me])
             out["alltoall"] = yield from han.alltoall(
                 comm, blocks[me].nbytes / P4, payload=blocks[me])
-            if config == "libnbc":  # adapt has no barrier, flat or not
-                yield from comm.compute(1e-3 * me)
-                out["entry"] = comm.now
-                yield from han.barrier(comm)
-                out["exit"] = comm.now
+            yield from comm.compute(1e-3 * me)
+            out["entry"] = comm.now
+            yield from han.barrier(comm)
+            out["exit"] = comm.now
             return out
 
         results = _run4(config, body)
-        if config == "libnbc":
-            assert min(o["exit"] for o in results) >= max(
-                o["entry"] for o in results)
+        assert min(o["exit"] for o in results) >= max(
+            o["entry"] for o in results)
         for r, out in enumerate(results):
             np.testing.assert_array_equal(out["allreduce"], total)
             np.testing.assert_array_equal(out["allgather"],
@@ -318,3 +316,34 @@ class TestFourLevels:
                 else:
                     want = total if coll == "reduce" else full
                     np.testing.assert_array_equal(out, want, err_msg=msg)
+
+
+# -- the barrier under every inter-node module -------------------------------------
+
+BARRIER_CONFIGS = {
+    "libnbc": HanConfig(fs=None, smod="sm"),
+    "adapt": HanConfig(fs=None, imod="adapt", smod="sm", ibalg="chain"),
+}
+
+
+def _barrier(imod, group_level):
+    """(entry, exit) per rank of one HAN barrier behind a skewed start."""
+    han = HanModule(config=BARRIER_CONFIGS[imod], group_level=group_level)
+
+    def prog(comm):
+        yield from comm.compute(1e-4 * ((3 * comm.rank + 1) % comm.size))
+        entry = comm.now
+        yield from han.barrier(comm)
+        return entry, comm.now
+
+    return MPIRuntime(dragonfly_machine()).run(prog)
+
+
+@pytest.mark.parametrize("group_level", [False, True])
+@pytest.mark.parametrize("imod", sorted(BARRIER_CONFIGS))
+def test_barrier_runs_under_every_imod(imod, group_level):
+    """ADAPT has no barrier of its own: HAN's up stage takes Libnbc's, so
+    an ADAPT config's barrier is the Libnbc config's, exit for exit."""
+    times = _barrier(imod, group_level)
+    assert min(t for _, t in times) >= max(e for e, _ in times)
+    assert times == _barrier("libnbc", group_level)

@@ -15,9 +15,14 @@ from repro.obs import (
     diff_runs,
     phase_overlap,
     phase_totals,
-    record_collective,
 )
 from repro.obs.core import RunRecord, Span
+from repro.tuning.measure import run_once
+
+
+def recorded(machine, coll, nbytes):
+    """One recorded HAN collective (the measurement harness's record)."""
+    return run_once(machine, coll, nbytes, record="full")[2]
 
 
 def observed_p2p_run(nbytes=1 << 16):
@@ -79,7 +84,7 @@ def test_critical_path_on_empty_record():
 @pytest.fixture(scope="module")
 def bcast_record():
     # two nodes, large message: HAN pipelines ib against sb (fig06 overlap)
-    return record_collective(
+    return recorded(
         small_cluster(num_nodes=2, ppn=4), "bcast", 4 << 20
     )
 
@@ -124,8 +129,8 @@ def test_phase_overlap_synthetic():
 
 
 def test_diff_runs_reports_deltas():
-    a = record_collective(small_cluster(num_nodes=2, ppn=2), "bcast", 1 << 18)
-    b = record_collective(small_cluster(num_nodes=2, ppn=2), "bcast", 1 << 20)
+    a = recorded(small_cluster(num_nodes=2, ppn=2), "bcast", 1 << 18)
+    b = recorded(small_cluster(num_nodes=2, ppn=2), "bcast", 1 << 20)
     d = diff_runs(a, b)
     assert d["sim_time"]["delta"] == pytest.approx(
         b.sim_time - a.sim_time
@@ -139,8 +144,8 @@ def test_diff_runs_reports_deltas():
 
 
 def test_diff_runs_identical_is_all_zero():
-    a = record_collective(small_cluster(num_nodes=2, ppn=2), "bcast", 1 << 18)
-    b = record_collective(small_cluster(num_nodes=2, ppn=2), "bcast", 1 << 18)
+    a = recorded(small_cluster(num_nodes=2, ppn=2), "bcast", 1 << 18)
+    b = recorded(small_cluster(num_nodes=2, ppn=2), "bcast", 1 << 18)
     d = diff_runs(a, b)
     assert d["sim_time"]["delta"] == 0.0
     assert d["messages"]["delta"] == 0 and d["spans"]["delta"] == 0

@@ -13,17 +13,18 @@ from repro.hardware.machines import small_cluster
 from repro.obs import (
     chrome_trace,
     load_jsonl,
-    record_collective,
     resource_timeline,
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
 )
+from repro.tuning.measure import run_once
 
 
 @pytest.fixture(scope="module")
 def bcast_record():
-    return record_collective(small_cluster(num_nodes=2, ppn=4), "bcast", 1 << 20)
+    return run_once(small_cluster(num_nodes=2, ppn=4), "bcast", 1 << 20,
+                    record="full")[2]
 
 
 def test_chrome_trace_is_schema_valid(bcast_record, tmp_path):

@@ -3,9 +3,9 @@
 from repro.core.config import HanConfig
 from repro.hardware import tiny_cluster
 from repro.obs.store import RunStore, summarize_measurement
-from repro.tenancy import TenantWorkload, TrafficPlan, traffic_preset
+from repro.tenancy import TrafficPlan, traffic_preset
 from repro.tenancy.scheduler import measure_interference
-from repro.tuning import MeasurementCache, measure_collective, measurement_key
+from repro.tuning import MeasurementCache, measure_collective
 from repro.tuning.measure import resolve_traffic
 from repro.tuning.parallel import MeasurePoint, run_cached
 
@@ -31,11 +31,10 @@ def _plan():
 
 def _key(traffic=None, trial_offset=0, cfg=None):
     cfg = cfg or _config()
-    return measurement_key(
-        _machine(), "bcast", 256 * KiB, cfg, 0, 1, None,
-        None, 1, trial_offset, "median",
-        traffic=resolve_traffic(traffic, cfg),
-    )
+    return MeasurePoint(
+        _machine(), "bcast", 256 * KiB, cfg, traffic_plan=traffic,
+        trial_offset=trial_offset,
+    ).cache_key()
 
 
 # -- measurement under load ---------------------------------------------------------

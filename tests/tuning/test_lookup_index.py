@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.core.config import HanConfig
-from repro.tuning.lookup import LookupTable, config_to_dict
+from repro.tuning.lookup import LookupTable
 
 KiB = 1024
 
@@ -117,6 +117,6 @@ def test_load_tolerates_legacy_files_without_stamp(tmp_path):
 
 def test_config_to_dict_is_public_and_seedless():
     cfg = HanConfig(fs=64 * KiB, imod="adapt", ibalg="chain", seed=7)
-    d = config_to_dict(cfg)
+    d = cfg.to_dict()
     assert "seed" not in d
     assert HanConfig(**d) == cfg  # seed excluded from equality

@@ -13,9 +13,7 @@ from repro.tuning import (
     MeasurementCache,
     SearchSpace,
     measure_collective,
-    measurement_key,
 )
-from repro.tuning.measure import resolve_plan
 from repro.tuning.parallel import (
     MeasurePoint,
     TaskPoint,
@@ -48,10 +46,10 @@ def _key(nbytes=64 * KiB, cfg=None, mach=None, trials=1, trial_offset=0,
          plan=None, aggregate="median"):
     cfg = cfg or config()
     mach = mach or machine()
-    return measurement_key(
-        mach, "bcast", nbytes, cfg, 0, 1, None,
-        resolve_plan(plan, cfg), trials, trial_offset, aggregate,
-    )
+    return MeasurePoint(
+        mach, "bcast", nbytes, cfg, fault_plan=plan, trials=trials,
+        trial_offset=trial_offset, aggregate=aggregate,
+    ).cache_key()
 
 
 def _key_in_subprocess(_):
