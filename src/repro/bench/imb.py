@@ -1,19 +1,21 @@
 """IMB-style collective benchmark.
 
-One simulated job per (library, machine): every message size is timed
-inside the same run, separated by barriers, exactly like IMB's
-``-msglog`` sweeps.  The reported number per size is the maximum time
+A loop over message sizes, like IMB's ``-msglog`` sweeps, where every
+size is one measured run of :func:`repro.tuning.measure.run_once` on a
+fresh simulated job: start barrier, the collective, and the maximum time
 across ranks -- "the maximum value reported by Intel MPI Benchmark (IMB)
-and OSU Benchmark" (paper III-A2).
+and OSU Benchmark" (paper III-A2).  HAN and every rival library are
+timed by that one program, so the sweep shares the measurement cache,
+the worker pool and the run store with the autotuner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.comparators.base import MPILibrary
+from repro.comparators import MPILibrary, OpenMPIHan
 from repro.hardware.spec import MachineSpec
-from repro.mpi.runtime import MPIRuntime
+from repro.tuning.parallel import MeasurePoint, run_cached
 
 __all__ = ["IMBResult", "imb_run"]
 
@@ -44,58 +46,49 @@ def imb_run(
     root: int = 0,
     iterations: int = 1,
     trace_out: str = "",
+    *,
+    workers: int = 0,
+    cache=None,
+    store=None,
+    store_source: str = "imb",
 ) -> IMBResult:
     """Time ``library``'s ``coll`` at every size in ``sizes``.
 
-    ``trace_out`` writes a Perfetto-loadable Chrome trace of the whole
-    sweep (one track per rank / CPU / resource) to the given path.
+    Each size is one :class:`~repro.tuning.parallel.MeasurePoint`: HAN
+    (an :class:`OpenMPIHan`) under the configuration it picks at that
+    size (``HanModule.resolve_config``), any other library by registry
+    name.  :func:`~repro.tuning.parallel.run_cached` resolves them, so
+    ``cache`` replays points it has seen and ``workers`` fans out the
+    rest; ``store`` gets one line per size, tagged ``store_source``.
+
+    ``trace_out`` writes a Perfetto-loadable Chrome trace of the first
+    size's run (which then always simulates) to the given path.
     """
-    runtime = MPIRuntime(machine, profile=library.profile)
-    per_size: dict[float, dict[int, float]] = {s: {} for s in sizes}
-
-    def prog(comm):
-        for s in sizes:
-            yield from comm.barrier()
-            t0 = comm.now
-            for _ in range(iterations):
-                if coll == "bcast":
-                    yield from library.bcast(comm, s, root=root)
-                elif coll == "allreduce":
-                    yield from library.allreduce(comm, s)
-                elif coll == "barrier":
-                    yield from library.barrier(comm)
-                elif coll in ("reduce", "gather", "allgather", "alltoall",
-                              "scatter"):
-                    op = getattr(library, coll, None)
-                    if op is None:
-                        raise ValueError(
-                            f"{library.name} does not implement {coll!r}"
-                        )
-                    if coll in ("reduce", "gather", "scatter"):
-                        yield from op(comm, s, root=root)
-                    else:
-                        yield from op(comm, s)
-                else:
-                    raise ValueError(f"imb_run does not know {coll!r}")
-            per_size[s][comm.rank] = (comm.now - t0) / iterations
-
-    if trace_out:
-        from repro.obs import ObsRecorder, write_chrome_trace
-
-        with ObsRecorder(runtime.engine) as rec:
-            runtime.run(prog)
-            rec.snapshot_resources(runtime.fabric.solver)
-        record = rec.run_record(
-            meta={"bench": "imb", "library": library.name, "coll": coll}
-        )
-        write_chrome_trace(record, trace_out)
-    else:
-        runtime.run(prog)
-    times = tuple(max(per_size[s].values()) for s in sizes)
+    points = [_point(machine, library, coll, s, root, iterations)
+              for s in sizes]
+    meas = run_cached(points[1:] if trace_out else points,
+                      workers=workers, cache=cache)
+    if trace_out and points:
+        meas.insert(0, points[0].run(trace_out))
+    if store is not None:
+        for point, m in zip(points, meas):
+            point.log(store, m, store_source)
     return IMBResult(
         library=library.name,
         machine=machine.name,
         coll=coll,
         sizes=tuple(float(s) for s in sizes),
-        times=times,
+        times=tuple(m.time for m in meas),
     )
+
+
+def _point(machine, library, coll, nbytes, root, iterations) -> MeasurePoint:
+    """The measured run of one sweep size."""
+    if not isinstance(library, OpenMPIHan):
+        return MeasurePoint(machine, coll, nbytes, None, root, iterations,
+                            library=library.name)
+    # HAN resolves its barrier's configuration at zero bytes
+    config = library.resolve_config(
+        machine.num_nodes, machine.ppn, 0 if coll == "barrier" else nbytes, coll
+    )
+    return MeasurePoint(machine, coll, nbytes, config, root, iterations)

@@ -2,30 +2,24 @@
 
 from __future__ import annotations
 
-from repro.mpi.op import SUM
 from repro.netsim.profiles import P2PProfile
 
 __all__ = ["MPILibrary", "TwoLevelMixin"]
 
 
 class MPILibrary:
-    """An MPI implementation: a P2P profile plus collective strategies.
+    """An MPI implementation: a P2P profile plus the collectives it has.
 
-    Benchmarks run ``MPIRuntime(machine, profile=lib.profile)`` and then
-    drive ``lib.bcast`` / ``lib.allreduce`` / ``lib.barrier`` inside the
-    simulated ranks.
+    The measured program (:func:`repro.tuning.measure.run_once`) builds
+    ``MPIRuntime(machine, profile=lib.profile)`` and calls the method
+    named after the collective in every rank; a collective the library
+    does not implement is simply absent.
     """
 
     name: str = "base"
 
     @property
     def profile(self) -> P2PProfile:
-        raise NotImplementedError
-
-    def bcast(self, comm, nbytes, root=0, payload=None):
-        raise NotImplementedError
-
-    def allreduce(self, comm, nbytes, payload=None, op=SUM):
         raise NotImplementedError
 
     def barrier(self, comm):

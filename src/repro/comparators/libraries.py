@@ -70,7 +70,7 @@ class OpenMPIDefault(MPILibrary):
         return out
 
 
-class OpenMPIHan(MPILibrary):
+class OpenMPIHan(HanModule, MPILibrary):
     """Open MPI + HAN (this paper): same P2P stack, HAN collectives.
 
     ``decision_fn`` is usually an autotuned lookup table; without one HAN
@@ -81,45 +81,11 @@ class OpenMPIHan(MPILibrary):
 
     def __init__(self, decision_fn: Optional[Callable] = None,
                  config: Optional[HanConfig] = None):
-        self.han = HanModule(config=config, decision_fn=decision_fn)
+        super().__init__(config=config, decision_fn=decision_fn)
 
     @property
     def profile(self):
         return openmpi_profile()
-
-    def bcast(self, comm, nbytes, root=0, payload=None):
-        out = yield from self.han.bcast(comm, nbytes, root=root, payload=payload)
-        return out
-
-    def allreduce(self, comm, nbytes, payload=None, op=SUM):
-        out = yield from self.han.allreduce(comm, nbytes, payload=payload, op=op)
-        return out
-
-    def barrier(self, comm):
-        yield from self.han.barrier(comm)
-
-    def reduce(self, comm, nbytes, root=0, payload=None, op=SUM):
-        out = yield from self.han.reduce(comm, nbytes, root=root,
-                                         payload=payload, op=op)
-        return out
-
-    def gather(self, comm, nbytes, root=0, payload=None):
-        out = yield from self.han.gather(comm, nbytes, root=root,
-                                         payload=payload)
-        return out
-
-    def scatter(self, comm, nbytes, root=0, payload=None):
-        out = yield from self.han.scatter(comm, nbytes, root=root,
-                                          payload=payload)
-        return out
-
-    def allgather(self, comm, nbytes, payload=None):
-        out = yield from self.han.allgather(comm, nbytes, payload=payload)
-        return out
-
-    def alltoall(self, comm, nbytes, payload=None):
-        out = yield from self.han.alltoall(comm, nbytes, payload=payload)
-        return out
 
 
 class CrayMPI(TwoLevelMixin, MPILibrary):

@@ -188,7 +188,8 @@ class HanModule(CollModule):
     def _plan(self, hier, nbytes, coll, config, segsize=None):
         """Resolve ``coll``'s configuration and the modules its tasks call:
         ``(cfg, imod, smod)``."""
-        cfg = self.resolve_config(hier, nbytes, coll, config)
+        cfg = self.resolve_config(hier.num_nodes, hier.local_size, nbytes,
+                                  coll, config)
         if segsize is not None:
             cfg = cfg.with_(fs=segsize)
         return (cfg, *self._modules(hier, cfg))
@@ -206,16 +207,18 @@ class HanModule(CollModule):
         return pos
 
     def resolve_config(
-        self, hier, nbytes: float, coll: str, config: Optional[HanConfig]
+        self, num_nodes: int, ppn: int, nbytes: float, coll: str,
+        config: Optional[HanConfig] = None,
     ) -> HanConfig:
+        """The configuration one ``coll`` call runs under: the per-call
+        ``config``, else the fixed one, else the decision function's pick
+        for this geometry, else :meth:`default_config`."""
         if config is not None:
             return config
         if self.config is not None:
             return self.config
         if self.decision_fn is not None:
-            return self.decision_fn(
-                hier.num_nodes, hier.local_size, nbytes, coll
-            )
+            return self.decision_fn(num_nodes, ppn, nbytes, coll)
         return self.default_config(nbytes)
 
     @staticmethod
@@ -736,7 +739,8 @@ class HanModule(CollModule):
         if comm.size == 1:
             return
         hier = yield from build_hierarchy(comm, self.group_level)
-        cfg = self.resolve_config(hier, 0, "barrier", config)
+        cfg = self.resolve_config(hier.num_nodes, hier.local_size, 0,
+                                  "barrier", config)
         if cfg.imod == "adapt":
             cfg = HanConfig(fs=cfg.fs, smod=cfg.smod)
         imod, smod = self._modules(hier, cfg)

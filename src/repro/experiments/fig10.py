@@ -15,7 +15,8 @@ from repro.experiments.machine_bench import bench_against_libraries
 
 
 def run(scale: str = "small", save: bool = True, trace_out: str = "",
-        store_dir=None, decision_store=None) -> dict:
+        store_dir=None, decision_store=None, workers: int = 0,
+        cache_dir=None) -> dict:
     """Regenerate Fig 10."""
     return bench_against_libraries(
         fig="Fig 10",
@@ -30,6 +31,7 @@ def run(scale: str = "small", save: bool = True, trace_out: str = "",
         ),
         trace_out=trace_out,
         store_dir=store_dir,
+        workers=workers, cache_dir=cache_dir,
         decision_store=decision_store,
     )
 

@@ -12,7 +12,8 @@ from repro.experiments.common import main_wrapper
 from repro.experiments.machine_bench import bench_against_libraries
 
 
-def run(scale: str = "small", save: bool = True, store_dir=None) -> dict:
+def run(scale: str = "small", save: bool = True, store_dir=None,
+        workers: int = 0, cache_dir=None) -> dict:
     """Regenerate Fig 12."""
     return bench_against_libraries(
         fig="Fig 12",
@@ -26,6 +27,7 @@ def run(scale: str = "small", save: bool = True, store_dir=None) -> dict:
             "(large) vs Intel MPI / MVAPICH2 / default Open MPI"
         ),
         store_dir=store_dir,
+        workers=workers, cache_dir=cache_dir,
     )
 
 

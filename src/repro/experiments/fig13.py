@@ -13,7 +13,8 @@ from repro.experiments.common import main_wrapper
 from repro.experiments.machine_bench import bench_against_libraries
 
 
-def run(scale: str = "small", save: bool = True, store_dir=None) -> dict:
+def run(scale: str = "small", save: bool = True, store_dir=None,
+        workers: int = 0, cache_dir=None) -> dict:
     """Regenerate Fig 13."""
     return bench_against_libraries(
         fig="Fig 13",
@@ -28,6 +29,7 @@ def run(scale: str = "small", save: bool = True, store_dir=None) -> dict:
             "Libnbc)"
         ),
         store_dir=store_dir,
+        workers=workers, cache_dir=cache_dir,
     )
 
 

@@ -11,7 +11,8 @@ from repro.experiments.common import main_wrapper
 from repro.experiments.machine_bench import bench_against_libraries
 
 
-def run(scale: str = "small", save: bool = True, store_dir=None) -> dict:
+def run(scale: str = "small", save: bool = True, store_dir=None,
+        workers: int = 0, cache_dir=None) -> dict:
     """Regenerate Fig 14."""
     return bench_against_libraries(
         fig="Fig 14",
@@ -25,6 +26,7 @@ def run(scale: str = "small", save: bool = True, store_dir=None) -> dict:
             "clearly beat Intel MPI and default Open MPI at large sizes"
         ),
         store_dir=store_dir,
+        workers=workers, cache_dir=cache_dir,
     )
 
 

@@ -13,6 +13,7 @@ from repro.experiments.common import (
     save_result,
     tuned_decision,
 )
+from repro.tuning.cache import MeasurementCache
 
 __all__ = ["bench_against_libraries"]
 
@@ -28,42 +29,40 @@ def bench_against_libraries(
     trace_out: str = "",
     store_dir=None,
     decision_store=None,
+    workers: int = 0,
+    cache_dir=None,
 ) -> dict:
-    """``trace_out`` (a path) records the HAN sweep as a Chrome trace;
-    ``store_dir`` points the cross-run observatory every sweep point is
-    appended to (default ``results/store``, ``"none"`` disables);
-    ``decision_store`` serves HAN's tuned decisions from a sharded
-    :mod:`repro.serve` store instead of per-geometry JSON tables."""
+    """``trace_out`` (a path) records the HAN sweep's first size as a
+    Chrome trace; ``store_dir`` points the cross-run observatory every
+    sweep point is appended to (default ``results/store``, ``"none"``
+    disables); ``decision_store`` serves HAN's tuned decisions from a
+    sharded :mod:`repro.serve` store instead of per-geometry JSON tables;
+    ``workers`` and ``cache_dir`` give the points a process pool and a
+    persistent measurement cache (see :func:`~repro.bench.imb_run`)."""
     machine = geometry(machine_name, scale)
     small, large = bcast_sweep_sizes(scale)
     sizes = small + large
 
     decide = tuned_decision(
-        machine, colls=(coll,), decision_store=decision_store, save=save
+        machine, colls=(coll,), workers=workers,
+        decision_store=decision_store, save=save,
     )
     libs = [OpenMPIHan(decision_fn=decide)] + [
         library_by_name(r) for r in rivals
     ]
+    # an explicitly requested store dir is honored even under
+    # --no-save; only the default results/store is save-gated
+    store = run_store(store_dir) if (save or store_dir) else None
+    cache = MeasurementCache(cache_dir) if cache_dir else None
     results = {
         lib.name: imb_run(
             machine, lib, coll, sizes,
             trace_out=trace_out if lib.name == "han" else "",
+            workers=workers, cache=cache, store=store,
+            store_source=f"machine_bench.{fig.lower().replace(' ', '')}",
         )
         for lib in libs
     }
-
-    # an explicitly requested store dir is honored even under
-    # --no-save; only the default results/store is save-gated
-    store = run_store(store_dir) if (save or store_dir) else None
-    if store is not None:
-        from repro.obs.store import summarize_point
-
-        for lib in libs:
-            for s, t in zip(sizes, results[lib.name].times):
-                store.append(summarize_point(
-                    machine, coll, s, t, library=lib.name,
-                    source=f"machine_bench.{fig.lower().replace(' ', '')}",
-                ))
 
     han = results["han"]
     rows = []
@@ -106,6 +105,8 @@ def bench_against_libraries(
             f"up to {large_best:.2f}x (large msgs)"
         )
     print(f"paper reference: {paper_note}")
+    if cache is not None:
+        print(f"measurement cache: {cache.hits} hits / {cache.misses} misses")
 
     out = {
         "figure": fig,

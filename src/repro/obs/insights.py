@@ -647,8 +647,8 @@ def quick_workload(
     Each HAN point runs once with a metrics-mode recorder attached (the
     cheap path: aggregates only, no span retention), so the result
     carries both the headline time and the straggler gauges.  Rival
-    libraries are timed with the IMB-style sweep; rivals that do not
-    implement a collective are skipped.
+    libraries are timed by the same measured run, through the IMB-style
+    size loop; rivals that do not implement a collective are skipped.
 
     ``store`` (a :class:`~repro.obs.store.RunStore`) receives one
     summary line per HAN point — this is how repeated ``insights`` runs
@@ -704,11 +704,8 @@ def quick_workload(
             lib = library_by_name(name)
             for coll in colls:
                 if getattr(lib, coll, None) is None:
-                    continue
-                try:
-                    res = imb_run(target, lib, coll, list(sizes))
-                except (NotImplementedError, ValueError):
                     continue  # library lacks this collective
+                res = imb_run(target, lib, coll, list(sizes))
                 for nb, t in zip(res.sizes, res.times):
                     rival_times.setdefault((coll, nb), {})[name] = t
     return {

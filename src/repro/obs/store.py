@@ -170,7 +170,7 @@ def summarize_measurement(
         "coll": meas.coll,
         "nbytes": float(meas.nbytes),
         "library": library,
-        "config": meas.config.describe(),
+        "config": meas.config.describe() if meas.config is not None else "",
         "config_digest": config_digest(meas.config),
         "time": meas.time,
         "per_rank": list(meas.per_rank),
@@ -196,9 +196,10 @@ def summarize_point(
 ) -> dict:
     """One store line for a bare (collective, size, time) data point.
 
-    The escape hatch for benchmarks that only produce a headline number
-    (e.g. the IMB-style library sweeps, where rival libraries have no
-    :class:`HanConfig` at all).
+    For callers that hold only a headline number.  Measured runs, HAN's
+    and every rival library's, log through
+    :meth:`~repro.tuning.parallel.MeasurePoint.log`; a rival's line there
+    has the key this function gives it (``config=None``).
     """
     return {
         "schema_version": STORE_SCHEMA_VERSION,

@@ -85,10 +85,14 @@ class StartGate:
     and the same-instant resume order.  What makes *that* enough
     differs by caller:
 
-    - ``measure_collective`` follows the barrier with
-      ``build_hierarchy``'s blocking splits on every rank, so a schedule
-      with several exit instants replays exactly: nothing a rank does
-      between its exit and the split touches another rank.
+    - ``measure_collective`` of HAN or of a leader-based rival follows
+      the barrier with ``build_hierarchy``'s blocking splits on every
+      rank, so a schedule with several exit instants replays exactly:
+      nothing a rank does between its exit and the split touches another
+      rank.  A flat rival starts sending at once, yet nothing it sends
+      reaches a rank still in the barrier: an envelope that meets no
+      posted receive waits at no cost to its receiver, and payloads never
+      meet the barrier's zero-byte messages in the fluid solver.
     - ``TaskBench`` builds the hierarchy *before* the barrier and its
       leaders start ``ibcast``/``ireduce`` the moment they leave it, so
       an early leaver's traffic could meet a late leaver's last barrier
@@ -178,7 +182,7 @@ class CollectiveMeasurement:
 
     coll: str
     nbytes: float
-    config: HanConfig
+    config: Optional[HanConfig]  # None: a rival library's own collective
     time: float  # aggregated max across ranks (the reported cost)
     per_rank: tuple[float, ...]
     sim_cost: float  # simulated seconds the benchmark consumed (tuning cost)
@@ -196,6 +200,7 @@ def run_once(
     nbytes: float,
     config: Optional[HanConfig] = None,
     *,
+    library: str = "han",
     root: int = 0,
     iterations: int = 1,
     profile: Optional[P2PProfile] = None,
@@ -205,10 +210,12 @@ def run_once(
     """One fresh simulated benchmark: ``(per-rank durations, sim cost,
     run record)``.
 
-    This is the one program that runs a HAN collective for measurement:
+    This is the one program that runs a collective for measurement:
     every rank passes the start barrier, then calls ``coll``
     ``iterations`` times back to back; its duration is the mean per
-    call.  ``config=None`` lets HAN pick its configuration.
+    call.  ``library="han"`` runs HAN under ``config`` (``None`` lets
+    HAN pick); any other registry name runs that library's collective
+    over its own P2P profile, unless ``profile`` is given.
 
     ``record`` (``"full"`` or ``"metrics"``, see
     :class:`~repro.obs.core.ObsRecorder`) attaches an observability
@@ -234,8 +241,17 @@ def run_once(
     profile) in this process, replayed bit-identically after that.
     Tenant traffic and a recorder make the run loud.
     """
+    if library == "han":
+        target = HanModule(config=config)
+    else:
+        from repro.comparators import library_by_name
+
+        target = library_by_name(library)
+        profile = profile or target.profile
+    op = getattr(target, coll, None)
+    if op is None:
+        raise ValueError(f"{library} does not implement {coll!r}")
     runtime = MPIRuntime(machine, profile=profile)
-    op = getattr(HanModule(config=config), coll)
     args = () if coll == "barrier" else (nbytes,)
     kwargs = {"root": root} if coll in _ROOTED else {}
     durations: dict[int, float] = {}
@@ -275,6 +291,8 @@ def run_once(
     }
     if config is not None:
         meta["config"] = repr(config)
+    if library != "han":
+        meta["library"] = library
     return per_rank, sim_cost, rec.run_record(meta=meta)
 
 
@@ -282,7 +300,7 @@ def measure_collective(
     machine: MachineSpec,
     coll: str,
     nbytes: float,
-    config: HanConfig,
+    config: Optional[HanConfig],
     root: int = 0,
     iterations: int = 1,
     profile: Optional[P2PProfile] = None,
@@ -295,8 +313,10 @@ def measure_collective(
     trace_out: str = "",
     store=None,
     store_source: str = "measure_collective",
+    library: str = "han",
 ) -> CollectiveMeasurement:
-    """Time one HAN collective configuration on a fresh simulated machine.
+    """Time one HAN collective configuration on a fresh simulated machine
+    (``library`` names a registry rival instead, with ``config=None``).
 
     ``iterations`` repeats the operation back-to-back (pipelining state
     does not persist across calls, so the simulator is deterministic; the
@@ -344,7 +364,7 @@ def measure_collective(
 
     point = MeasurePoint(
         machine, coll, nbytes, config, root, iterations, profile,
-        fault_plan, traffic_plan, trials, trial_offset, aggregate,
+        fault_plan, traffic_plan, trials, trial_offset, aggregate, library,
     )
     key = doc = None
     if cache is not None:
@@ -374,8 +394,8 @@ def _measure(point, trace_out: str) -> CollectiveMeasurement:
         if plan is not None:
             m = FaultyMachineSpec.wrap(m, plan.for_trial(realization))
         per_rank, cost, rec = run_once(
-            m, point.coll, point.nbytes, point.config, root=point.root,
-            iterations=point.iterations, profile=point.profile,
+            m, point.coll, point.nbytes, point.config, library=point.library,
+            root=point.root, iterations=point.iterations, profile=point.profile,
             traffic=None if traffic is None else traffic.for_trial(realization),
             record="full" if trace_out and trial == 0 else None,
         )
@@ -421,16 +441,16 @@ def _measure(point, trace_out: str) -> CollectiveMeasurement:
 
 
 def resolve_plan(
-    fault_plan: Optional[FaultPlan], config: HanConfig
+    fault_plan: Optional[FaultPlan], config: Optional[HanConfig]
 ) -> Optional[FaultPlan]:
     """The effective (seed-resolved) plan a measurement will install."""
     if fault_plan is not None and fault_plan.injectors:
-        return fault_plan.resolve_seed(config.seed)
+        return fault_plan.resolve_seed(None if config is None else config.seed)
     return None
 
 
 def resolve_traffic(
-    traffic_plan: Optional[TrafficPlan], config: HanConfig
+    traffic_plan: Optional[TrafficPlan], config: Optional[HanConfig]
 ) -> Optional[TrafficPlan]:
     """The effective (seed-resolved) traffic plan a measurement replays.
 
@@ -439,7 +459,7 @@ def resolve_traffic(
     digest), and an unset seed resolves from ``config.seed``.
     """
     if traffic_plan is not None and traffic_plan.tenants:
-        return traffic_plan.resolve_seed(config.seed)
+        return traffic_plan.resolve_seed(None if config is None else config.seed)
     return None
 
 
@@ -450,7 +470,7 @@ def measurement_to_doc(meas: CollectiveMeasurement) -> dict:
         "__kind__": "measure",
         "coll": meas.coll,
         "nbytes": meas.nbytes,
-        "config": {**cfg.to_dict(), "seed": cfg.seed},
+        "config": None if cfg is None else {**cfg.to_dict(), "seed": cfg.seed},
         "time": meas.time,
         "per_rank": list(meas.per_rank),
         "sim_cost": meas.sim_cost,
@@ -464,7 +484,7 @@ def measurement_from_doc(doc: dict) -> CollectiveMeasurement:
     return CollectiveMeasurement(
         coll=doc["coll"],
         nbytes=doc["nbytes"],
-        config=HanConfig(**doc["config"]),
+        config=None if doc["config"] is None else HanConfig(**doc["config"]),
         time=doc["time"],
         per_rank=tuple(doc["per_rank"]),
         sim_cost=doc["sim_cost"],

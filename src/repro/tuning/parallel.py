@@ -53,12 +53,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasurePoint:
-    """One ``measure_collective`` invocation, picklable for the pool."""
+    """One ``measure_collective`` invocation, picklable for the pool
+    (``library``: ``"han"``, or a registry rival with ``config=None``)."""
 
     machine: MachineSpec
     coll: str
     nbytes: float
-    config: HanConfig
+    config: Optional[HanConfig]
     root: int = 0
     iterations: int = 1
     profile: Optional[P2PProfile] = None
@@ -67,8 +68,9 @@ class MeasurePoint:
     trials: int = 1
     trial_offset: int = 0
     aggregate: str = "median"
+    library: str = "han"
 
-    def run(self) -> CollectiveMeasurement:
+    def run(self, trace_out: str = "") -> CollectiveMeasurement:
         return measure_collective(
             self.machine,
             self.coll,
@@ -82,6 +84,8 @@ class MeasurePoint:
             trials=self.trials,
             trial_offset=self.trial_offset,
             aggregate=self.aggregate,
+            trace_out=trace_out,
+            library=self.library,
         )
 
     def cache_key(self) -> str:
@@ -95,16 +99,19 @@ class MeasurePoint:
         differ merely in trial bookkeeping share cache entries.  An
         active traffic plan enters the digest whole (tenants, seed, trial
         window), so a loaded measurement can never alias a quiet one.
+        A rival's name enters the key; HAN's does not (its keys predate
+        rivals).
         """
         plan = resolve_plan(self.fault_plan, self.config)
         traffic = resolve_traffic(self.traffic_plan, self.config)
         offset = int(self.trial_offset)
+        rival = {} if self.library == "han" else {"library": self.library}
         return digest(
             "measure",
             machine=self.machine,
             coll=self.coll,
             nbytes=float(self.nbytes),
-            config=list(self.config.key()),
+            config=None if self.config is None else list(self.config.key()),
             root=int(self.root),
             iterations=int(self.iterations),
             profile=self.profile,
@@ -114,6 +121,7 @@ class MeasurePoint:
             else {"traffic": traffic, "trial_offset": offset},
             trials=int(self.trials),
             aggregate=self.aggregate,
+            **rival,
         )
 
     def log(self, store, meas: CollectiveMeasurement, source: str) -> None:
@@ -122,7 +130,7 @@ class MeasurePoint:
         from repro.obs.store import summarize_measurement
 
         store.append(summarize_measurement(
-            self.machine, meas, source=source,
+            self.machine, meas, source=source, library=self.library,
             plan=resolve_plan(self.fault_plan, self.config),
             traffic=resolve_traffic(self.traffic_plan, self.config),
         ))

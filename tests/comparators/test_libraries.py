@@ -154,3 +154,52 @@ class TestIMBExtendedCollectives:
 
         with pytest.raises((ValueError, DeadlockError)):
             imb_run(MACHINE, OpenMPIDefault(), "alltoall", sizes=[8])
+
+
+class TestIMBPoints:
+    """Every sweep size is one measured run, for HAN and for rivals."""
+
+    SIZES = [4096.0, 256.0 * 1024]
+
+    def test_han_reduce_scatter_through_imb(self):
+        from repro.core.han import HanModule
+        from repro.tuning.measure import run_once
+
+        res = imb_run(MACHINE, OpenMPIHan(), "reduce_scatter", sizes=[4096])
+        per_rank, _cost, _rec = run_once(
+            MACHINE, "reduce_scatter", 4096, HanModule.default_config(4096)
+        )
+        assert res.times == (max(per_rank),)
+
+    def test_cached_sweep_replays_bit_identically(self):
+        from repro.hardware import shaheen2
+        from repro.tuning.cache import MeasurementCache
+
+        machine = shaheen2(num_nodes=2, ppn=4)
+        cache = MeasurementCache()
+
+        def sweep():
+            return [imb_run(machine, lib, "bcast", self.SIZES, cache=cache)
+                    for lib in (OpenMPIHan(), CrayMPI())]
+
+        first = sweep()
+        assert (cache.hits, cache.misses) == (0, 4)
+        assert sweep() == first
+        assert (cache.hits, cache.misses) == (4, 4)
+
+    def test_pool_equals_serial(self):
+        from repro.core.han import HanModule
+        from repro.hardware import shaheen2
+        from repro.tuning.parallel import MeasurePoint, run_cached
+
+        machine = shaheen2(num_nodes=2, ppn=4)
+        serial = [imb_run(machine, lib, "bcast", self.SIZES).times
+                  for lib in (OpenMPIHan(), CrayMPI())]
+        points = [MeasurePoint(machine, "bcast", s, HanModule.default_config(s))
+                  for s in self.SIZES]
+        points += [MeasurePoint(machine, "bcast", s, None, library="craympi")
+                   for s in self.SIZES]
+        pooled = run_cached(points, workers=2, cap_to_cores=False)
+        assert [m.time for m in pooled] == [*serial[0], *serial[1]]
+        pooled_imb = imb_run(machine, CrayMPI(), "bcast", self.SIZES, workers=2)
+        assert pooled_imb.times == serial[1]

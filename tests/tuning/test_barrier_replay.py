@@ -91,6 +91,32 @@ def test_replay_is_bit_identical_to_the_simulated_barrier(name):
         assert got_events < want_events, (name, coll, nbytes, cfg, it)
 
 
+RIVAL_COLLS = ("bcast", "reduce", "gather", "scatter", "allreduce",
+               "allgather", "barrier")
+
+
+@pytest.mark.parametrize("name", ("multi_node", "ppn1", "non_pow2"))
+@pytest.mark.parametrize("library", ("openmpi", "mvapich2", "craympi"))
+def test_rival_replay_is_bit_identical_to_the_simulated_barrier(name, library):
+    """Flat rivals start sending the moment a rank leaves the barrier;
+    that traffic still cannot tell a replayed barrier from a real one."""
+    from repro.comparators import library_by_name
+
+    machine = MACHINES[name]
+    colls = [c for c in RIVAL_COLLS
+             if getattr(library_by_name(library), c, None) is not None]
+    todo = [(c, nb, root) for c in colls for nb in (8, 96 * KiB)
+            for root in ((0, 3) if c in measure_mod._ROOTED else (0,))]
+    for coll, nbytes, root in todo:
+        clear_fill_memo()
+        want = measured(machine, coll, nbytes, None, root=root,
+                        library=library)
+        got = measured(machine, coll, nbytes, None, root=root,
+                       library=library)
+        assert got[0] == want[0], (name, library, coll, nbytes, root)
+        assert got[1] < want[1], (name, library, coll, nbytes, root)
+
+
 def test_schedule_is_keyed_by_machine_and_profile():
     a, b = MACHINES["multi_node"], MACHINES["non_pow2"]
     measured(a)
