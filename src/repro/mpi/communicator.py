@@ -227,12 +227,19 @@ class Communicator:
 
         Collective *modules* provide their own tuned barriers; this one
         exists so applications and tests can synchronize without picking
-        a module.
+        a module.  On a quiet engine (no obs recorder, no overhead hook)
+        one :class:`~repro.mpi.matching.Barrier` runs every rank's
+        rounds with the same engine cells as the loop below; a loud run
+        takes the loop, with its spans and hooks.
         """
         epoch = self._barrier_epoch
         self._barrier_epoch += 1
         size, rank = self.size, self.rank
         if size == 1:
+            return
+        quiet = self.runtime._quiet_barrier(self, epoch)
+        if quiet is not None:
+            yield quiet.enter(rank)
             return
         tag = INTERNAL_TAG_BASE + (epoch % 1024)
         dist = 1

@@ -15,19 +15,23 @@ later ``deliver`` (envelope) and ``start_flow`` (payload) back to back,
 overhead.  On a quiet engine the latency expiries of all messages that
 reach their receivers in one instant are a single :class:`Arrivals`
 event, and zero-byte payloads land inside it: three events per message
-(DESIGN.md section 4o argues why that is exact).
+(DESIGN.md section 4o argues why that is exact).  A quiet run's built-in
+barrier keeps those three cells per round but no :class:`Transit`: one
+:class:`Barrier` per barrier instance runs every rank's rounds.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.mpi.communicator import Message
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, COLL_TAG_BASE
 from repro.mpi.request import Request
+from repro.sim.engine import SimEvent
 from repro.sim.fluid import EPS_BYTES
 
-__all__ = ["Arrivals", "Channel", "Matcher", "Transit", "Wire"]
+__all__ = ["Arrivals", "Barrier", "Channel", "Hop", "Matcher", "Transit", "Wire"]
 
 EAGER = "eager"
 RNDV = "rndv"
@@ -73,22 +77,40 @@ def _matches(source: int, tag: int, msg: "Transit") -> bool:
 
 class Wire:
     """What the messages of one runtime share: engine, fabric, the open
-    arrival events of a quiet run and the tallies of ``message_stats``.
+    arrival events and barrier instances of a quiet run and the tallies
+    of ``message_stats``.
 
     Not the runtime itself: channels sit in the runtime's registry, and a
     reference back would turn every finished runtime into cyclic garbage
     (a tuning sweep builds one per measurement).
     """
 
-    __slots__ = ("engine", "fabric", "arrivals", "fused", "staged")
+    __slots__ = (
+        "engine", "fabric", "arrivals", "barriers", "hops", "fused", "staged",
+    )
 
     def __init__(self, engine, fabric) -> None:
         self.engine = engine
         self.fabric = fabric
         #: arrival instant -> the event messages landing then may join
         self.arrivals: dict[float, Arrivals] = {}
+        #: (cid, epoch) -> the quiet barrier instance some rank is in
+        self.barriers: dict[tuple[int, int], Barrier] = {}
+        #: messages quiet barriers have issued (they have no channel)
+        self.hops = 0
         self.fused = 0
         self.staged = 0
+
+    def arrive(self, when: float, msg) -> None:
+        """Let ``msg`` (a :class:`Transit` or a :class:`Hop`) reach its
+        receiver at ``when`` on a quiet engine: it joins the instant's
+        :class:`Arrivals` event while that is the newest entry of the
+        instant, and opens a new one otherwise."""
+        batch = self.arrivals.get(when)
+        if batch is not None and self.engine.is_last(when, batch.cell):
+            batch.msgs.append(msg)
+        else:
+            self.arrivals[when] = Arrivals(self, when, msg)
 
 
 class Channel:
@@ -174,11 +196,7 @@ class Transit:
         if obs is None and engine.overhead_hook is None and when > engine.now:
             # quiet: envelope and payload latency expire in one event,
             # shared with every message that lands right behind this one
-            batch = wire.arrivals.get(when)
-            if batch is not None and engine.is_last(when, batch.cell):
-                batch.msgs.append(self)
-            else:
-                wire.arrivals[when] = Arrivals(wire, when, self)
+            wire.arrive(when, self)
         else:
             wire.staged += 1
             if obs is not None:
@@ -282,6 +300,9 @@ class Arrivals:
         fabric = wire.fabric
         instant = []
         for msg in msgs:
+            if type(msg) is Hop:  # a barrier round: no envelope, no payload
+                instant.append(msg)
+                continue
             ch = msg.ch
             ch.deliver_in_order(msg)
             if msg.eager:
@@ -301,3 +322,124 @@ class Arrivals:
     def land(msgs: list) -> None:
         for msg in msgs:
             msg.landed()
+
+
+class Barrier:
+    """One instance of ``Communicator.barrier`` on a quiet engine, run
+    for all of its ranks.
+
+    Rank *r*'s round *k* is the staged loop's ``sendrecv``: a zero-byte
+    message to ``r + 2**k`` and one from ``r - 2**k`` (mod size).  Each
+    message keeps the engine cells a quiet zero-byte :class:`Transit`
+    has, issued in the same order: the send grant on the sender's
+    progress server, its place in an :class:`Arrivals` event (landing
+    inside it or in its trailing cell), the receive grant at landing or
+    when the round starts, whichever is later.  It skips the per-round
+    request, channel, matcher, :class:`Message`, ``AllOf`` and generator
+    resume: a rank waits on one event, succeeded in the cell its last
+    round completes.  DESIGN.md section 4o says why that is exact.
+
+    The instance leaves the wire's registry when its last rank does.
+    """
+
+    __slots__ = (
+        "wire", "key", "group", "cpus", "send_ov", "recv_ov", "round",
+        "early", "released", "procs", "left",
+    )
+
+    def __init__(self, wire: Wire, key: tuple[int, int],
+                 group: tuple[int, ...], send_ov: float,
+                 recv_ov: float) -> None:
+        self.wire = wire
+        self.key = key
+        self.group = group  # world ranks, indexed by communicator rank
+        progress = wire.fabric.progress
+        self.cpus = [progress[w] for w in group]
+        self.send_ov = send_ov
+        self.recv_ov = recv_ov
+        n = len(group)
+        #: the round each rank is in (-1: not entered yet)
+        self.round = [-1] * n
+        #: bit k: the rank's round-k message landed before that round
+        self.early = [0] * n
+        self.released: list[Optional[SimEvent]] = [None] * n
+        #: the process waiting in the barrier, per rank: a killed one
+        #: starts no further round, as its closed generator would not
+        self.procs: list = [None] * n
+        self.left = 0
+
+    def enter(self, rank: int) -> SimEvent:
+        """``rank`` calls the barrier: start its first round."""
+        engine = self.wire.engine
+        ev = self.released[rank] = SimEvent(engine, "barrier")
+        self.procs[rank] = engine._running
+        self._start(rank, 0)
+        return ev
+
+    def _start(self, rank: int, k: int) -> None:
+        """Round ``k``'s isend, then its irecv."""
+        self.round[rank] = k
+        self.wire.hops += 1
+        cpu = self.cpus[rank]
+        cpu.request_call(self.send_ov, partial(self._sent, rank))
+        if self.early[rank] >> k & 1:
+            cpu.request_call(self.recv_ov, partial(self._received, rank))
+
+    def _sent(self, rank: int) -> None:
+        """The send overhead of ``rank``'s round is paid: on the wire."""
+        wire = self.wire
+        engine = wire.engine
+        group = self.group
+        k = self.round[rank]  # the round's receive cannot be done yet
+        dst = (rank + (1 << k)) % len(group)
+        now = engine.now
+        when = now + wire.fabric.plan(group[rank], group[dst], 0).latency
+        hop = Hop(self, dst, k)
+        if when > now:
+            wire.arrive(when, hop)
+        else:
+            # no latency to share: a staged message's envelope, flow
+            # start and landing, one cell each
+            wire.staged += 1
+            engine.schedule(0.0, _nothing)
+            engine.schedule(0.0, partial(engine.schedule, 0.0, hop.landed))
+
+    def _landed(self, rank: int, k: int) -> None:
+        """Round ``k``'s message is at ``rank``."""
+        if self.round[rank] == k:  # the receive is posted
+            self.cpus[rank].request_call(
+                self.recv_ov, partial(self._received, rank)
+            )
+        else:
+            self.early[rank] |= 1 << k
+
+    def _received(self, rank: int) -> None:
+        """The receive overhead of ``rank``'s round is paid."""
+        k = self.round[rank] + 1
+        if 1 << k < len(self.group):
+            if not self.procs[rank].finished:
+                self._start(rank, k)
+            return
+        self.left += 1
+        if self.left == len(self.group):
+            del self.wire.barriers[self.key]
+        self.released[rank].succeed()
+
+
+class Hop:
+    """A quiet barrier's round-``k`` message to ``rank``, as an
+    :class:`Arrivals` event carries it."""
+
+    __slots__ = ("barrier", "rank", "k")
+
+    def __init__(self, barrier: Barrier, rank: int, k: int) -> None:
+        self.barrier = barrier
+        self.rank = rank
+        self.k = k
+
+    def landed(self) -> None:
+        self.barrier._landed(self.rank, self.k)
+
+
+def _nothing() -> None:
+    pass

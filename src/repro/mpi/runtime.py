@@ -14,7 +14,9 @@ from typing import Callable, Generator, Optional
 from repro.hardware.spec import MachineSpec
 from repro.mpi.communicator import Communicator
 from repro.mpi.constants import UNDEFINED
-from repro.mpi.matching import EAGER, RNDV, Channel, Matcher, Transit, Wire
+from repro.mpi.matching import (
+    EAGER, RNDV, Barrier, Channel, Matcher, Transit, Wire,
+)
 from repro.mpi.request import Request
 from repro.netsim.fabric import Fabric
 from repro.netsim.profiles import P2PProfile, openmpi_profile
@@ -204,12 +206,31 @@ class MPIRuntime:
         matcher.post(source, tag, req)
         return req
 
+    def _quiet_barrier(
+        self, comm: Communicator, epoch: int
+    ) -> Optional[Barrier]:
+        """Barrier instance ``epoch`` of ``comm`` on a quiet engine (its
+        first rank opens it); None on a loud one, which runs the staged
+        loop of :meth:`Communicator.barrier`."""
+        engine = self.engine
+        if engine.obs is not None or engine.overhead_hook is not None:
+            return None
+        key = (comm.cid, epoch)
+        barrier = self._wire.barriers.get(key)
+        if barrier is None:
+            _eager, send_ov, recv_ov = self._costs.get(0.0) or self._cost(0.0)
+            barrier = self._wire.barriers[key] = Barrier(
+                self._wire, key, comm.group, send_ov, recv_ov
+            )
+        return barrier
+
     def message_stats(self) -> dict[str, int]:
         """Messages issued so far, and how many of them reached their
         receiver through a fused :class:`~repro.mpi.matching.Arrivals`
-        event or through the staged pipeline (the rest are in flight)."""
+        event or through the staged pipeline (the rest are in flight).
+        A quiet barrier's rounds count as messages too."""
         return {
-            "messages": sum(
+            "messages": self._wire.hops + sum(
                 ch.next_send_seq for ch in self._channels.values()
             ),
             "fused": self._wire.fused,

@@ -234,12 +234,15 @@ def run_once(
     (longer) simulated span.
 
     **The start barrier.**  Every rank passes a barrier before the clock
-    starts, and its exit skew is part of what is measured; at paper
-    scale its 12 rounds of zero-byte messages are most of the
-    simulation.  It goes through the shared :class:`StartGate`
-    (``"world"`` scope): simulated by the first quiet run of a (machine,
-    profile) in this process, replayed bit-identically after that.
-    Tenant traffic and a recorder make the run loud.
+    starts, and its exit skew is part of what is measured.  At paper
+    scale its 12 rounds carry 49,152 of the 50,682 messages; on a quiet
+    engine they run as one state machine per barrier instance, roughly
+    a third of a cold ``scale4096`` bcast measurement's host time
+    (about 58% as staged messages).  It goes through the shared
+    :class:`StartGate` (``"world"`` scope): simulated by the first
+    quiet run of a (machine, profile) in this process, replayed
+    bit-identically after that.  Tenant traffic and a recorder make the
+    run loud.
     """
     if library == "han":
         target = HanModule(config=config)

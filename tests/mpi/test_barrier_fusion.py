@@ -1,0 +1,418 @@
+"""The differential battery for the quiet barrier.
+
+On a quiet engine ``Communicator.barrier`` is one ``Barrier`` state
+machine per barrier instance: every round keeps its engine cells (send
+grant, a place in an ``Arrivals`` event, receive grant) but builds no
+request, channel, message or resumed generator (DESIGN.md section 4o).
+Two references run every case:
+
+- *staged* -- ``_identity`` installed as the overhead hook makes the run
+  loud, so the barrier is the ``sendrecv`` loop over the five-event
+  message pipeline; times, results and barrier exit order must match;
+- *loop* -- a quiet run whose barriers take that same loop (the runtime
+  is told no quiet instance exists), so the messages are fused
+  ``Transit`` objects; the quiet barrier must retire exactly its events
+  and report its ``message_stats``.
+
+The cases mix barriers with user point-to-point traffic on the same
+communicator, with sub-communicators and with tenant traffic.  Three
+planted mutants at the bottom are each caught by a case.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import weakref
+from functools import partial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.hardware import shaheen2
+from repro.mpi import ANY_SOURCE, ANY_TAG, MPIRuntime
+from repro.mpi.matching import Arrivals, Barrier, Hop, Wire
+from repro.netsim.profiles import openmpi_profile
+from repro.sim.engine import Sleep
+from repro.tenancy import TenantScheduler, TenantWorkload, TrafficPlan
+
+KiB = 1024
+
+
+def _identity(kind, who, duration):
+    return duration
+
+
+def _run(machine, program, mode, traffic=None, profile=None):
+    """``(per-rank results, shared log)`` of one run, and its runtime.
+
+    ``mode`` is ``"staged"``, ``"loop"`` or ``"quiet"``."""
+    runtime = MPIRuntime(machine, profile)
+    if mode == "staged":
+        runtime.engine.overhead_hook = _identity
+    elif mode == "loop":
+        runtime._quiet_barrier = lambda comm, epoch: None
+    log: list = []
+    if traffic is not None:
+        results = TenantScheduler(runtime, traffic).run(program, log)
+    else:
+        results = runtime.run(program, log)
+    return (results, log), runtime
+
+
+def differential(machine, program, traffic=None, profile=None) -> list[str]:
+    """What the quiet barrier disagrees with its references on (empty
+    when all three runs are the same)."""
+    runs = {
+        mode: _run(machine, program, mode, traffic, profile)
+        for mode in ("staged", "loop", "quiet")
+    }
+    got, quiet = runs["quiet"]
+    diffs = []
+    for mode in ("staged", "loop"):
+        want, ref = runs[mode]
+        if want != got:
+            diffs.append(f"{mode}: {want!r}\n  != quiet: {got!r}")
+        if ref.engine.now != quiet.engine.now:
+            diffs.append(f"{mode}: engine.now {ref.engine.now!r} "
+                         f"!= {quiet.engine.now!r}")
+    loop = runs["loop"][1]
+    if loop.engine.events != quiet.engine.events:
+        diffs.append(f"events: loop {loop.engine.events} "
+                     f"!= quiet {quiet.engine.events}")
+    if loop.message_stats() != quiet.message_stats():
+        diffs.append(f"message_stats: loop {loop.message_stats()} "
+                     f"!= quiet {quiet.message_stats()}")
+    return diffs
+
+
+# -- random programs: user traffic around and through barriers --------------------
+#
+# Rounds of non-blocking traffic, as in test_lifecycle_fusion's battery,
+# with one barrier per round that every rank enters at a drawn point of
+# its own sequence -- before, between or after posting its operations --
+# or, in every rank, after draining them; so user messages land while
+# their receiver is in the barrier.  A round's barrier is on the world
+# communicator or on a split half of it.  Pauses are sums of the
+# machine's own overheads and latencies, so ranks are regularly resumed
+# in the very instant a barrier round reaches them.
+
+SIZES = (0, 0, 512, 8 * KiB + 8)
+RECV_MODES = ("exact", "any_source", "any")
+
+
+def _atoms(machine):
+    """The durations simulated time is made of on ``machine``."""
+    probe = MPIRuntime(machine)
+    prof, fabric = probe.profile, probe.fabric
+    out = {prof.o_send, prof.o_recv, fabric.control_latency(0, 1)}
+    if machine.num_nodes > 1:
+        out.add(fabric.control_latency(0, machine.ppn))
+    return sorted(out)
+
+
+MACHINES = {
+    "2x2": shaheen2(num_nodes=2, ppn=2),
+    "1x4": shaheen2(num_nodes=1, ppn=4),
+    "3x2": shaheen2(num_nodes=3, ppn=2),
+}
+ATOMS = {name: _atoms(m) for name, m in MACHINES.items()}
+TRAFFIC = TrafficPlan(seed=5).add(
+    TenantWorkload(
+        name="bg", coll="allreduce", pattern="sweep",
+        sizes=(8, 4 * KiB), gap=1e-6, jitter=0.5,
+    )
+)
+
+
+@st.composite
+def barrier_programs(draw):
+    mname = draw(st.sampled_from(sorted(MACHINES)))
+    nranks = MACHINES[mname].num_ranks
+    atoms = ATOMS[mname]
+    pause = st.one_of(
+        st.none(),
+        st.tuples(
+            st.sampled_from(("sleep", "compute")),
+            st.lists(st.sampled_from(atoms), min_size=1, max_size=3),
+        ),
+    )
+    rounds = []
+    for rnd in range(draw(st.integers(1, 3))):
+        # a wildcard receive may only be open while no later round's
+        # message can exist: the round then ends in a world barrier
+        sync = draw(st.booleans())
+        on_sub = not sync and draw(st.booleans())
+        msgs = draw(st.lists(
+            st.tuples(
+                st.integers(0, nranks - 1), st.integers(0, nranks - 1),
+                st.integers(0, 1), st.sampled_from(SIZES),
+            ).filter(lambda m: m[0] != m[1]),
+            max_size=6,
+        ))
+        per_rank = []
+        for rank in range(nranks):
+            mode = draw(st.sampled_from(RECV_MODES))
+            if mode == "any" and not sync:
+                mode = "any_source"
+            ops = []
+            for k, (src, dst, tag, size) in enumerate(msgs):
+                tag += 2 * rnd
+                if src == rank:
+                    ops.append(("send", dst, tag, size, (rnd, k)))
+                if dst == rank:
+                    ops.append((
+                        "recv",
+                        src if mode == "exact" else ANY_SOURCE,
+                        ANY_TAG if mode == "any" else tag,
+                    ))
+            ops = [(draw(pause), op) for op in draw(st.permutations(ops))]
+            # the barrier goes before op `at`; len(ops) is before the
+            # drain, len(ops) + 1 after it (in every rank, or a rank
+            # could wait for a send its peer posts after the barrier)
+            at = len(ops) + 1 if sync else draw(st.integers(0, len(ops)))
+            drain = draw(st.sampled_from(("waitall", "in_order")))
+            per_rank.append((ops, at, draw(pause), drain))
+        rounds.append((on_sub, per_rank))
+    traffic = draw(st.sampled_from((None, None, TRAFFIC)))
+    return mname, rounds, traffic
+
+
+def _pause(comm, pause):
+    if pause is not None:
+        for atom in pause[1]:
+            if pause[0] == "sleep":
+                yield Sleep(atom)
+            else:
+                yield from comm.compute(atom)
+
+
+def _barrier_program(rounds):
+    def seen(value):
+        if value is None:  # a send
+            return None
+        return (value.source, value.tag, value.nbytes, value.payload)
+
+    def program(comm, log):
+        half = yield from comm.split(color=comm.rank % 2)
+        out = []
+        for rnd, (on_sub, per_rank) in enumerate(rounds):
+            ops, at, pause, drain = per_rank[comm.rank]
+            bcomm = half if on_sub else comm
+
+            def barrier():
+                yield from _pause(comm, pause)
+                yield from bcomm.barrier()
+                log.append((comm.rank, rnd, comm.now))
+
+            reqs = []
+            for i, (before, op) in enumerate(ops):
+                if i == at:
+                    yield from barrier()
+                yield from _pause(comm, before)
+                if op[0] == "send":
+                    _, dst, tag, size, mark = op
+                    reqs.append(
+                        comm.isend(dst, payload=mark, nbytes=size, tag=tag)
+                    )
+                else:
+                    reqs.append(comm.irecv(op[1], op[2]))
+            if at == len(ops):
+                yield from barrier()
+            if drain == "waitall":
+                values = yield from comm.waitall(reqs)
+                out.append((comm.now, [seen(v) for v in values]))
+            else:
+                for req in reqs:
+                    value = yield from comm.wait(req)
+                    out.append((comm.now, seen(value)))
+            if at > len(ops):
+                yield from barrier()
+        return out
+
+    return program
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=barrier_programs())
+def test_random_barrier_programs_quiet_equals_staged(case):
+    mname, rounds, traffic = case
+    diffs = differential(MACHINES[mname], _barrier_program(rounds), traffic)
+    assert not diffs, "\n".join(diffs)
+
+
+# -- crafted cases -------------------------------------------------------------------
+
+ONE_NODE = MACHINES["1x4"]
+
+
+def _world(comm, log):
+    """Every rank enters at t = 0: each round's messages share one
+    ``Arrivals`` event per instant."""
+    yield from comm.barrier()
+    log.append((comm.rank, comm.now))
+
+
+def _skewed_entry(comm, log):
+    """Late ranks find their first rounds' messages already landed."""
+    for skew in (2e-6, 7e-7):
+        yield from comm.compute(skew * (comm.size - comm.rank))
+        yield from comm.barrier()
+        log.append((comm.rank, comm.now))
+
+
+def _user_message_beside_a_round(comm, log):
+    """Rank 0's zero-byte user message to rank 2 and rank 1's first
+    barrier round to rank 2 leave in one instant and reach rank 2 in one
+    ``Arrivals`` event, the user message first: its receive overhead is
+    granted first, and its receive completes while rank 2 is in the
+    barrier."""
+    if comm.rank == 0:
+        comm.isend(2, nbytes=0, tag=7)
+    elif comm.rank == 2:
+        recv = comm.irecv(0, 7)
+        recv.event.callbacks.append(lambda _ev: log.append(("recv", comm.now)))
+    yield from comm.barrier()
+    log.append((comm.rank, comm.now))
+
+
+def _killed_mid_barrier(comm, log):
+    """A background job's ranks are killed while in a barrier: they
+    start no further round, and the foreground's timing shows it."""
+    job = []
+
+    def background(bg):
+        yield from bg.compute(1e-7 * bg.rank)
+        yield from bg.barrier()
+        log.append(("bg", bg.rank, bg.now))
+
+    if comm.rank == 0:
+        job = comm.runtime.spawn_job(background, name="bg")
+    yield Sleep(1.5e-6)
+    if comm.rank == 0:
+        for proc in job:
+            comm.runtime.engine.kill(proc)
+    yield from comm.barrier()
+    log.append((comm.rank, comm.now))
+
+
+@pytest.mark.parametrize("mname", sorted(MACHINES))
+@pytest.mark.parametrize(
+    "program", [_world, _skewed_entry, _user_message_beside_a_round,
+                _killed_mid_barrier],
+)
+def test_crafted_cases_quiet_equals_staged(program, mname):
+    assert differential(MACHINES[mname], program) == []
+
+
+def test_zero_latency_rounds_take_the_staged_cells():
+    """No latency to share an ``Arrivals`` event over: each round is a
+    staged message's cells, and the run stays exact."""
+    machine = dataclasses.replace(
+        ONE_NODE, node=dataclasses.replace(ONE_NODE.node, shm_latency=0.0)
+    )
+    profile = dataclasses.replace(openmpi_profile(), sw_latency=0.0)
+    assert differential(machine, _skewed_entry, profile=profile) == []
+    _, quiet = _run(machine, _skewed_entry, "quiet", profile=profile)
+    stats = quiet.message_stats()
+    assert stats["staged"] == stats["messages"] == 2 * 4 * 2
+
+
+def test_quiet_barrier_counts_its_rounds_as_fused_messages():
+    _, quiet = _run(ONE_NODE, _world, "quiet")
+    assert quiet.message_stats() == {
+        "messages": 8, "fused": 8, "staged": 0,
+    }
+
+
+def test_finished_barrier_runtime_is_not_cyclic_garbage():
+    """Every barrier instance leaves the registry with its last rank,
+    and nothing of it keeps a finished runtime alive but the refcount."""
+    def halves(comm, log):
+        half = yield from comm.split(color=comm.rank % 2)
+        yield from half.barrier()
+        yield from comm.barrier()
+
+    runtime = MPIRuntime(ONE_NODE)
+    runtime.run(halves, [])
+    runtime.run(_skewed_entry, [])
+    assert runtime._wire.barriers == {}
+    ref = weakref.ref(runtime)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del runtime
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+# -- planted mutants ------------------------------------------------------------------
+
+
+def _plant_receives_before_it_sends(monkeypatch):
+    """Grant a round's receive overhead ahead of its send overhead when
+    its message has already landed."""
+
+    def mutant(self, rank, k):
+        self.round[rank] = k
+        self.wire.hops += 1
+        cpu = self.cpus[rank]
+        if self.early[rank] >> k & 1:
+            cpu.request_call(self.recv_ov, partial(self._received, rank))
+        cpu.request_call(self.send_ov, partial(self._sent, rank))
+
+    monkeypatch.setattr(Barrier, "_start", mutant)
+
+
+def _plant_opens_a_batch_per_round(monkeypatch):
+    """Give every barrier round an ``Arrivals`` event of its own instead
+    of joining the newest one of its instant."""
+    arrive = Wire.arrive
+
+    def mutant(self, when, msg):
+        if type(msg) is Hop:
+            self.arrivals[when] = Arrivals(self, when, msg)
+        else:
+            arrive(self, when, msg)
+
+    monkeypatch.setattr(Wire, "arrive", mutant)
+
+
+def _plant_grants_at_delivery(monkeypatch):
+    """Grant a barrier round's receive overhead when its ``Arrivals``
+    event fires, ahead of the landings of the messages beside it."""
+    fire = Arrivals.fire
+
+    def mutant(self):
+        hops = [msg for msg in self.msgs if type(msg) is Hop]
+        self.msgs = [msg for msg in self.msgs if type(msg) is not Hop]
+        self.wire.fused += len(hops)
+        for hop in hops:
+            hop.landed()
+        fire(self)
+
+    monkeypatch.setattr(Arrivals, "fire", mutant)
+
+
+MUTANTS = {
+    "receives-before-it-sends": (_plant_receives_before_it_sends, _skewed_entry),
+    "opens-a-batch-per-round": (_plant_opens_a_batch_per_round, _world),
+    "grants-at-delivery": (
+        _plant_grants_at_delivery, _user_message_beside_a_round,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_planted_mutant_is_caught(name, monkeypatch):
+    plant, program = MUTANTS[name]
+    assert differential(ONE_NODE, program) == []
+    plant(monkeypatch)
+    try:
+        caught = differential(ONE_NODE, program)
+    except RuntimeError as exc:  # e.g. a rank released twice
+        caught = [repr(exc)]
+    assert caught, f"mutant {name} went unnoticed"

@@ -1,0 +1,116 @@
+"""Pin the built-in barrier's exit schedule, bit for bit.
+
+Every case records, in the order the ranks leave, each rank's exit as
+``(rank, float.hex(instant))``, plus the engine events the run retired:
+
+- world barriers on ``shaheen2`` 16x12, 32x16, 3x5, 1x7 and 5x1 and on
+  ``stampede2`` 8x48 and 7x3 (power-of-two and odd sizes, one node, one
+  rank per node);
+- a barrier on a ``split`` sub-communicator;
+- two back-to-back barriers entered after rank-skewed ``comm.compute``;
+- ``TaskBench``'s ``"low"`` scope: the node-level communicators of
+  ``build_hierarchy(world)``, entered straight after the splits.
+
+Exit order is same-instant resume order, so the lock holds whichever
+path a barrier takes to get there.  When a timing-model change is
+intentional, regenerate the fixture::
+
+    PYTHONPATH=src python -m tests.mpi.test_barrier_lock
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+FIXTURE = Path(__file__).resolve().parent / "barrier_lock.json"
+
+WORLD = (
+    ("shaheen2", 16, 12), ("shaheen2", 32, 16), ("shaheen2", 3, 5),
+    ("shaheen2", 1, 7), ("shaheen2", 5, 1),
+    ("stampede2", 8, 48), ("stampede2", 7, 3),
+)
+
+
+def _machine(name: str, nodes: int, ppn: int):
+    from repro.hardware import shaheen2, stampede2
+
+    return {"shaheen2": shaheen2, "stampede2": stampede2}[name](
+        num_nodes=nodes, ppn=ppn
+    )
+
+
+def _world(comm, log):
+    yield from comm.barrier()
+    log.append((comm.rank, comm.now))
+
+
+def _split(comm, log):
+    sub = yield from comm.split(color=comm.rank % 3, key=-comm.rank)
+    yield from sub.barrier()
+    log.append((comm.rank, comm.now))
+
+
+def _skewed(comm, log):
+    for skew in (1e-6, 3e-7):
+        yield from comm.compute(skew * (comm.rank % 5))
+        yield from comm.barrier()
+        log.append((comm.rank, comm.now))
+
+
+def _low(comm, log):
+    from repro.core.subcomms import build_hierarchy
+
+    hier = yield from build_hierarchy(comm)
+    yield from hier.low.barrier()
+    log.append((comm.rank, comm.now))
+
+
+CASES = {
+    **{f"world/{m}/{n}x{p}": ((m, n, p), _world) for m, n, p in WORLD},
+    "split/shaheen2/4x6": (("shaheen2", 4, 6), _split),
+    "skewed/stampede2/3x5": (("stampede2", 3, 5), _skewed),
+    "low/shaheen2/6x8": (("shaheen2", 6, 8), _low),
+    "low/stampede2/3x5": (("stampede2", 3, 5), _low),
+}
+
+
+def run_case(key: str) -> dict:
+    """The exits (in exit order) and engine events of one case."""
+    from repro.mpi import MPIRuntime
+
+    spec, program = CASES[key]
+    runtime = MPIRuntime(_machine(*spec))
+    log: list = []
+    runtime.run(program, log)
+    return {
+        "exits": [[rank, float.hex(when)] for rank, when in log],
+        "events": runtime.engine.events,
+    }
+
+
+def _fixture() -> dict:
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_covers_the_cases():
+    assert sorted(_fixture()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_barrier_exits_are_pinned(key):
+    assert run_case(key) == _fixture()[key]
+
+
+def main() -> int:
+    lock = {key: run_case(key) for key in sorted(CASES)}
+    lines = (f"  {json.dumps(k)}: {json.dumps(lock[k])}" for k in lock)
+    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {FIXTURE} ({len(lock)} cases)")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
