@@ -32,6 +32,7 @@ from repro.obs.insights import (
     Insight,
     InsightEngine,
 )
+from repro.obs.severity import GRADE_RANK
 
 __all__ = [
     "STATUS_INSUFFICIENT",
@@ -49,8 +50,6 @@ STATUS_INSUFFICIENT = "insufficient history"
 #: process exit code per rollup status (shared with ``cli regress``)
 _EXIT_CODES = {STATUS_OK: 0, STATUS_REGRESSIONS: 1, STATUS_INSUFFICIENT: 2}
 
-_GRADE_RANK = {"ok": 0, "warn": 1, "error": 2}
-
 
 def status_exit_code(status: str) -> int:
     """0 for ``ok``, 1 for ``regressions``, 2 for insufficient history."""
@@ -64,7 +63,7 @@ def _status(checked: int, failed: int) -> str:
 
 
 def _rank(insight: Insight) -> tuple:
-    return (-_GRADE_RANK.get(insight.grade, 1), -insight.cost_seconds,
+    return (-GRADE_RANK[insight.grade], -insight.cost_seconds,
             insight.name)
 
 

@@ -13,6 +13,13 @@ sanity conditions the MPI tuning folklore states as guidelines:
   (bcast at these geometries; allreduce only at scale, so that relation
   is reported informationally, never enforced).
 
+The first three are the one guideline catalog (:data:`COMPOSITIONS`,
+:func:`composition_check`, :func:`monotone_check`): measured runs
+(:func:`guideline_insights`) and served decisions
+(:func:`repro.serve.service.validate_decision`) are judged by the same
+checks and graded by :mod:`repro.obs.severity`.  A time that is not
+positive and finite is skipped, never judged.
+
 On top of the structural checks sit two data-driven ones:
 
 - **straggler skew** — the per-rank ``cpu.busy_seconds`` counters from
@@ -34,19 +41,26 @@ from __future__ import annotations
 import bisect
 import statistics
 from dataclasses import dataclass, field, replace
+from math import inf
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from repro.obs.severity import OK, Severity, grade_excess, severity
 from repro.segstore import canonical_line, order_key
 
 __all__ = [
+    "COMPOSITIONS",
     "Insight",
     "InsightEngine",
     "check_regressions",
+    "composition_check",
     "format_insights",
     "guideline_insights",
     "interference_insight",
+    "is_valid_time",
+    "make_insight",
     "margin_insights",
+    "monotone_check",
     "quick_workload",
     "run_insights",
     "straggler_insight",
@@ -59,6 +73,13 @@ GUIDELINE_TOL = 0.05
 
 #: a larger message may not be *faster* than a smaller one by more than this
 MONOTONE_TOL = 0.02
+
+#: composition guidelines: a collective must not lose to the summed time
+#: of the operand collectives it can always be built from
+COMPOSITIONS = {
+    "allreduce": ("reduce", "bcast"),
+    "bcast": ("scatter", "allgather"),  # the van de Geijn identity
+}
 
 #: HAN bcast must be within this factor of the best flat rival
 MARGIN = 1.10
@@ -78,7 +99,7 @@ REGRESS_K = 5.0
 REGRESS_REL_FLOOR = 0.02
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Insight:
     """One checked performance relation.
 
@@ -92,7 +113,8 @@ class Insight:
     quantification (:mod:`repro.obs.severity`): how much the violated
     relation costs per occurrence and how it ranks on the shared
     ``warn``/``error`` damage scale.  Violations of *info* relations are
-    quantified too — they just never gate.
+    quantified too — they just never gate.  Served verdicts carry their
+    checks as insights too.
     """
 
     name: str
@@ -115,79 +137,115 @@ class Insight:
         }
 
 
-def _insight(name, kind, ok, detail, enforce=True, sev: Severity = OK,
-             **data) -> Insight:
+#: the shared, read-only ``data`` of every insight that carries none (a
+#: served verdict keeps thousands of such checks)
+_NO_DATA = MappingProxyType({})
+
+
+def make_insight(name, kind, ok, detail, enforce=True, sev: Severity = OK,
+                 **data) -> Insight:
+    """An :class:`Insight` that passes when ``ok`` and else carries ``sev``."""
     severity = ("pass" if ok else "fail") if enforce else "info"
     return Insight(name=name, kind=kind, passed=ok or not enforce,
                    severity=severity, detail=detail,
                    grade="ok" if ok else sev.grade,
                    cost_seconds=0.0 if ok else sev.cost_seconds,
                    cost_bytes=0.0 if ok else sev.cost_bytes,
-                   data=data)
+                   data=data or _NO_DATA)
 
 
-# -- structural guidelines ----------------------------------------------------------
+# -- the guideline catalog ----------------------------------------------------------
 
 
-def guideline_insights(
-    times: dict, tol: float = GUIDELINE_TOL,
-    mono_tol: float = MONOTONE_TOL,
-) -> list[Insight]:
+def is_valid_time(t) -> bool:
+    """True for a time the catalog judges: a positive, finite number."""
+    return isinstance(t, (int, float)) and 0.0 < t < inf
+
+
+def composition_check(
+    coll: str, t: float, operand_times: dict, name: str,
+    nbytes: float = 0.0, terse: bool = False,
+) -> Optional[Insight]:
+    """Judge ``coll <= sum of its COMPOSITIONS operands`` at one point.
+
+    ``operand_times`` maps each operand collective to its time at the
+    same point.  Returns ``None`` (nothing judged) unless ``t`` and
+    every operand time are positive and finite.  ``terse`` spells a
+    passing check's detail as just the ratio, as served verdicts do.
+    """
+    rhs = COMPOSITIONS[coll]
+    ops = [operand_times.get(op) for op in rhs]
+    if not (is_valid_time(t) and all(map(is_valid_time, ops))):
+        return None
+    bound = sum(ops)
+    ratio = t / bound
+    sev = severity(t, bound, nbytes=nbytes, tol=GUIDELINE_TOL)
+    detail = (f"ratio {ratio:.3f}" if terse and sev.ok else
+              f"{coll}={t:.3e}s vs {'+'.join(rhs)}={bound:.3e}s "
+              f"(ratio {ratio:.3f}, tol {1 + GUIDELINE_TOL:.2f})")
+    return make_insight(name, "guideline", sev.ok, detail, sev=sev,
+                        ratio=ratio, lhs=t, rhs=bound)
+
+
+def monotone_check(small_t: float, large_t: float,
+                   nbytes: float = 0.0) -> Optional[Severity]:
+    """Grade a larger message that runs faster than a smaller one.
+
+    ``small_t`` / ``large_t`` are the times at the smaller / larger
+    size, ``nbytes`` the smaller size; callers pass only times that
+    :func:`is_valid_time` accepts.  Returns ``None`` unless the larger
+    size is faster by more than :data:`MONOTONE_TOL`; the cost is the
+    smaller point's excess over the larger point's time.
+    """
+    if large_t >= small_t * (1.0 - MONOTONE_TOL):
+        return None
+    return severity(small_t, large_t, nbytes=nbytes, tol=MONOTONE_TOL)
+
+
+def guideline_insights(times: dict) -> list[Insight]:
     """Check the composition and monotonicity guidelines.
 
     ``times`` maps ``(coll, nbytes)`` to measured seconds; only the
-    relations whose operands are all present are checked.
+    relations whose operands are all present are checked, and a time
+    that is not positive and finite is skipped, never judged.
     """
     out: list[Insight] = []
     sizes = sorted({nb for _, nb in times})
     colls = sorted({c for c, _ in times})
 
-    compositions = (
-        ("allreduce", ("reduce", "bcast")),
-        ("bcast", ("scatter", "allgather")),
-    )
-    for lhs, rhs in compositions:
+    for lhs, rhs in COMPOSITIONS.items():
         for nb in sizes:
-            if (lhs, nb) not in times or any((r, nb) not in times for r in rhs):
+            if (lhs, nb) not in times:
                 continue
-            t = times[(lhs, nb)]
-            bound = sum(times[(r, nb)] for r in rhs)
-            ratio = t / bound if bound > 0 else float("inf")
-            ok = ratio <= 1.0 + tol
-            out.append(_insight(
-                f"{lhs}<= {'+'.join(rhs)} @{_fmt_bytes(nb)}",
-                "guideline", ok,
-                f"{lhs}={t:.3e}s vs {'+'.join(rhs)}={bound:.3e}s "
-                f"(ratio {ratio:.3f}, tol {1 + tol:.2f})",
-                sev=severity(t, bound, nbytes=nb, tol=tol),
-                ratio=ratio, lhs=t, rhs=bound,
-            ))
+            check = composition_check(
+                lhs, times[(lhs, nb)], {r: times.get((r, nb)) for r in rhs},
+                f"{lhs}<= {'+'.join(rhs)} @{_fmt_bytes(nb)}", nbytes=nb)
+            if check is not None:
+                out.append(check)
 
     for coll in colls:
-        pts = [(nb, times[(coll, nb)]) for nb in sizes if (coll, nb) in times]
+        pts = [(nb, times[(coll, nb)]) for nb in sizes
+               if is_valid_time(times.get((coll, nb)))]
         if len(pts) < 2:
             continue
-        dips = [
-            (na, a, nb_, b) for (na, a), (nb_, b) in zip(pts, pts[1:])
-            if b < a * (1.0 - mono_tol)
-        ]
-        ok = not dips
         # each dip costs the smaller point's excess over the larger
         # point's (faster!) time; dips aggregate by summed cost and
         # worst relative excess
-        dip_sevs = [severity(a, b, nbytes=na, tol=mono_tol)
-                    for na, a, _nb, b in dips]
+        checked = (monotone_check(a, b, nbytes=na)
+                   for (na, a), (_nb, b) in zip(pts, pts[1:]))
+        dip_sevs = [s for s in checked if s is not None]
+        ok = not dip_sevs
         sev = OK if ok else Severity(
             grade=grade_excess(max(s.rel_excess for s in dip_sevs)),
             cost_seconds=sum(s.cost_seconds for s in dip_sevs),
             cost_bytes=sum(s.cost_bytes for s in dip_sevs),
             rel_excess=max(s.rel_excess for s in dip_sevs),
         )
-        out.append(_insight(
+        out.append(make_insight(
             f"{coll} monotone in nbytes", "guideline", ok,
             "non-decreasing across "
             f"{', '.join(_fmt_bytes(nb) for nb, _ in pts)}"
-            + ("" if ok else f" ({len(dips)} dip(s))"),
+            + ("" if ok else f" ({len(dip_sevs)} dip(s))"),
             sev=sev,
             points=[[nb, t] for nb, t in pts],
         ))
@@ -217,7 +275,7 @@ def margin_insights(
         )
         ratio = t / best if best > 0 else float("inf")
         ok = ratio <= margin
-        out.append(_insight(
+        out.append(make_insight(
             f"han {coll} vs rivals @{_fmt_bytes(nb)}", "margin", ok,
             f"han={t:.3e}s best rival {best_name}={best:.3e}s "
             f"(ratio {ratio:.3f}, margin {margin:.2f})",
@@ -268,7 +326,7 @@ def straggler_insight(
         cost_seconds=0.0, cost_bytes=0.0,
         rel_excess=cpu / threshold - 1.0,
     )
-    return _insight(
+    return make_insight(
         f"straggler skew{suffix}", "straggler", ok,
         f"cpu busy-seconds max/median {cpu:.2f} "
         f"(threshold {threshold:.2f}"
@@ -317,7 +375,7 @@ def interference_insight(
         sev = Severity(grade=grade_excess(slow / threshold - 1.0),
                        cost_seconds=max(cost, 0.0), cost_bytes=0.0,
                        rel_excess=slow / threshold - 1.0)
-    return _insight(
+    return make_insight(
         f"interference {label}", "interference", ok, detail,
         sev=sev,
         slowdown=slow, threshold=threshold,
@@ -388,12 +446,10 @@ class InsightEngine:
         k: float = REGRESS_K,
         rel_floor: float = REGRESS_REL_FLOOR,
         min_runs: int = 2,
-        tol: float = GUIDELINE_TOL,
     ):
         self.k = k
         self.rel_floor = rel_floor
         self.min_runs = min_runs
-        self.tol = tol
         self.records = 0
         self.duplicates = 0
         #: key -> sorted [(order, time)] history
@@ -524,7 +580,7 @@ class InsightEngine:
                      f"{_fmt_bytes(slim.get('nbytes') or 0)} "
                      f"[{slim.get('library', '?')}] "
                      f"on {slim.get('machine', '?')}")
-            out.append(_insight(
+            out.append(make_insight(
                 label, "regression", ok,
                 f"latest {latest:.3e}s vs band {center:.3e}s +/- {tol:.3e}s "
                 f"({len(prior)} prior run(s))",
@@ -548,7 +604,7 @@ class InsightEngine:
             times = {pt: t for pt, (_order, t) in self._ctx[ctx].items()}
             suffix = self._ctx_suffix(ctx)
             machine, library, faulted, traffic = ctx
-            for check in guideline_insights(times, tol=self.tol):
+            for check in guideline_insights(times):
                 out.append(replace(
                     check, name=check.name + suffix,
                     data={**check.data, "machine": machine,

@@ -14,10 +14,9 @@ damage, not listed pass/fail.  Every graded violation therefore carries:
 - ``grade``        — ``"warn"`` below :data:`ERROR_REL_EXCESS` relative
   excess, ``"error"`` at or above it (``"ok"`` when within tolerance).
 
-The same grading is applied by the serve-time verdict layer
-(:mod:`repro.serve.guidelines`) and the observatory's insight engine
-(:mod:`repro.obs.insights`), so a flagged stored decision and a flagged
-measured run rank on one scale.
+The guideline catalog in :mod:`repro.obs.insights` grades every check
+this way, for served decisions and measured runs alike, so a flagged
+stored decision and a flagged measured run rank on one scale.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "ERROR_REL_EXCESS",
+    "GRADE_RANK",
     "Severity",
     "grade_excess",
     "severity",
@@ -34,6 +34,9 @@ __all__ = [
 
 #: relative excess below this grades a violation "warn", above "error"
 ERROR_REL_EXCESS = 0.10
+
+#: grades ranked from harmless to worst (verdicts and findings order by it)
+GRADE_RANK = {"ok": 0, "warn": 1, "error": 2}
 
 
 def grade_excess(rel_excess: float) -> str:

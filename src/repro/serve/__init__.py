@@ -13,8 +13,9 @@ that production story:
 - :mod:`repro.serve.service` -- :class:`DecisionService`, the batched
   query API: O(1) exact point hits, log-scale nearest/interpolated
   fallback for never-measured points, provenance stamps on every answer
-  and a guideline verdict (:mod:`repro.serve.guidelines`) before
-  anything is served;
+  and a guideline verdict (:func:`validate_decision`, judged by the
+  :mod:`repro.obs.insights` guideline catalog) before anything is
+  served;
 - :mod:`repro.serve.warm` -- pre-populate shards from
   :class:`~repro.tuning.autotuner.Autotuner` sweeps over a fleet of
   machine presets;
@@ -22,8 +23,13 @@ that production story:
   front end.
 """
 
-from repro.serve.guidelines import GuidelineCheck, Verdict, validate_decision
-from repro.serve.service import Decision, DecisionService, Query
+from repro.serve.service import (
+    Decision,
+    DecisionService,
+    Query,
+    Verdict,
+    validate_decision,
+)
 from repro.serve.store import (
     SERVE_SCHEMA_VERSION,
     DecisionStore,
@@ -37,7 +43,6 @@ __all__ = [
     "Decision",
     "DecisionService",
     "DecisionStore",
-    "GuidelineCheck",
     "Query",
     "SERVE_SCHEMA_VERSION",
     "Verdict",

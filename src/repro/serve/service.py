@@ -19,11 +19,12 @@ stamped with provenance:
 =============  ==================================================
 
 Before an answer leaves the service it gets a guideline verdict
-(:func:`~repro.serve.guidelines.validate_decision`); violations are
-counted, and under ``strict=True`` the config is *refused* (the answer
-carries the verdict and the rejected config, but no servable config).
-Verdicts are cached per underlying record, so validation costs nothing
-on the hot repeated-hit path.
+(:func:`validate_decision`): the record's own integrity, then the
+guideline catalog of :mod:`repro.obs.insights` over its shard
+neighborhood.  Violations are counted, and under ``strict=True`` the
+config is *refused* (the answer carries the verdict and the rejected
+config, but no servable config).  Verdicts are cached per underlying
+record, so validation costs nothing on the hot repeated-hit path.
 
 The service keeps a metrics registry
 (:class:`~repro.obs.metrics.MetricsRegistry`) — decision counters per
@@ -38,19 +39,164 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from math import log2
+from math import inf, log2
 from typing import Optional, Sequence
 
 from repro.core.config import HanConfig
 from repro.obs.core import Span
+from repro.obs.insights import (
+    COMPOSITIONS,
+    Insight,
+    composition_check,
+    is_valid_time,
+    make_insight,
+    monotone_check,
+)
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.guidelines import Verdict, validate_decision, verdict_from
-from repro.serve.guidelines import COMPOSITIONS, GuidelineCheck
+from repro.obs.severity import GRADE_RANK, Severity
+from repro.obs.store import config_digest
 from repro.serve.store import DecisionStore, band_digest
 
-__all__ = ["Decision", "DecisionService", "Query"]
+__all__ = [
+    "Decision",
+    "DecisionService",
+    "Query",
+    "Verdict",
+    "validate_decision",
+]
 
 _EPS = 1e-12
+
+#: grade of a record that fails its own integrity: an error with no
+#: seconds to cost
+_CORRUPT = Severity(grade="error", cost_seconds=0.0, cost_bytes=0.0,
+                    rel_excess=inf)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Aggregate validation outcome stamped onto every served answer."""
+
+    ok: bool
+    severity: str  # worst check grade: "ok" | "warn" | "error"
+    checks: tuple[Insight, ...]
+    cost_seconds: float  # summed seconds cost of every violation
+
+    def to_doc(self) -> dict:
+        return {
+            "ok": self.ok, "severity": self.severity,
+            "cost_seconds": self.cost_seconds,
+            "checks": [{"name": c.name, "passed": c.passed,
+                        "severity": c.grade, "detail": c.detail,
+                        "cost_seconds": c.cost_seconds}
+                       for c in self.checks],
+        }
+
+
+def verdict_from(checks: Sequence[Insight]) -> Verdict:
+    return Verdict(
+        ok=all(c.passed for c in checks),
+        severity=max((c.grade for c in checks), key=GRADE_RANK.__getitem__,
+                     default="ok"),
+        checks=tuple(checks),
+        cost_seconds=sum(c.cost_seconds for c in checks if not c.passed),
+    )
+
+
+def _corrupt(name: str, detail: str) -> Insight:
+    return make_insight(name, "record", False, detail, sev=_CORRUPT)
+
+
+#: the passing integrity check, the same for every sound record
+_INTEGRITY_OK = make_insight("config integrity", "record", True,
+                             "config_digest matches payload")
+
+
+def validate_decision(
+    answer: dict,
+    neighbors: Sequence[dict] = (),
+    composition_times: Optional[dict] = None,
+) -> Verdict:
+    """Validate one decision record against its shard neighborhood.
+
+    ``answer`` is a decision record (see
+    :func:`~repro.serve.store.decision_record`); ``neighbors`` are the
+    records of the same (band, coll, n, p) -- the monotonicity axis;
+    ``composition_times`` maps operand collective names to their stored
+    expected times at the answer's point, when the shard has them.
+
+    The record must carry a ``config_digest`` that matches its config (a
+    tampered or torn entry fails closed) and, if it has an
+    ``expected_time``, a positive finite one.  That time is then judged
+    by the guideline catalog: monotone against every neighbor whose
+    time is positive and finite, and its composition bound when every
+    operand time is.  Violations are graded and costed in seconds.
+    """
+    checks: list[Insight] = []
+    cfg = answer.get("config")
+    stamped = answer.get("config_digest")
+    if cfg is not None and stamped:
+        try:
+            actual = config_digest(HanConfig(**cfg))
+        except (TypeError, ValueError) as exc:
+            checks.append(_corrupt(
+                "config decodes", f"stored config does not decode: {exc}"))
+        else:
+            if actual == stamped:
+                checks.append(_INTEGRITY_OK)
+            else:
+                checks.append(_corrupt(
+                    "config integrity",
+                    f"config_digest {stamped[:12]} does not match payload "
+                    f"digest {actual[:12]} (tampered or torn record)"))
+
+    t = answer.get("expected_time")
+    if t is None:
+        # nothing further to validate without a time estimate
+        return verdict_from(checks)
+    if not is_valid_time(t):
+        checks.append(_corrupt(
+            "finite expected_time",
+            f"expected_time {t!r} is not a positive finite number"))
+        return verdict_from(checks)
+    checks.append(make_insight("finite expected_time", "record", True,
+                               f"{t:.3e}s"))
+
+    m = float(answer.get("nbytes", 0.0))
+    judged, unjudged = 0, len(checks)
+    for nb in neighbors:
+        tn = nb.get("expected_time")
+        if not is_valid_time(tn):
+            continue
+        judged += 1
+        mn = float(nb.get("nbytes", 0.0))
+        if mn == m:
+            continue
+        sev = (monotone_check(tn, t, nbytes=mn) if mn < m
+               else monotone_check(t, tn, nbytes=m))
+        if sev is None:
+            continue
+        checks.append(make_insight(
+            f"monotone nbytes (vs {mn:g}B)", "guideline", False,
+            f"served {m:g}B at {t:.3e}s dips below the stored "
+            f"{mn:g}B point at {tn:.3e}s" if mn < m else
+            f"served {m:g}B at {t:.3e}s exceeds the stored larger "
+            f"{mn:g}B point at {tn:.3e}s (stale or mis-keyed entry)",
+            sev=sev))
+    if judged and len(checks) == unjudged:
+        checks.append(make_insight(
+            "monotone nbytes", "guideline", True,
+            f"consistent with {judged} shard neighbor(s)"))
+
+    coll = answer.get("coll")
+    if composition_times and coll in COMPOSITIONS:
+        check = composition_check(
+            coll, t, composition_times,
+            f"{coll} <= {'+'.join(COMPOSITIONS[coll])}", nbytes=m,
+            terse=True)
+        if check is not None:
+            checks.append(check)
+    return verdict_from(checks)
 
 
 @dataclass(frozen=True)
@@ -136,10 +282,8 @@ class _ShardIndex:
 
 
 def _default_verdict(reason: str) -> Verdict:
-    return verdict_from([GuidelineCheck(
-        name="default config", passed=True, severity="ok",
-        detail=reason, cost_seconds=0.0,
-    )])
+    return verdict_from([make_insight("default config", "record", True,
+                                      reason)])
 
 
 class DecisionService:

@@ -2,7 +2,8 @@
 
 from repro.core.config import HanConfig
 from repro.hardware import tiny_cluster
-from repro.serve.guidelines import ERROR_REL_EXCESS, validate_decision
+from repro.obs.severity import ERROR_REL_EXCESS
+from repro.serve import validate_decision
 from repro.serve.store import decision_record
 
 KiB = 1024
@@ -58,7 +59,7 @@ def test_monotonicity_dip_costs_seconds():
     v = validate_decision(answer, neighbors=[neighbor])
     assert not v.ok
     (bad,) = [c for c in v.checks if not c.passed]
-    assert bad.severity == "error"  # 100% relative excess
+    assert bad.grade == "error"  # 100% relative excess
     assert abs(bad.cost_seconds - 1e-4) < 1e-12
     assert abs(v.cost_seconds - 1e-4) < 1e-12
 
@@ -92,7 +93,7 @@ def test_composition_bound_violation():
     assert not v.ok
     (bad,) = [c for c in v.checks if not c.passed]
     assert "allreduce <= reduce+bcast" == bad.name
-    assert bad.severity == "error"
+    assert bad.grade == "error"
     assert abs(bad.cost_seconds - 3e-4) < 1e-12
     # within the bound (plus tolerance) it passes
     ok = validate_decision(
