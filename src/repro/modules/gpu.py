@@ -104,7 +104,7 @@ class GpuModule(ShmModule):
         yield from self._read(comm, state, moved)
         yield from comm.compute(reduced / comm.runtime.machine.node.gpu_reduce_bw)
         if self._arrive(state, "reduced", comm.size):
-            self._fold(state, comm.size, op)
+            state["result"] = self._fold(state["contrib"], comm.size, op)
             folded.succeed(None)
         if root is not None and comm.rank != root:
             self._finish(comm, state)

@@ -14,8 +14,10 @@ only says what one staging step costs and where its bytes go:
 - ``_read``: pull peers' bytes (a host copy, or NVLink on GPUs);
 - ``_unstage``: land a device result in host memory (GPU only).
 
-There are exactly two copy sites: :meth:`ShmModule._flow` on the host
-memory bus and :func:`gpu_copy` on a GPU node's NVLink / PCIe fabric.
+There are exactly two copy sites: :meth:`ShmModule._copy` on the host
+memory bus (callback-first; :meth:`ShmModule._flow` is the generator
+bodies' one-event wait on it) and :func:`gpu_copy` on a GPU node's
+NVLink / PCIe fabric.
 ``copies`` counts how many times each byte crosses the memory bus --
 the lever that separates SM's bounce-buffer pipe (write 2x + read 2x)
 from SOLO's one-sided direct copy (read 2x only).
@@ -36,9 +38,25 @@ from repro.colls.util import coll_tag_block
 from repro.modules.base import CollModule
 from repro.mpi.communicator import Communicator
 from repro.mpi.op import SUM
-from repro.sim.engine import AllOf, Sleep
+from repro.sim.engine import SimEvent, Sleep
 
 __all__ = ["ShmModule", "gpu_copy"]
+
+
+class _Both:
+    """Join two completions: ``arrive`` twice, and the second call runs
+    ``fn()``."""
+
+    __slots__ = ("fn", "left")
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.left = 2
+
+    def arrive(self) -> None:
+        self.left -= 1
+        if not self.left:
+            self.fn()
 
 
 def gpu_copy(comm: Communicator, nbytes: float, path: str):
@@ -131,17 +149,17 @@ class ShmModule(CollModule):
         self._arrive(state, "exposed", comm.size, ev)
 
     @staticmethod
-    def _fold(state: dict, size: int, op) -> None:
-        """Combine the exposed buffers in rank order into
-        ``state["result"]`` (``None`` if any is missing).  The data result
-        is computed once; callers charge its cost in parallel chunks."""
-        vals = [state["contrib"][r] for r in range(size)]
+    def _fold(contrib: dict, size: int, op):
+        """The ranks' buffers ``contrib`` combined in rank order, MPI's
+        order for a non-commutative ``op`` (``None`` if any is missing).
+        The data result is computed once; callers charge its cost."""
+        vals = [contrib[r] for r in range(size)]
         acc = None
         if all(v is not None for v in vals):
             acc = vals[0]
             for v in vals[1:]:
                 acc = op(acc, v)
-        state["result"] = acc
+        return acc
 
     def _finish(self, comm: Communicator, state: dict) -> None:
         """Reference-count call completion; last rank drops the state."""
@@ -187,9 +205,11 @@ class ShmModule(CollModule):
     # tuple is the no-op step.
 
     @staticmethod
-    def _flow(comm: Communicator, state: dict, nbytes: float, copies: int = 2,
-              rate_cap: Optional[float] = None):
-        """Memory-bus transfer on this call's node; yields until drained.
+    def _copy(comm: Communicator, node: int, nbytes: float, fn,
+              copies: int = 2, rate_cap: Optional[float] = None) -> None:
+        """Memory-bus transfer on ``node`` charged to ``comm``'s rank;
+        calls ``fn()`` once drained (at once when there is nothing to
+        move).
 
         The default is a 2-crossing copy at the node's ``copy_bw`` (what
         ``membus_flow`` charges without a ``rate_cap``).  Shared-memory
@@ -198,20 +218,31 @@ class ShmModule(CollModule):
         for the minimum copy duration.  The CPU share is what makes `sb`
         contend with a concurrent `ib`'s progression on the same
         single-threaded rank -- the paper's imperfect-overlap factor (2)
-        in section III-A2.
+        in section III-A2.  The flow starts first, then the CPU half is
+        granted; ``fn`` runs in the cell of whichever finishes last.
         """
         if nbytes <= 0:
+            fn()
             return
         runtime = comm.runtime
-        ev = runtime.engine.event("shm-flow")
+        both = _Both(fn)
         runtime.fabric.membus_flow(
-            state["node"], nbytes, lambda: ev.succeed(None),
-            copies=copies, rate_cap=rate_cap,
+            node, nbytes, both.arrive, copies=copies, rate_cap=rate_cap
         )
-        cpu = runtime.fabric.progress[comm.world_rank].request(
-            nbytes / runtime.machine.node.copy_bw
+        runtime.fabric.progress[comm.world_rank].request_call(
+            nbytes / runtime.machine.node.copy_bw, both.arrive
         )
-        yield AllOf([ev, cpu])
+
+    @staticmethod
+    def _flow(comm: Communicator, state: dict, nbytes: float, copies: int = 2,
+              rate_cap: Optional[float] = None):
+        """:meth:`_copy` on this call's node; yields until drained."""
+        if nbytes <= 0:
+            return
+        ev = SimEvent(comm.runtime.engine, "shm-flow")
+        ShmModule._copy(comm, state["node"], nbytes, ev.succeed, copies,
+                        rate_cap)
+        yield ev
 
     #: a reader pulls peers' bytes: one host copy by default
     _read = _flow

@@ -64,7 +64,7 @@ class SoloModule(ShmModule):
         if not mine:
             yield from self._flow(comm, state, chunk)
         if self._arrive(state, "reduced", size):
-            self._fold(state, size, op)
+            state["result"] = self._fold(state["contrib"], size, op)
             folded.succeed(None)
         if mine:
             yield folded

@@ -13,6 +13,7 @@ from repro.modules import (
     make_module,
 )
 from repro.mpi import MPIRuntime, SUM
+from repro.mpi.op import Op
 from tests.colls.helpers import rank_array
 
 
@@ -258,6 +259,25 @@ class TestSharedMemory:
         want = np.sum([rank_array(r, n) for r in range(4)], axis=0)
         np.testing.assert_allclose(results[0], want)
         assert all(r is None for r in results[1:])
+
+    @pytest.mark.parametrize("root", [0, 1, 3])
+    def test_reduce_folds_in_rank_order(self, root):
+        """A non-commutative op folds contributions in rank order,
+        whichever rank is the root: ((b0 - b1) - b2) - b3."""
+        sub = Op("sub", np.subtract, commutative=False)
+        got = {}
+        for mod in (SMModule(), SoloModule()):
+
+            def prog(comm, m=mod):
+                out = yield from m.reduce(
+                    comm, nbytes=8, root=root, op=sub,
+                    payload=np.array([10.0 ** comm.rank]),
+                )
+                return out
+
+            results, _ = run(intra_machine(4), prog)
+            got[mod.name] = results[root]
+        assert got["sm"].tolist() == got["solo"].tolist() == [-1109.0]
 
     @pytest.mark.parametrize("mod_cls", [SMModule, SoloModule])
     def test_allreduce_correct(self, mod_cls):
