@@ -24,7 +24,7 @@ module    scope                    character
 ========  =======================  ==========================================
 
 `sm`, `solo` and `gpu` are transport policies over one shared-memory
-call protocol, :class:`~repro.modules.shm_common.ShmModule`.
+call driver, :class:`~repro.modules.shm_common.ShmModule`.
 """
 
 from repro.modules.base import CollModule, NotSupportedError

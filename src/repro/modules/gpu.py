@@ -19,16 +19,19 @@ Semantics mirror SM/SOLO so HAN can plug it in as `smod="gpu"`:
 Kernel/copy launch latency (`gpu_latency`) is the small-message handicap
 -- GPUs want big transfers, exactly like SOLO but more so.
 
-The transport, over :class:`ShmModule`'s protocol: every copy step pays
-one launch, readers pull over NVLink, a root stages host buffers with
-H2D and lands host-bound results with D2H; device-resident send buffers
-are exposed in place.  Data contracts match repro.colls (gather /
-allgather / alltoall take one block, scatter / reduce_scatter the total).
+The transport, over :class:`ShmModule`'s call driver: every copy step
+pays one launch, readers pull over NVLink, a root stages host buffers
+with H2D and lands host-bound results with D2H; device-resident send
+buffers are exposed in place.  Data contracts match repro.colls (gather
+/ allgather / alltoall take one block, scatter / reduce_scatter the
+total).
 """
 
 from __future__ import annotations
 
-from repro.modules.shm_common import ShmModule, gpu_copy
+from repro.modules.shm_common import (
+    FLAG_DELAY, ShmModule, _Call, count, grant, leave, on_device, wait,
+)
 from repro.mpi.op import SUM
 
 __all__ = ["GpuModule"]
@@ -43,7 +46,7 @@ class GpuModule(ShmModule):
 
     # -- transport -----------------------------------------------------------------
 
-    def _begin(self, comm, coll, nbytes=0, root=0):
+    def _begin(self, comm, coll, nbytes, root):
         """Also check that every rank drives its own GPU."""
         node = comm.runtime.machine.node
         if node.gpus == 0:
@@ -66,91 +69,75 @@ class GpuModule(ShmModule):
 
     def _stage_cost(self, comm, nbytes):
         """Kernel/copy launch latency on the driving rank's CPU."""
-        return comm.compute(comm.runtime.machine.node.gpu_latency)
+        return (grant(comm.runtime.machine.node.gpu_latency),)
 
-    def _stage(self, comm, state, nbytes):
+    def _stage(self, comm, nbytes):
         """host segment (delivered by ib) -> device"""
-        return gpu_copy(comm, nbytes, "h2d")
+        return (on_device(nbytes, "h2d"),)
 
-    def _read(self, comm, state, nbytes):
+    def _read(self, comm, nbytes):
         """NVLink pull (an aggregate resource: all reader flows share it,
         like a broadcast ring)."""
-        return gpu_copy(comm, nbytes, "nvlink")
+        return (on_device(nbytes, "nvlink"),)
 
     def _unstage(self, comm, nbytes):
         """device result -> host memory, for the inter-node stage"""
-        return gpu_copy(comm, nbytes, "d2h")
+        return (on_device(nbytes, "d2h"),)
 
-    def _publish(self, comm, state, payload, nbytes, ev):
+    def _post(self, comm, nbytes):
         """Device-resident send buffers are exposed in place."""
-        return self._expose(comm, state, payload, ev)
+        return (FLAG_DELAY,)
 
-    # -- reduce / allreduce / reduce_scatter (one ring body) -----------------------
+    # -- reduce / allreduce / reduce_scatter (one ring role) ----------------------
 
-    def _ring(self, comm, coll, nbytes, payload, op, moved, reduced, root=None):
+    def _ring_reduce(self, comm, nbytes, root, payload, moved, reduced,
+                     result=_Call.fold):
         """Every GPU pulls ``moved`` bytes over NVLink and reduces
         ``reduced`` of them at kernel rate.  With a ``root`` the reduced
         slices are then gathered to the root GPU and the full vector
         staged to host memory, so `ir` can take over."""
-        if comm.size == 1:
-            return payload
-        state = self._begin(comm, coll, nbytes, 0 if root is None else root)
-        exposed = self._event(comm, state, "all-exposed")
-        folded = self._event(comm, state, "folded")
-        yield from self._setup(comm)
-        yield from self._expose(comm, state, payload, exposed)
-        yield exposed
-        yield from self._stage_cost(comm, moved)
-        yield from self._read(comm, state, moved)
-        yield from comm.compute(reduced / comm.runtime.machine.node.gpu_reduce_bw)
-        if self._arrive(state, "reduced", comm.size):
-            state["result"] = self._fold(state["contrib"], comm.size, op)
-            folded.succeed(None)
-        if root is not None and comm.rank != root:
-            self._finish(comm, state)
-            return None
-        yield folded
-        if root is not None:
-            yield from self._read(comm, state, moved)
-            yield from self._unstage(comm, nbytes)
-        self._finish(comm, state)
-        return state["result"]
+        steps = [*self._in_place(comm), wait("exposed"),
+                 *self._stage_cost(comm, moved), *self._read(comm, moved),
+                 grant(reduced / comm.runtime.machine.node.gpu_reduce_bw),
+                 count("folded", comm.size)]
+        if root is None:
+            steps += (wait("folded"), leave(result))
+        elif comm.rank == root:
+            steps += (wait("folded"), *self._read(comm, moved),
+                      *self._unstage(comm, nbytes), leave(result))
+        else:
+            steps.append(leave())
+        return steps
 
     def reduce(self, comm, nbytes, root=0, payload=None, op=SUM,
                algorithm=None, segsize=None):
         """Chunk-parallel: every GPU pulls the other P-1 chunks of its 1/P
         slice over NVLink and reduces at kernel rate."""
         moved = (comm.size - 1) * (nbytes / comm.size)
-        return self._ring(comm, "reduce", nbytes, payload, op, moved, moved, root)
+        return self._call(comm, "reduce", nbytes, root, payload,
+                          self._ring_reduce, moved, moved, op=op)
 
     def allreduce(self, comm, nbytes, payload=None, op=SUM, algorithm=None,
                   segsize=None):
         """Pure-NVLink ring allreduce (no host staging): ~2x the bytes of
         the vector cross the fabric per GPU."""
         size = comm.size
-        return self._ring(
-            comm, "allreduce", nbytes, payload, op,
-            2.0 * nbytes * (size - 1) / size, nbytes * (size - 1) / size,
+        return self._call(
+            comm, "allreduce", nbytes, None, payload, self._ring_reduce,
+            2.0 * nbytes * (size - 1) / size, nbytes * (size - 1) / size, op=op,
         )
 
     def reduce_scatter(self, comm, nbytes, payload=None, op=SUM):
         """Ring reduce-scatter (the first phase of the ring allreduce):
         nbytes*(P-1)/P cross the fabric per GPU, reductions at kernel
         rate; every rank keeps its own reduced block on device."""
-        if comm.size == 1:
-            return payload
         ring_bytes = nbytes * (comm.size - 1) / comm.size
-        acc = yield from self._ring(
-            comm, "reduce_scatter", nbytes, payload, op, ring_bytes, ring_bytes
-        )
-        return self._block(acc, comm.size, comm.rank)
-
-    # -- allgather / alltoall (one pull) ---------------------------------------------
+        return self._call(comm, "reduce_scatter", nbytes, None, payload,
+                          self._ring_reduce, ring_bytes, ring_bytes,
+                          _Call.fold_block, op=op)
 
     def allgather(self, comm, nbytes, payload=None):
         """NVLink ring allgather, fully device-resident: every GPU pulls
         the size-1 foreign blocks around the ring."""
-        if comm.size == 1:
-            return payload
-        contrib = yield from self._pull(comm, "allgather", nbytes, payload)
-        return self._gathered([contrib.get(r) for r in range(comm.size)])
+        return self._call(comm, "allgather", nbytes, None, payload,
+                          self._from_all, _Call.gathered)

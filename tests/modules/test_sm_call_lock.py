@@ -1,10 +1,10 @@
-"""Pin the exact schedules of SM's calls and of HAN over SM, quiet and loud.
+"""Pin the exact schedules of the shared-memory calls and of HAN over
+them, quiet and loud.
 
 ``test_shm_timing_lock`` pins every intra-node module on quiet runs.
-This lock pins what it does not: SM's bcast / reduce / gather and the
-collectives composed of them (allreduce, allgather, reduce_scatter),
-and HAN's bcast / allreduce with ``smod="sm"``, under every way a run
-can be loud.  The grid is
+This lock pins what it does not: every SM, SOLO and GPU collective and
+HAN's bcast / allreduce over SM and SOLO, under every way a run can be
+loud.  The grid is
 
 - SM on one ``shaheen2`` node of 6 ranks: the six collectives x sizes
   0, 1 KiB, 8 KiB + 256 and 1 MiB x roots 0, 1 and ``size - 1`` for
@@ -16,7 +16,14 @@ can be loud.  The grid is
   allreduce sweep, killed when the foreground finishes) and ``obs`` (an
   ``ObsRecorder``; the case also pins a digest of its spans),
 
-360 cases.  Ranks enter with a staggered skew, so arrival order is not
+360 cases, and on top of them, in the same run modes:
+
+- SM's scatter, alltoall and barrier on the same node;
+- SOLO on the same node and GPU on one ``gpu_cluster`` node of 6
+  ranks: all nine collectives, with the same sizes and roots;
+- HAN with ``smod="solo"`` on the same two machines and collectives,
+
+1,215 cases in all.  Ranks enter with a staggered skew, so arrival order is not
 rank order.  Each case records every rank's exit time, the order in
 which the ranks leave (same-instant resume order), ``engine.now``,
 ``engine.events`` and each rank's progress-server ``jobs`` and
@@ -44,6 +51,12 @@ SM_RANKS = 6
 SM_ROOTED = ("bcast", "reduce", "gather")
 SM_UNROOTED = ("allreduce", "allgather", "reduce_scatter")
 HAN_MACHINES = {"4x4": (4, 4), "8x6": (8, 6)}
+#: the widened grid: per module, the rooted and unrooted collectives
+#: the first grid leaves out (every module also runs a barrier)
+WIDE_ROOTED = {"sm": ("scatter",), "solo": (*SM_ROOTED, "scatter"),
+               "gpu": (*SM_ROOTED, "scatter")}
+WIDE_UNROOTED = {"sm": ("alltoall",), "solo": (*SM_UNROOTED, "alltoall"),
+                 "gpu": (*SM_UNROOTED, "alltoall")}
 MODES = ("quiet", "hook", "noise", "tenant", "obs")
 #: per-rank entry skew (seconds), scaled by a scrambled rank index
 SKEW = 0.25e-6
@@ -51,7 +64,8 @@ SKEW = 0.25e-6
 
 def cases():
     """Every case key: ``mode/target/coll/nbytes/root``, where target is
-    ``sm`` or ``han-<nodes>x<ppn>``."""
+    ``sm``, ``solo``, ``gpu``, ``han-<nodes>x<ppn>`` (over SM) or
+    ``han-solo-<nodes>x<ppn>``."""
     keys = []
     for mode in MODES:
         for coll in SM_ROOTED:
@@ -66,6 +80,21 @@ def cases():
                 for root in (0, nodes * ppn - 1):
                     keys.append(f"{mode}/han-{mname}/bcast/{nbytes}/{root}")
                 keys.append(f"{mode}/han-{mname}/allreduce/{nbytes}/-")
+    for mode in MODES:
+        for mod in WIDE_ROOTED:
+            for coll in WIDE_ROOTED[mod]:
+                for nbytes in SIZES:
+                    for root in (0, 1, SM_RANKS - 1):
+                        keys.append(f"{mode}/{mod}/{coll}/{nbytes}/{root}")
+            for coll in WIDE_UNROOTED[mod]:
+                for nbytes in SIZES:
+                    keys.append(f"{mode}/{mod}/{coll}/{nbytes}/-")
+            keys.append(f"{mode}/{mod}/barrier/0/-")
+        for mname, (nodes, ppn) in HAN_MACHINES.items():
+            for nbytes in SIZES:
+                for root in (0, nodes * ppn - 1):
+                    keys.append(f"{mode}/han-solo-{mname}/bcast/{nbytes}/{root}")
+                keys.append(f"{mode}/han-solo-{mname}/allreduce/{nbytes}/-")
     return keys
 
 
@@ -102,7 +131,7 @@ def run_case(key: str) -> dict:
     from repro.core.config import HanConfig
     from repro.faults import FaultPlan, OsNoise
     from repro.faults.machine import FaultyMachineSpec
-    from repro.hardware import shaheen2
+    from repro.hardware import gpu_cluster, shaheen2
     from repro.modules import make_module
     from repro.mpi import MPIRuntime
     from repro.obs import ObsRecorder
@@ -111,13 +140,17 @@ def run_case(key: str) -> dict:
 
     mode, target, coll, nbytes, root = key.split("/")
     nbytes = int(nbytes)
-    if target == "sm":
+    if target == "gpu":
+        machine = gpu_cluster(num_nodes=1, ppn=SM_RANKS)
+        mod = make_module("gpu")
+    elif target in ("sm", "solo"):
         machine = shaheen2(num_nodes=1, ppn=SM_RANKS)
-        mod = make_module("sm")
+        mod = make_module(target)
     else:
-        nodes, ppn = HAN_MACHINES[target.removeprefix("han-")]
+        smod, _, mname = target.removeprefix("han-").rpartition("-")
+        nodes, ppn = HAN_MACHINES[mname]
         machine = shaheen2(num_nodes=nodes, ppn=ppn)
-        mod = HanModule(config=HanConfig(smod="sm"))
+        mod = HanModule(config=HanConfig(smod=smod or "sm"))
     if mode == "noise":
         plan = FaultPlan(seed=3).add(OsNoise(amplitude=0.3, per_op=0.2))
         machine = FaultyMachineSpec.wrap(machine, plan)
@@ -132,7 +165,10 @@ def run_case(key: str) -> dict:
     def prog(comm):
         size = comm.size
         yield from comm.compute(SKEW * ((3 * comm.rank + 1) % size))
-        yield from getattr(mod, coll)(comm, nbytes, **kw)
+        if coll == "barrier":
+            yield from mod.barrier(comm)
+        else:
+            yield from getattr(mod, coll)(comm, nbytes, **kw)
         order.append(comm.rank)
         return comm.now
 
@@ -164,11 +200,15 @@ def _fixture() -> dict:
 
 def test_fixture_covers_the_grid():
     assert sorted(_fixture()) == sorted(cases())
-    assert len(cases()) == 360
+    assert len(cases()) == 1215
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("target", ["sm", *(f"han-{m}" for m in HAN_MACHINES)])
+@pytest.mark.parametrize(
+    "target",
+    ["sm", *(f"han-{m}" for m in HAN_MACHINES), "solo", "gpu",
+     *(f"han-solo-{m}" for m in HAN_MACHINES)],
+)
 def test_schedules_are_pinned(mode, target):
     want = _fixture()
     prefix = f"{mode}/{target}/"
@@ -179,7 +219,7 @@ def test_schedules_are_pinned(mode, target):
         got = run_case(key)
         if got != want[key]:
             diffs.append(f"  {key}: expected {want[key]!r}, got {got!r}")
-    assert not diffs, "SM call schedules moved:\n" + "\n".join(diffs)
+    assert not diffs, "SHM call schedules moved:\n" + "\n".join(diffs)
 
 
 def main() -> int:
