@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro import segstore
-from repro.tuning.cache import digest
+from repro.tuning.cache import digest, machine_memo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import HanConfig
@@ -94,6 +94,15 @@ def band_digest(machine: "MachineSpec") -> str:
     finding joins to the serve shard it indicts.  Two jobs of different
     sizes on the same hardware share a band.
     """
+    return machine_memo(_BAND_DIGESTS, machine, _band_digest)
+
+
+#: band_digest() per machine object: ``band()`` builds a fresh spec, so
+#: without it every stored decision re-canonicalizes the whole machine
+_BAND_DIGESTS: dict[int, tuple] = {}
+
+
+def _band_digest(machine: "MachineSpec") -> str:
     # kind and schema are frozen: they name every decision store's band
     # directories on disk
     return digest("machine-band", schema=1, machine=machine.band())

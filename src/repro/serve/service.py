@@ -23,8 +23,11 @@ Before an answer leaves the service it gets a guideline verdict
 guideline catalog of :mod:`repro.obs.insights` over its shard
 neighborhood.  Violations are counted, and under ``strict=True`` the
 config is *refused* (the answer carries the verdict and the rejected
-config, but no servable config).  Verdicts are cached per underlying
-record, so validation costs nothing on the hot repeated-hit path.
+config, but no servable config).  Verdicts and parsed configs are
+cached per underlying record, so validation costs nothing on the hot
+repeated-hit path.  The store's change feed keeps both exact: a changed
+point is re-indexed in place, and only the verdicts that read it are
+dropped (see :meth:`DecisionService._apply`).
 
 The service keeps a metrics registry
 (:class:`~repro.obs.metrics.MetricsRegistry`) — decision counters per
@@ -265,20 +268,33 @@ class _ShardIndex:
         #: commsize -> canonical (n, p) when exactly one geometry has it
         self.comm_geom: dict[int, Optional[tuple[int, int]]] = {}
         for rec in records:
-            n, p, m = int(rec["n"]), int(rec["p"]), float(rec["nbytes"])
-            self.points[(n, p, m)] = rec
-            geom = (n * p, n, p)
-            if geom not in self.geoms:
-                insort(self.geoms, geom)
-            insort(self.sizes.setdefault((n, p), []), m)
-            cur = self.comm_geom.get(n * p, ())
-            if cur == ():
-                self.comm_geom[n * p] = (n, p)
-            elif cur is not None and cur != (n, p):
-                self.comm_geom[n * p] = None  # ambiguous commsize
+            self.add(rec)
+
+    def add(self, rec: dict) -> tuple[int, int, float]:
+        """Insert or replace one record; returns its ``(n, p, nbytes)``."""
+        n, p, m = int(rec["n"]), int(rec["p"]), float(rec["nbytes"])
+        fresh = (n, p, m) not in self.points
+        self.points[(n, p, m)] = rec
+        sizes = self.sizes.get((n, p))
+        if sizes is None:  # a new geometry
+            self.sizes[(n, p)] = [m]
+            insort(self.geoms, (n * p, n, p))
+            # a second geometry of one commsize makes it ambiguous
+            self.comm_geom[n * p] = (
+                (n, p) if n * p not in self.comm_geom else None)
+        elif fresh:
+            insort(sizes, m)
+        return n, p, m
 
     def __bool__(self) -> bool:
         return bool(self.points)
+
+
+#: operand collective -> the collectives whose composition bound reads it
+_COMPOSITES = {
+    op: tuple(c for c, ops in COMPOSITIONS.items() if op in ops)
+    for ops in COMPOSITIONS.values() for op in ops
+}
 
 
 def _default_verdict(reason: str) -> Verdict:
@@ -302,33 +318,63 @@ class DecisionService:
         self.spans: list[Span] = []
         self.max_spans = max_spans
         self._next_sid = 0
-        self._indexes: dict[tuple[str, str], tuple[int, _ShardIndex]] = {}
+        # everything derived from the store, as of store version _seen:
+        # shard indexes, and per record key its verdict and parsed config
+        self._seen = store.version
+        self._indexes: dict[tuple[str, str], _ShardIndex] = {}
         self._verdicts: dict[str, Verdict] = {}
-        self._band_cache: dict[int, str] = {}
-        # hot-path caches: parsed configs per record, resolved counter
-        # handles per label set (label resolution sorts + tuples)
         self._configs: dict[str, HanConfig] = {}
+        # resolved counter handles per label set (label resolution sorts
+        # + tuples)
         self._counters: dict[tuple, object] = {}
 
     # -- plumbing ----------------------------------------------------------------
 
-    def _band_for(self, machine) -> str:
-        band = self._band_cache.get(id(machine))
-        if band is None:
-            band = band_digest(machine)
-            self._band_cache[id(machine)] = band
-        return band
-
     def _index(self, band: str, coll: str) -> _ShardIndex:
-        cached = self._indexes.get((band, coll))
-        if cached is not None and cached[0] == self.store.version:
-            return cached[1]
-        idx = _ShardIndex(self.store.records(band, coll))
-        self._indexes[(band, coll)] = (self.store.version, idx)
+        idx = self._indexes.get((band, coll))
+        if idx is None:
+            idx = _ShardIndex(self.store.records(band, coll))
+            self._indexes[(band, coll)] = idx
         return idx
 
+    def _sync(self) -> None:
+        """Catch up with the store's change feed."""
+        changes = self.store.changes(self._seen)
+        self._seen = self.store.version
+        if changes is None:  # views reloaded: nothing derived survives
+            self._indexes.clear()
+            self._verdicts.clear()
+            self._configs.clear()
+            return
+        for band, coll, key in changes:
+            self._apply(band, coll, key)
+
+    def _apply(self, band: str, coll: str, key: str) -> None:
+        """Re-index one changed point and drop what was derived from it.
+
+        A verdict reads its own record, the records of the same
+        ``(band, coll, n, p)`` (the monotone neighbors) and, for a
+        composite collective, its operands at the same point; nothing
+        else.  So a change drops its own config and verdict, its
+        neighbors' verdicts and the verdict of each composite it is an
+        operand of.  A shard with no index yet has nothing derived from
+        it: computing any of those verdicts indexes it first.
+        """
+        idx = self._indexes.get((band, coll))
+        if idx is None:
+            return
+        n, p, m = idx.add(self.store.resolved(band, coll, key))
+        self._configs.pop(key, None)
+        stale = [idx.points[(n, p, ms)] for ms in idx.sizes[(n, p)]]
+        for composite in _COMPOSITES.get(coll, ()):
+            parent = self._indexes.get((band, composite))
+            if parent is not None and (n, p, m) in parent.points:
+                stale.append(parent.points[(n, p, m)])
+        for rec in stale:
+            self._verdicts.pop(rec["key"], None)
+
     def _resolve(self, q: Query) -> tuple[str, int]:
-        band = q.band or (self._band_for(q.machine)
+        band = q.band or (band_digest(q.machine)
                           if q.machine is not None else None)
         if band is None:
             raise ValueError("query needs a machine or a band digest")
@@ -367,6 +413,8 @@ class DecisionService:
     # -- the decision path -------------------------------------------------------
 
     def decide(self, q: Query) -> Decision:
+        if self._seen != self.store.version:
+            self._sync()
         band, commsize = self._resolve(q)
         idx = self._index(band, q.coll)
         m = float(q.nbytes)
@@ -513,7 +561,7 @@ class DecisionService:
         """
         from repro.core.han import HanModule
 
-        band = self._band_for(machine)
+        band = band_digest(machine)
 
         def decide(n: int, p: int, nbytes: float, coll: str) -> HanConfig:
             d = self.decide(Query(coll=coll, nbytes=nbytes,

@@ -63,6 +63,9 @@ RECORD_HEADER_KEYS = frozenset({"schema_version", "wall_time", "source"})
 
 _BAND_DIR_CHARS = 16
 
+#: change-feed entries kept for readers that have not caught up
+_FEED_MAX = 1 << 16
+
 
 def point_key(band: str, coll: str, n: int, p: int, nbytes: float) -> str:
     """Content-addressed dedup identity of one decision point."""
@@ -162,9 +165,15 @@ class DecisionStore:
     ``wall_time``, then smaller ``config_digest``) in canonical point
     order, and segments carry no sidecar.
 
-    ``version`` increments on every mutation (append, merge, compact,
-    refresh) so index layers (:class:`~repro.serve.service.DecisionService`)
-    know when a cached shard view is stale.
+    ``version`` counts changes of the resolved view, and the change
+    feed (:meth:`changes`) says which points they were, so an index
+    layer (:class:`~repro.serve.service.DecisionService`) updates the
+    points that moved instead of rebuilding.  An append feeds its
+    ``(band, coll, key)`` only when its record wins the point (a losing,
+    older record changes nothing); a merge feeds each absorbed record.
+    :meth:`refresh` and :meth:`compact` reload views from disk, where
+    other writers' lines may be waiting, so they end the feed: a reader
+    that has not caught up must drop everything it derived.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None):
@@ -175,6 +184,9 @@ class DecisionStore:
         self._shards: dict[tuple[str, str], dict[str, dict]] = {}
         self.appends = 0
         self.version = 0
+        #: (band, coll, key) of the changes after version ``_feed_base``
+        self._feed: list[tuple[str, str, str]] = []
+        self._feed_base = 0
 
     # -- layout ------------------------------------------------------------------
 
@@ -212,7 +224,24 @@ class DecisionStore:
     def refresh(self) -> None:
         """Drop cached shard views (pick up other processes' appends)."""
         self._shards.clear()
+        self._reset_feed()
+
+    # -- change feed ---------------------------------------------------------------
+
+    def _reset_feed(self) -> None:
         self.version += 1
+        self._feed.clear()
+        self._feed_base = self.version
+
+    def changes(self, since: int) -> Optional[list[tuple[str, str, str]]]:
+        """The ``(band, coll, key)`` points changed after version ``since``,
+        oldest first, or None when views were reloaded since (or the
+        feed no longer reaches back that far): anything derived from
+        the store before then may be stale.
+        """
+        if since < self._feed_base:
+            return None
+        return self._feed[since - self._feed_base:]
 
     # -- writing -----------------------------------------------------------------
 
@@ -223,13 +252,23 @@ class DecisionStore:
                 raise ValueError(f"decision record must carry {field!r}")
         rec.setdefault("schema_version", SERVE_SCHEMA_VERSION)
         band, coll = rec["band"], rec["coll"]
+        # the view as it was before this line: loaded after the write,
+        # it would already hold the record and see no change
+        view = self._shard(band, coll)
         if self.root is not None:
             self._write_band_marker(band, rec.get("machine", "?"))
             segstore.append_line(self._shard_dir(band, coll) / segstore.OPEN,
                                  segstore.canonical_line(rec))
-        _absorb(self._shard(band, coll), band, (rec,))
+        cur = view.get(rec["key"])
+        if cur is None or _wins(rec, cur):
+            view[rec["key"]] = rec
+            self.version += 1
+            if len(self._feed) >= _FEED_MAX:
+                # readers this far behind rebuild instead
+                del self._feed[:_FEED_MAX // 2]
+                self._feed_base += _FEED_MAX // 2
+            self._feed.append((band, coll, rec["key"]))
         self.appends += 1
-        self.version += 1
         return rec["key"]
 
     def put_decision(
@@ -282,6 +321,10 @@ class DecisionStore:
         return self._shard(band, coll).get(
             point_key(band, coll, n, p, nbytes)
         )
+
+    def resolved(self, band: str, coll: str, key: str) -> Optional[dict]:
+        """The resolved record of one point key, or None."""
+        return self._shard(band, coll).get(key)
 
     def records(self, band: str, coll: str) -> list[dict]:
         """Resolved records of one shard, in canonical point order."""
@@ -370,7 +413,7 @@ class DecisionStore:
                     stats["shards"] += 1
                     stats["records"] += count
                     stats["removed_segments"] += len(gone)
-        self.version += 1
+        self._reset_feed()
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

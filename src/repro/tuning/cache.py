@@ -86,25 +86,30 @@ def canonical(obj):
     )
 
 
-#: digest()'s canonical renderings of machine specs, by object identity:
-#: a tuning sweep digests the one machine object it shares across every
-#: point.  Each entry keeps the spec alive, so no other object can take
-#: its id while the entry exists, and a copy of the spec's one mutable
-#: field, ``topo_params``, which must still compare equal for the entry
-#: to be used.
-_MACHINE_DOCS: dict[int, tuple] = {}
-_MACHINE_DOCS_MAX = 64
+_MACHINE_MEMO_MAX = 64
 
 
-def _canonical_machine(machine: MachineSpec) -> dict:
-    hit = _MACHINE_DOCS.get(id(machine))
+def machine_memo(memo: dict, machine: MachineSpec, make):
+    """``make(machine)``, memoized in ``memo`` by object identity.
+
+    A tuning sweep or a serving loop passes the one machine object it
+    holds at every point.  Each entry keeps the spec alive, so no other
+    object can take its id while the entry exists, and a copy of the
+    spec's one mutable field, ``topo_params``, which must still compare
+    equal for the entry to be used.
+    """
+    hit = memo.get(id(machine))
     if hit is not None and hit[1] == machine.topo_params:
         return hit[2]
-    doc = canonical(machine)
-    if len(_MACHINE_DOCS) >= _MACHINE_DOCS_MAX:
-        _MACHINE_DOCS.clear()
-    _MACHINE_DOCS[id(machine)] = (machine, copy.deepcopy(machine.topo_params), doc)
-    return doc
+    value = make(machine)
+    if len(memo) >= _MACHINE_MEMO_MAX:
+        memo.clear()
+    memo[id(machine)] = (machine, copy.deepcopy(machine.topo_params), value)
+    return value
+
+
+#: digest()'s canonical renderings of machine specs
+_MACHINE_DOCS: dict[int, tuple] = {}
 
 
 def digest(kind: str, **parts) -> str:
@@ -112,7 +117,7 @@ def digest(kind: str, **parts) -> str:
     doc = {"__cache_version__": CACHE_VERSION, "__kind__": kind}
     for name, value in parts.items():
         if type(value) is MachineSpec:
-            doc[name] = _canonical_machine(value)
+            doc[name] = machine_memo(_MACHINE_DOCS, value, canonical)
         else:
             doc[name] = canonical(value)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))

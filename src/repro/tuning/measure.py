@@ -280,8 +280,10 @@ def run_once(
             runtime.run(prog)
         if rec is not None:
             rec.snapshot_resources(runtime.fabric.solver)
-    per_rank = tuple(durations[r] for r in sorted(durations))
-    sim_cost = runtime.engine.now
+    # plain floats in every run mode: noise injectors advance the clock
+    # by numpy scalars
+    per_rank = tuple(float(durations[r]) for r in sorted(durations))
+    sim_cost = float(runtime.engine.now)
     if rec is None:
         return per_rank, sim_cost, None
     meta = {

@@ -1,10 +1,12 @@
 """Decision serving: provenance, fallbacks, strict mode, observability."""
 
+import time
+
 import pytest
 
 from repro.core.config import HanConfig
 from repro.core.han import HanModule
-from repro.hardware import tiny_cluster
+from repro.hardware import shaheen2, stampede2, tiny_cluster
 from repro.serve.service import DecisionService, Query
 from repro.serve.store import DecisionStore, band_digest, decision_record
 from repro.serve.warm import WARM_SPACES
@@ -210,4 +212,29 @@ def test_service_sees_store_mutations():
     q = Query(coll="bcast", nbytes=64 * KiB, machine=machine)
     assert svc.decide(q).provenance == "default"
     _put(store, machine, 64 * KiB, 64 * KiB, 1e-4)
-    assert svc.decide(q).provenance == "exact"  # index cache invalidated
+    _put(store, machine, 128 * KiB, 64 * KiB, 1.5e-4)
+    d = svc.decide(q)
+    assert d.provenance == "exact"  # index cache invalidated
+    assert (d.config.fs, d.expected_time, d.verdict.ok) == (64 * KiB, 1e-4,
+                                                            True)
+    # a newer record at the served point: another config, and a time
+    # above the stored larger point's
+    store.put_decision(machine, "bcast", 64 * KiB, HanConfig(fs=16 * KiB),
+                       expected_time=2e-4, wall_time=time.time() + 60)
+    d = svc.decide(q)
+    assert (d.config.fs, d.expected_time) == (16 * KiB, 2e-4)
+    assert not d.verdict.ok
+    assert d.to_doc() == DecisionService(store).decide(q).to_doc()
+
+
+def test_band_follows_the_machine_not_its_id():
+    # a freed spec's id is taken by the next one built; its band is not
+    bands = {f: band_digest(f(2, 2)) for f in (shaheen2, stampede2)}
+    assert len(set(bands.values())) == 2
+    svc = DecisionService(DecisionStore())
+    for i in range(200):
+        preset = (shaheen2, stampede2)[i % 2]
+        machine = preset(2, 2)
+        d = svc.decide(Query(coll="bcast", nbytes=64 * KiB, machine=machine))
+        assert d.query.band == bands[preset], i
+        del machine, d

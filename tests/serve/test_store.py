@@ -1,10 +1,12 @@
 """Decision store: digests, shards, dedup, merge, compaction, writers."""
 
+import dataclasses
 import json
 import threading
 
 from repro.core.config import HanConfig
 from repro.hardware import shaheen2, tiny_cluster
+from repro.serve import store as store_mod
 from repro.serve.store import (
     SERVE_SCHEMA_VERSION,
     DecisionStore,
@@ -195,6 +197,41 @@ def test_refresh_picks_up_other_writers(tmp_path):
     a.refresh()
     assert a.version > v
     assert a.get(band, "bcast", 2, 2, 128 * KiB) is not None
+
+
+def test_change_feed_names_each_point_the_view_changed_at(tmp_path,
+                                                          monkeypatch):
+    m = _machine()
+    band = band_digest(m)
+    ds = DecisionStore(tmp_path / "ds")
+    v0 = ds.version
+    k = ds.put_decision(m, "bcast", 64 * KiB, _config(), wall_time=10.0)
+    # an older record of the same point loses: nothing changed
+    ds.put_decision(m, "bcast", 64 * KiB, _config(16 * KiB), wall_time=5.0)
+    k2 = ds.put_decision(m, "reduce", 64 * KiB, _config(), wall_time=5.0)
+    assert ds.changes(v0) == [(band, "bcast", k), (band, "reduce", k2)]
+    assert ds.changes(ds.version) == []
+    # reloads from disk end the feed: a reader behind them rebuilds
+    for reload in (ds.refresh, ds.compact):
+        v = ds.version
+        reload()
+        assert ds.changes(v) is None and ds.changes(ds.version) == []
+    # and so does falling too far behind a bounded feed
+    monkeypatch.setattr(store_mod, "_FEED_MAX", 4)
+    v = ds.version
+    keys = [ds.put_decision(m, "bcast", i * KiB, _config(), wall_time=20.0)
+            for i in range(1, 7)]
+    assert ds.changes(v) is None
+    assert ds.changes(ds.version - 2) == [(band, "bcast", k) for k in keys[-2:]]
+
+
+def test_band_digest_memo_follows_topo_params():
+    m = _machine()
+    before = band_digest(m)
+    m.topo_params["dims"] = (2,)
+    assert band_digest(m) != before
+    assert band_digest(m) == band_digest(
+        dataclasses.replace(_machine(), topo_params={"dims": (2,)}))
 
 
 def test_concurrent_append_writers(tmp_path):

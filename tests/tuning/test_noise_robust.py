@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.config import HanConfig
-from repro.faults import FaultPlan, OsNoise
+from repro.faults import FaultPlan, FaultyMachineSpec, MessageJitter, OsNoise
 from repro.hardware import tiny_cluster
 from repro.tuning import Autotuner, SearchSpace, measure_collective
+from repro.tuning.measure import run_once
 
 KiB = 1024
 
@@ -33,6 +34,17 @@ def test_single_trial_without_plan_matches_legacy_shape():
     assert m.trial_times == (m.time,)
     assert m.spread == 0.0
     assert m.time == max(m.per_rank)
+
+
+@pytest.mark.parametrize("injector", [None, OsNoise(0.05),
+                                      MessageJitter(1e-6)])
+def test_run_once_returns_plain_floats_in_every_mode(injector):
+    m = machine()
+    if injector is not None:
+        m = FaultyMachineSpec.wrap(m, FaultPlan((injector,), seed=1))
+    per_rank, cost, _ = run_once(m, "bcast", 64 * KiB)
+    assert {type(t) for t in per_rank} == {float}
+    assert type(cost) is float
 
 
 def test_trials_collect_independent_samples_and_median():
