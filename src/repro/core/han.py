@@ -56,6 +56,16 @@ _SHARE_TAG = INTERNAL_TAG_BASE + 2051
 #: the fluid network and actually stalls on a dead link
 _PROBE_BYTES = 4096.0
 
+#: the four untuned defaults :meth:`HanModule.default_config` serves
+_DEFAULT_SMALL = HanConfig(fs=None, imod="libnbc", smod="sm")
+_DEFAULT_MID_SM, _DEFAULT_MID_SOLO = (
+    HanConfig(fs=512 * 1024, imod="adapt", smod=smod, ibalg="binary",
+              iralg="binary", ibs=256 * 1024, irs=256 * 1024)
+    for smod in ("sm", "solo"))
+_DEFAULT_LARGE = HanConfig(fs=2 * 1024 * 1024, imod="adapt", smod="solo",
+                           ibalg="chain", iralg="chain", ibs=512 * 1024,
+                           irs=512 * 1024)
+
 
 def _coll_span(fn):
     """Observe a collective generator method: one span per call.
@@ -228,29 +238,16 @@ class HanModule(CollModule):
         Mirrors the shipped coll/han defaults: latency-friendly binomial
         trees for small and mid-range messages, a pipelined chain once
         there are enough segments to fill it, SOLO above the 512KB
-        SM/SOLO crossover (paper III-C).
+        SM/SOLO crossover (paper III-C).  Returns one of four shared
+        frozen configs; none is built per call.
         """
         if nbytes <= 64 * 1024:
-            return HanConfig(fs=None, imod="libnbc", smod="sm")
+            return _DEFAULT_SMALL
+        if nbytes <= 512 * 1024:
+            return _DEFAULT_MID_SM
         if nbytes <= 4 * 1024 * 1024:
-            return HanConfig(
-                fs=512 * 1024,
-                imod="adapt",
-                smod="sm" if nbytes <= 512 * 1024 else "solo",
-                ibalg="binary",
-                iralg="binary",
-                ibs=256 * 1024,
-                irs=256 * 1024,
-            )
-        return HanConfig(
-            fs=2 * 1024 * 1024,
-            imod="adapt",
-            smod="solo",
-            ibalg="chain",
-            iralg="chain",
-            ibs=512 * 1024,
-            irs=512 * 1024,
-        )
+            return _DEFAULT_MID_SOLO
+        return _DEFAULT_LARGE
 
     # -- degraded mode (dead inter-node link detection + flat fallback) -------------
 

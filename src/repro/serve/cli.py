@@ -15,7 +15,9 @@ Tune once per hardware band, answer every runtime query from the store::
 Every served answer carries a provenance stamp (``exact`` / ``nearest``
 / ``interpolated`` / ``default``) and a guideline verdict; ``--strict``
 refuses guideline-violating answers (exit code 3) instead of serving
-them flagged.
+them flagged.  A query with no valid answer (unparsable, NaN or negative
+nbytes, a commsize that is not a positive integer) is reported with its
+place in the file on stderr, and ``serve`` exits 2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import time
 from pathlib import Path
 
 from repro.obs.cli import parse_nbytes
-from repro.serve.service import DecisionService, Query
+from repro.serve.service import DecisionService, Query, QueryError
 from repro.serve.store import DecisionStore
 from repro.serve.warm import WARM_SPACES, parse_fleet, warm_store
 
@@ -35,7 +37,10 @@ __all__ = ["main"]
 
 
 def _parse_query(doc: dict) -> Query:
-    """One query from its JSON form (machine preset or raw band digest)."""
+    """One query from its JSON form (machine preset or raw band digest).
+
+    Values pass through as given: the service judges them.
+    """
     band = doc.get("band")
     machine = None
     if not band and doc.get("machine"):
@@ -45,23 +50,39 @@ def _parse_query(doc: dict) -> Query:
         nbytes = parse_nbytes(nbytes)
     return Query(
         coll=doc["coll"],
-        nbytes=float(nbytes),
-        commsize=int(doc.get("commsize", 0)),
+        nbytes=nbytes,
+        commsize=doc.get("commsize", 0),
         machine=machine,
         band=band,
     )
 
 
-def _load_queries(path: str) -> list[Query]:
+def _load_queries(path: str) -> tuple[list[str], list[Query]]:
+    """The queries of a file, each with where it stands in it ("line 3"
+    of a JSONL file, "query 3" of a JSON list); a ``ValueError`` that
+    says where for the first one that does not parse."""
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    text = text.strip()
-    if not text:
-        return []
-    if text.startswith("["):
-        docs = json.loads(text)
+    if text.strip().startswith("["):
+        docs = [(f"query {i}", doc)
+                for i, doc in enumerate(json.loads(text), 1)]
     else:  # JSONL
-        docs = [json.loads(line) for line in text.splitlines() if line.strip()]
-    return [_parse_query(doc) for doc in docs]
+        docs = []
+        for i, line in enumerate(text.splitlines(), 1):
+            if line.strip():
+                try:
+                    docs.append((f"line {i}", json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"line {i}: {exc}") from exc
+    places, queries = [], []
+    for where, doc in docs:
+        try:
+            queries.append(_parse_query(doc))
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        places.append(where)
+    return places, queries
 
 
 # -- warm --------------------------------------------------------------------------
@@ -95,12 +116,21 @@ def cmd_warm(args) -> int:
 def cmd_serve(args) -> int:
     store = DecisionStore(args.store)
     service = DecisionService(store, strict=args.strict)
-    queries = _load_queries(args.queries)
+    try:
+        places, queries = _load_queries(args.queries)
+    except ValueError as exc:
+        print(f"bad query in {args.queries}: {exc}", file=sys.stderr)
+        return 2
     if not queries:
         print("no queries", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    decisions = service.decide_batch(queries)
+    try:
+        decisions = service.decide_batch(queries)
+    except QueryError as exc:
+        print(f"bad query in {args.queries}: {places[exc.index]}: {exc}",
+              file=sys.stderr)
+        return 2
     wall = time.perf_counter() - t0
     doc = {
         "queries": len(queries),

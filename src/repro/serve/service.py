@@ -25,9 +25,21 @@ neighborhood.  Violations are counted, and under ``strict=True`` the
 config is *refused* (the answer carries the verdict and the rejected
 config, but no servable config).  Verdicts and parsed configs are
 cached per underlying record, so validation costs nothing on the hot
-repeated-hit path.  The store's change feed keeps both exact: a changed
-point is re-indexed in place, and only the verdicts that read it are
-dropped (see :meth:`DecisionService._apply`).
+repeated-hit path.
+
+Everything that depends only on the store is derived once per shard
+index (:class:`_ShardIndex`), never per query: besides those verdicts
+and configs, the ``log2`` of every stored commsize (the nearest
+geometries are a bisection plus a scan over ties) and, while the shard
+is empty, its one default verdict; the default config is one of the
+shared frozen constants of :meth:`~repro.core.han.HanModule.default_config`.
+No cache is keyed by the query.  The store's change feed keeps all of
+it exact: a changed point is re-indexed in place (a new geometry
+inserts its ``log2``), and only the verdicts that read it are dropped
+(see :meth:`DecisionService._apply`); a default verdict needs no drop,
+as the first record makes its index non-empty for good.  A query with
+no valid answer raises :class:`QueryError` (see
+:meth:`DecisionService._resolve`).
 
 The service keeps a metrics registry
 (:class:`~repro.obs.metrics.MetricsRegistry`) — decision counters per
@@ -46,6 +58,7 @@ from math import inf, log2
 from typing import Optional, Sequence
 
 from repro.core.config import HanConfig
+from repro.core.han import HanModule
 from repro.obs.core import Span
 from repro.obs.insights import (
     COMPOSITIONS,
@@ -64,6 +77,7 @@ __all__ = [
     "Decision",
     "DecisionService",
     "Query",
+    "QueryError",
     "Verdict",
     "validate_decision",
 ]
@@ -219,6 +233,16 @@ class Query:
     band: Optional[str] = None
 
 
+class QueryError(ValueError):
+    """A query with no valid answer.
+
+    ``index`` is its place in the batch when
+    :meth:`DecisionService.decide_batch` raised it, else ``None``.
+    """
+
+    index: Optional[int] = None
+
+
 @dataclass(frozen=True)
 class Decision:
     """One served answer: config + provenance + guideline verdict."""
@@ -256,17 +280,22 @@ class Decision:
 class _ShardIndex:
     """Point/geometry/size indexes over one shard's resolved records."""
 
-    __slots__ = ("points", "geoms", "sizes", "comm_geom")
+    __slots__ = ("points", "geoms", "log_commsizes", "sizes", "comm_geom",
+                 "default_verdict")
 
     def __init__(self, records: Sequence[dict]):
         #: (n, p, nbytes) -> record  (the O(1) exact-hit path)
         self.points: dict[tuple[int, int, float], dict] = {}
         #: sorted [(commsize, n, p)] for geometry-distance scans
         self.geoms: list[tuple[int, int, int]] = []
+        #: log2(commsize) of each entry of ``geoms``, in the same order
+        self.log_commsizes: list[float] = []
         #: (n, p) -> sorted sampled nbytes
         self.sizes: dict[tuple[int, int], list[float]] = {}
         #: commsize -> canonical (n, p) when exactly one geometry has it
         self.comm_geom: dict[int, Optional[tuple[int, int]]] = {}
+        #: the verdict of every default answer while the shard is empty
+        self.default_verdict: Optional[Verdict] = None
         for rec in records:
             self.add(rec)
 
@@ -278,13 +307,39 @@ class _ShardIndex:
         sizes = self.sizes.get((n, p))
         if sizes is None:  # a new geometry
             self.sizes[(n, p)] = [m]
-            insort(self.geoms, (n * p, n, p))
+            i = bisect_left(self.geoms, (n * p, n, p))
+            self.geoms.insert(i, (n * p, n, p))
+            self.log_commsizes.insert(i, log2(n * p))
             # a second geometry of one commsize makes it ambiguous
             self.comm_geom[n * p] = (
                 (n, p) if n * p not in self.comm_geom else None)
         elif fresh:
             insort(sizes, m)
         return n, p, m
+
+    def nearest_geoms(self, commsize: int) -> tuple[list[tuple[int, int]],
+                                                     float]:
+        """The ``(n, p)`` of smallest log2 distance to ``commsize``, in
+        ``geoms`` order with every tie within ``_EPS`` kept, and that
+        distance.
+
+        Float subtraction is monotone, so on either side of
+        ``log2(commsize)`` the distance grows outward: the nearest
+        geometry borders the bisection point and the ties are one
+        contiguous run around it -- the same set a scan of every
+        geometry keeps.
+        """
+        lc = log2(commsize)
+        logs = self.log_commsizes
+        i = bisect_left(logs, lc)
+        best = min(lc - logs[i - 1] if i else inf,
+                   logs[i] - lc if i < len(logs) else inf)
+        lo = hi = i
+        while lo and lc - logs[lo - 1] <= best + _EPS:
+            lo -= 1
+        while hi < len(logs) and logs[hi] - lc <= best + _EPS:
+            hi += 1
+        return [(n, p) for _c, n, p in self.geoms[lo:hi]], best
 
     def __bool__(self) -> bool:
         return bool(self.points)
@@ -324,9 +379,8 @@ class DecisionService:
         self._indexes: dict[tuple[str, str], _ShardIndex] = {}
         self._verdicts: dict[str, Verdict] = {}
         self._configs: dict[str, HanConfig] = {}
-        # resolved counter handles per label set (label resolution sorts
-        # + tuples)
-        self._counters: dict[tuple, object] = {}
+        # decision counter handle per (provenance, coll)
+        self._decided: dict[tuple[str, str], object] = {}
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -373,17 +427,49 @@ class DecisionService:
         for rec in stale:
             self._verdicts.pop(rec["key"], None)
 
-    def _resolve(self, q: Query) -> tuple[str, int]:
+    def _resolve(self, q: Query) -> Query:
+        """The query as it is answered: band and commsize resolved,
+        nbytes a float, no machine -- the caller's own query when it
+        already is one.
+
+        The one place a query is judged: a :class:`QueryError` naming
+        the field and its value for a query with no valid answer (NaN,
+        infinite or negative nbytes; a commsize that is not a positive
+        integer).
+        """
         band = q.band or (band_digest(q.machine)
                           if q.machine is not None else None)
         if band is None:
-            raise ValueError("query needs a machine or a band digest")
-        commsize = int(q.commsize) if q.commsize else (
-            q.machine.num_ranks if q.machine is not None else 0
-        )
+            raise QueryError("query needs a machine or a band digest")
+        commsize = q.commsize
+        if not commsize:  # 0: derive from the machine
+            if q.machine is None:
+                raise QueryError(
+                    "query needs a positive commsize or a machine")
+            commsize = q.machine.num_ranks
+        elif type(commsize) is not int:
+            try:
+                integral = commsize == int(commsize)
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise QueryError(f"query commsize must be a positive "
+                                 f"integer, got {commsize!r}")
+            commsize = int(commsize)
         if commsize <= 0:
-            raise ValueError("query needs a positive commsize or a machine")
-        return band, commsize
+            raise QueryError(f"query commsize must be a positive integer, "
+                             f"got {q.commsize!r}")
+        try:
+            m = float(q.nbytes)
+        except (TypeError, ValueError):
+            m = None
+        if m is None or not 0.0 <= m < inf:
+            raise QueryError(f"query nbytes must be a finite number >= 0, "
+                             f"got {q.nbytes!r}")
+        if (q.machine is None and type(q.commsize) is int
+                and type(q.nbytes) is float):
+            return q
+        return Query(q.coll, m, commsize, None, band)
 
     # -- validation --------------------------------------------------------------
 
@@ -415,18 +501,21 @@ class DecisionService:
     def decide(self, q: Query) -> Decision:
         if self._seen != self.store.version:
             self._sync()
-        band, commsize = self._resolve(q)
+        asked = self._resolve(q)
+        band, commsize, m = asked.band, asked.commsize, asked.nbytes
         idx = self._index(band, q.coll)
-        m = float(q.nbytes)
 
         if not idx:
+            verdict = idx.default_verdict
+            if verdict is None:
+                verdict = idx.default_verdict = _default_verdict(
+                    f"no decisions stored for band {band[:12]}/{q.coll}")
             decision = Decision(
-                query=Query(q.coll, m, commsize, None, band),
-                config=_default_config(m),
+                query=asked,
+                config=HanModule.default_config(m),
                 provenance="default",
                 expected_time=None,
-                verdict=_default_verdict(
-                    f"no decisions stored for band {band[:12]}/{q.coll}"),
+                verdict=verdict,
             )
             self._count(decision)
             return decision
@@ -440,16 +529,12 @@ class DecisionService:
             if geom:
                 rec = idx.points.get((geom[0], geom[1], m))
         if rec is not None:
-            return self._finish(q, band, commsize, rec, "exact",
-                                rec.get("expected_time"))
+            return self._finish(asked, rec, "exact", rec.get("expected_time"))
 
         # geometry: smallest log-distance on commsize, all ties kept;
         # when the querying machine's own (n, p) is among the ties it
         # wins outright (same commsize, different split)
-        lc = log2(max(commsize, 1))
-        best_gd = min(abs(log2(c) - lc) for c, _n, _p in idx.geoms)
-        geo = [(n, p) for c, n, p in idx.geoms
-               if abs(log2(c) - lc) <= best_gd + _EPS]
+        geo, best_gd = idx.nearest_geoms(commsize)
         if q.machine is not None:
             own = (q.machine.num_nodes, q.machine.ppn)
             if own in geo:
@@ -493,18 +578,18 @@ class DecisionService:
         else:
             provenance = "nearest"
 
-        return self._finish(q, band, commsize, rec, provenance, served_time)
+        return self._finish(asked, rec, provenance, served_time)
 
-    def _finish(self, q: Query, band: str, commsize: int, rec: dict,
-                provenance: str, served_time) -> Decision:
-        verdict = self._verdict_for(band, rec)
+    def _finish(self, asked: Query, rec: dict, provenance: str,
+                served_time) -> Decision:
+        verdict = self._verdict_for(asked.band, rec)
         config = self._configs.get(rec["key"])
         if config is None:
             config = HanConfig(**rec["config"])
             self._configs[rec["key"]] = config
         refused = self.strict and not verdict.ok
         decision = Decision(
-            query=Query(q.coll, float(q.nbytes), commsize, None, band),
+            query=asked,
             config=None if refused else config,
             provenance=provenance,
             expected_time=served_time,
@@ -518,7 +603,13 @@ class DecisionService:
 
     def decide_batch(self, queries: Sequence[Query]) -> list[Decision]:
         t0 = time.perf_counter()
-        out = [self.decide(q) for q in queries]
+        out: list[Decision] = []
+        try:
+            for q in queries:
+                out.append(self.decide(q))
+        except QueryError as exc:
+            exc.index = len(out)
+            raise
         dt = time.perf_counter() - t0
         self.metrics.histogram("serve.batch_seconds").observe(dt)
         if dt > 0:
@@ -534,22 +625,17 @@ class DecisionService:
             self._next_sid += 1
         return out
 
-    def _counter(self, name: str, **labels):
-        key = (name, *sorted(labels.items()))
-        c = self._counters.get(key)
-        if c is None:
-            c = self.metrics.counter(name, **labels)
-            self._counters[key] = c
-        return c
-
     def _count(self, decision: Decision) -> None:
-        coll = decision.query.coll
-        self._counter("serve.decisions",
-                      provenance=decision.provenance, coll=coll).inc()
+        key = (decision.provenance, decision.query.coll)
+        c = self._decided.get(key)
+        if c is None:
+            c = self._decided[key] = self.metrics.counter(
+                "serve.decisions", provenance=key[0], coll=key[1])
+        c.inc()
         if not decision.verdict.ok:
-            self._counter("serve.violations", coll=coll).inc()
+            self.metrics.counter("serve.violations", coll=key[1]).inc()
         if decision.refused:
-            self._counter("serve.refused", coll=coll).inc()
+            self.metrics.counter("serve.refused", coll=key[1]).inc()
 
     # -- adapters ----------------------------------------------------------------
 
@@ -559,8 +645,6 @@ class DecisionService:
         Refused (strict-mode) answers fall back to the untuned default
         config — the runtime must always get *some* decision.
         """
-        from repro.core.han import HanModule
-
         band = band_digest(machine)
 
         def decide(n: int, p: int, nbytes: float, coll: str) -> HanConfig:
@@ -587,10 +671,3 @@ class DecisionService:
                 out["refused"] += int(c.value)
         out["queries"] = sum(out["decisions"].values())
         return out
-
-
-def _default_config(nbytes: float) -> HanConfig:
-    """The untuned default config (lazy import keeps serving light)."""
-    from repro.core.han import HanModule
-
-    return HanModule.default_config(nbytes)

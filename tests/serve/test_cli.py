@@ -61,6 +61,34 @@ def test_serve_no_queries_exits_2(tmp_path):
                  "--queries", str(empty)]) == 2
 
 
+@pytest.mark.parametrize("text, where", [
+    # JSONL: the bad query's line, blank lines counted
+    ('{"coll": "bcast", "nbytes": 64, "machine": "tiny_cluster:2x2"}\n\n'
+     '{"coll": "bcast", "nbytes": NaN, "machine": "tiny_cluster:2x2"}\n',
+     "line 3: query nbytes must be a finite number >= 0, got nan"),
+    ('[{"coll": "bcast", "nbytes": 64, "commsize": 4, "band": "ab"},'
+     ' {"coll": "bcast", "nbytes": 64, "commsize": 16.5, "band": "ab"}]',
+     "query 2: query commsize must be a positive integer, got 16.5"),
+    ('{"coll": "bcast", "nbytes": -5.0, "commsize": 4, "band": "ab"}\n',
+     "line 1: query nbytes must be a finite number >= 0, got -5.0"),
+    ('{"coll": "bcast", "nbytes": 64, "commsize": 4, "band": "ab"}\n'
+     '{"nbytes": 64, "commsize": 4, "band": "ab"}\n',
+     "line 2: missing field 'coll'"),
+    ('{"coll": "bcast", "nbytes": 64, "commsize": 4, "band": "ab"}\n'
+     '{"coll": "bcast", "nbytes": 64,\n',
+     "line 2: Expecting"),
+])
+def test_serve_reports_a_bad_query_and_exits_2(tmp_path, capsys, text,
+                                               where):
+    queries = tmp_path / "q.jsonl"
+    queries.write_text(text)
+    assert main(["serve", "--store", str(tmp_path / "ds"),
+                 "--queries", str(queries)]) == 2
+    out, err = capsys.readouterr()
+    assert f"bad query in {queries}: {where}" in err
+    assert "Traceback" not in err and "served" not in out
+
+
 def test_strict_refusal_exits_3(tmp_path):
     machine = parse_fleet(FLEET)[0]
     rec = decision_record(machine, "bcast", 64 * KiB,

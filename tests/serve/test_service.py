@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import HanConfig
 from repro.core.han import HanModule
 from repro.hardware import shaheen2, stampede2, tiny_cluster
-from repro.serve.service import DecisionService, Query
+from repro.serve.service import DecisionService, Query, QueryError
 from repro.serve.store import DecisionStore, band_digest, decision_record
 from repro.serve.warm import WARM_SPACES
 from repro.tuning import Autotuner
@@ -203,6 +203,49 @@ def test_query_needs_platform_identity():
         svc.decide(Query(coll="bcast", nbytes=64.0))
     with pytest.raises(ValueError):
         svc.decide(Query(coll="bcast", nbytes=64.0, band="f" * 64))
+
+
+@pytest.mark.parametrize("field, value, query", [
+    ("nbytes", "nan", dict(nbytes=float("nan"), commsize=4)),
+    ("nbytes", "inf", dict(nbytes=float("inf"), commsize=4)),
+    ("nbytes", "-inf", dict(nbytes=float("-inf"), commsize=4)),
+    ("nbytes", "-5.0", dict(nbytes=-5.0, commsize=4)),
+    ("nbytes", "'64KB'", dict(nbytes="64KB", commsize=4)),
+    ("commsize", "16.5", dict(nbytes=64.0, commsize=16.5)),
+    ("commsize", "nan", dict(nbytes=64.0, commsize=float("nan"))),
+    ("commsize", "inf", dict(nbytes=64.0, commsize=float("inf"))),
+    ("commsize", "-4", dict(nbytes=64.0, commsize=-4)),
+    ("commsize", "'16'", dict(nbytes=64.0, commsize="16")),
+])
+def test_query_without_a_valid_answer_is_rejected(field, value, query):
+    # a stored shard: a NaN size would otherwise resolve "nearest"
+    machine = _machine()
+    store = DecisionStore()
+    _put(store, machine, 64 * KiB, 64 * KiB, 1e-4)
+    svc = DecisionService(store)
+    q = Query(coll="bcast", band=band_digest(machine), **query)
+    with pytest.raises(ValueError, match=f"{field} .* got {value}$"):
+        svc.decide(q)
+    good = Query(coll="bcast", nbytes=64 * KiB, machine=machine)
+    with pytest.raises(QueryError) as err:
+        svc.decide_batch([good, good, q, good])
+    assert err.value.index == 2
+    assert svc.stats()["queries"] == 2
+
+
+def test_zero_bytes_and_integral_float_commsize_are_valid():
+    machine = _machine()
+    store = DecisionStore()
+    _put(store, machine, 64 * KiB, 64 * KiB, 1e-4)
+    svc = DecisionService(store)
+    band = band_digest(machine)
+    d = svc.decide(Query(coll="bcast", nbytes=0, commsize=4.0, band=band))
+    assert d.provenance == "nearest" and d.query.commsize == 4
+    assert type(d.query.commsize) is int and d.query.nbytes == 0.0
+    d = svc.decide(Query(coll="bcast", nbytes=0.0, commsize=4,
+                         band="f" * 64))
+    assert d.provenance == "default"
+    assert d.config == HanModule.default_config(0.0)
 
 
 def test_service_sees_store_mutations():

@@ -5,15 +5,20 @@ verdicts that read it; a fresh service over the same store derives
 everything from scratch.  After every seeded mutation -- a new config
 or a rescaled time at an existing point, a losing older record, a new
 size or geometry, an operand put under a served composite, ``compact``
-and ``refresh`` -- both must serve byte-identical documents.
+and ``refresh`` -- both must serve byte-identical documents.  A second
+run does the same over commsizes below, above, between and on the
+stored geometries, unknown bands, and shards that serve defaults until
+their first record; a seeded property test holds the bisect geometry
+scan to a scan of every geometry.
 """
 
 import json
 import random
+from math import log2
 
 from repro.core.config import HanConfig
 from repro.hardware import tiny_cluster
-from repro.serve.service import DecisionService, Query
+from repro.serve.service import _EPS, DecisionService, Query, _ShardIndex
 from repro.serve.store import DecisionStore, band_digest
 
 KiB = 1024
@@ -127,3 +132,84 @@ def test_incremental_service_matches_a_fresh_one(tmp_path):
                 store.refresh()
         _assert_fresh(svc, store, queries, (step, kind))
     assert seen == set(kinds)
+
+
+#: commsizes 2, 4, 8 (twice), 16, 64: ties on one commsize, gaps with an
+#: exact log2 midpoint (8 between 4 and 16 until 8 is stored, 32 between
+#: 16 and 64) and room below and above
+SCAN_GEOMS = [(2, 2), (8, 2), (4, 2), (2, 4), (1, 2), (16, 4)]
+SCAN_COMMSIZES = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 32, 48, 64, 128, 4096)
+
+
+def test_incremental_geometry_scan_and_defaults_match_a_fresh_service(
+        tmp_path):
+    rng = random.Random(37)
+    machine = tiny_cluster(num_nodes=2, ppn=2)
+    band = band_digest(machine)
+    store = DecisionStore(tmp_path / "decisions")
+    clock = [1.0e9]
+    stored: dict[str, set] = {coll: set() for coll in COLLS}
+
+    def put(coll, n, p, m):
+        clock[0] += 1.0
+        store.put_decision(machine, coll, m, rng.choice(CONFIGS),
+                           expected_time=_time(coll, m, rng.uniform(0.8, 1.2)),
+                           n=n, p=p, wall_time=clock[0])
+        stored[coll].add((n, p))
+
+    # two geometries, commsizes 4 and 16, in two collectives: the rest
+    # serve defaults until a mutation gives them their first record
+    for coll in COLLS[:2]:
+        for n, p in SCAN_GEOMS[:2]:
+            for m in SIZES[::2]:
+                put(coll, n, p, m)
+    queries = [Query(coll, m, commsize=c, band=band)
+               for coll in COLLS for c in SCAN_COMMSIZES
+               for m in (SIZES[0], SIZES[1], 1024 * KiB)]
+    # bands with no shard at all: always defaults
+    queries += [Query(coll, m, commsize=c, band=b)
+                for b in ("0" * 64, "1" * 64) for coll in COLLS
+                for c in (1, 4, 64) for m in (0.0, 64 * KiB, 8192 * KiB)]
+    svc = DecisionService(store)
+    _assert_fresh(svc, store, queries, "before any mutation")
+
+    kinds = ("first", "geometry", "size", "first", "geometry", "compact")
+    served = set()
+    for step in range(36):
+        kind = kinds[step % len(kinds)]
+        empty = [c for c in COLLS if not stored[c]]
+        if kind == "first" and empty:
+            # the first record of a (band, coll) that was serving defaults
+            put(empty[0], *rng.choice(SCAN_GEOMS), rng.choice(SIZES))
+        elif kind == "geometry":
+            coll = rng.choice([c for c in COLLS if stored[c]])
+            fresh = [g for g in SCAN_GEOMS if g not in stored[coll]]
+            put(coll, *(fresh or SCAN_GEOMS)[0], rng.choice(SIZES))
+        elif kind == "compact":
+            store.compact()
+        else:
+            coll = rng.choice([c for c in COLLS if stored[c]])
+            put(coll, *rng.choice(sorted(stored[coll])), rng.choice(SIZES))
+        _assert_fresh(svc, store, queries, (step, kind))
+        served |= {d.provenance for d in svc.decide_batch(queries)}
+    assert all(stored.values())
+    assert served == {"exact", "nearest", "interpolated", "default"}
+
+
+def test_bisect_geometry_scan_matches_a_linear_scan():
+    """Seeded property: the bisect scan keeps exactly the geometries and
+    the distance that a scan of every geometry keeps, duplicates of one
+    commsize included."""
+    rng = random.Random(3737)
+    for _trial in range(300):
+        idx = _ShardIndex(())
+        geoms = {(rng.randint(1, 16), rng.choice((1, 2, 3, 4, 6, 8)))
+                 for _ in range(rng.randint(1, 12))}
+        for n, p in rng.sample(sorted(geoms), len(geoms)):
+            idx.add({"n": n, "p": p, "nbytes": 64.0})
+            for c in (1, 2, 3, 7, 12, 24, 48, 100, rng.randint(1, 200)):
+                lc = log2(c)
+                best = min(abs(log2(g) - lc) for g, _n, _p in idx.geoms)
+                want = [(n, p) for g, n, p in idx.geoms
+                        if abs(log2(g) - lc) <= best + _EPS]
+                assert idx.nearest_geoms(c) == (want, best), (c, idx.geoms)
