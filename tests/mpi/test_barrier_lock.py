@@ -11,6 +11,12 @@ Every case records, in the order the ranks leave, each rank's exit as
 - ``TaskBench``'s ``"low"`` scope: the node-level communicators of
   ``build_hierarchy(world)``, entered straight after the splits.
 
+Each case runs quiet (its key is the bare case name) and in the loud
+modes of ``test_lifecycle_lock`` (key ``<mode>/<case>``): an identity
+overhead hook, seeded ``OsNoise``, seeded ``MessageJitter``, a hook that
+halves every ``net_latency``, and an attached ``ObsRecorder``, whose
+spans, counter samples and message records are pinned as a digest.
+
 Exit order is same-instant resume order, so the lock holds whichever
 path a barrier takes to get there.  When a timing-model change is
 intentional, regenerate the fixture::
@@ -68,27 +74,40 @@ def _low(comm, log):
     log.append((comm.rank, comm.now))
 
 
-CASES = {
+PROGRAMS = {
     **{f"world/{m}/{n}x{p}": ((m, n, p), _world) for m, n, p in WORLD},
     "split/shaheen2/4x6": (("shaheen2", 4, 6), _split),
     "skewed/stampede2/3x5": (("stampede2", 3, 5), _skewed),
     "low/shaheen2/6x8": (("shaheen2", 6, 8), _low),
     "low/stampede2/3x5": (("stampede2", 3, 5), _low),
 }
+LOUD = ("hook", "noise", "jitter", "shrink", "obs")
+CASES = [*PROGRAMS, *(f"{mode}/{key}" for mode in LOUD for key in PROGRAMS)]
 
 
 def run_case(key: str) -> dict:
     """The exits (in exit order) and engine events of one case."""
     from repro.mpi import MPIRuntime
+    from tests.mpi.test_lifecycle_lock import obs_digest, runtime_for
 
-    spec, program = CASES[key]
-    runtime = MPIRuntime(_machine(*spec))
+    mode, _, name = key.partition("/")
+    if mode not in LOUD:
+        mode, name = "quiet", key
+    spec, program = PROGRAMS[name]
+    if mode == "quiet":
+        runtime, rec = MPIRuntime(_machine(*spec)), None
+    else:
+        runtime, rec = runtime_for(mode, _machine(*spec))
     log: list = []
     runtime.run(program, log)
-    return {
+    out = {
         "exits": [[rank, float.hex(when)] for rank, when in log],
         "events": runtime.engine.events,
     }
+    if rec is not None:
+        rec.detach()
+        out["obs"] = obs_digest(rec)
+    return out
 
 
 def _fixture() -> dict:
