@@ -213,10 +213,13 @@ class OsNoise(Injector):
 
 @dataclass(frozen=True)
 class MessageJitter(Injector):
-    """Perturb every message's network latency by ``+ Exp(amplitude)``.
+    """Perturb point-to-point data latency by ``+ Exp(amplitude)``.
 
-    ``amplitude`` is the *mean* extra latency in seconds; zero is the
-    exact identity.  ``ranks`` restricts jitter to messages *sent by*
+    Only a payload's latency moves: an eager payload's when it is sent,
+    a rendezvous payload's after the CTS.  The envelope, the CTS and
+    the shared-memory copies of the intra-node modules keep their
+    latency.  ``amplitude`` is the *mean* extra latency in seconds;
+    zero is the exact identity.  ``ranks`` restricts jitter to messages *sent by*
     those world ranks.
     """
 

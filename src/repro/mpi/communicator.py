@@ -227,10 +227,10 @@ class Communicator:
 
         Collective *modules* provide their own tuned barriers; this one
         exists so applications and tests can synchronize without picking
-        a module.  On a quiet engine (no obs recorder, no overhead hook)
-        one :class:`~repro.mpi.matching.Barrier` runs every rank's
-        rounds with the same engine cells as the loop below; a loud run
-        takes the loop, with its spans and hooks.
+        a module.  One :class:`~repro.mpi.matching.Barrier` runs every
+        rank's rounds with the loop's engine cells and hook calls; an obs
+        recorder gets the loop below, whose message records and spans
+        feed the critical-path walk.
         """
         epoch = self._barrier_epoch
         self._barrier_epoch += 1

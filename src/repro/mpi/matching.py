@@ -8,16 +8,14 @@ physically finish out of order, the *matching* never does.
 
 One :class:`Transit` per ``isend`` is the only representation a message
 has from issue to receive completion, and its bound methods are the
-callbacks of every stage.  Staged -- under an overhead hook or an obs
-recorder -- a message is five engine events: ``sent``, then one latency
-later ``deliver`` (envelope) and ``start_flow`` (payload) back to back,
-``landed`` when the flow completes, ``received`` after the receive
-overhead.  On a quiet engine the latency expiries of all messages that
-reach their receivers in one instant are a single :class:`Arrivals`
-event, and zero-byte payloads land inside it: three events per message
-(DESIGN.md section 4o argues why that is exact).  A quiet run's built-in
-barrier keeps those three cells per round but no :class:`Transit`: one
-:class:`Barrier` per barrier instance runs every rank's rounds.
+callbacks of every stage.  On every run, quiet, noisy or traced, the
+envelopes that reach their receivers in one instant are one
+:class:`Arrivals` event, with every payload whose data latency is the
+envelope's (a zero-byte one lands inside it): three events per message
+(DESIGN.md section 4o argues why that is exact); a payload whose
+latency an overhead hook moved gets a cell of its own.  One
+:class:`Barrier` per barrier instance runs the built-in barrier's
+rounds with those cells but no :class:`Transit`.
 """
 
 from __future__ import annotations
@@ -77,33 +75,29 @@ def _matches(source: int, tag: int, msg: "Transit") -> bool:
 
 class Wire:
     """What the messages of one runtime share: engine, fabric, the open
-    arrival events and barrier instances of a quiet run and the tallies
-    of ``message_stats``.
+    arrival events and barrier instances, the ``message_stats`` tallies.
 
     Not the runtime itself: channels sit in the runtime's registry, and a
     reference back would turn every finished runtime into cyclic garbage
     (a tuning sweep builds one per measurement).
     """
 
-    __slots__ = (
-        "engine", "fabric", "arrivals", "barriers", "hops", "fused", "staged",
-    )
+    __slots__ = ("engine", "fabric", "arrivals", "barriers", "hops", "fused")
 
     def __init__(self, engine, fabric) -> None:
         self.engine = engine
         self.fabric = fabric
         #: arrival instant -> the event messages landing then may join
         self.arrivals: dict[float, Arrivals] = {}
-        #: (cid, epoch) -> the quiet barrier instance some rank is in
+        #: (cid, epoch) -> the barrier instance some rank is in
         self.barriers: dict[tuple[int, int], Barrier] = {}
-        #: messages quiet barriers have issued (they have no channel)
+        #: messages barrier instances have issued (they have no channel)
         self.hops = 0
         self.fused = 0
-        self.staged = 0
 
     def arrive(self, when: float, msg) -> None:
-        """Let ``msg`` (a :class:`Transit` or a :class:`Hop`) reach its
-        receiver at ``when`` on a quiet engine: it joins the instant's
+        """Let the envelope of ``msg`` (a :class:`Transit` or a
+        :class:`Hop`) reach its receiver at ``when``: it joins the instant's
         :class:`Arrivals` event while that is the newest entry of the
         instant, and opens a new one otherwise."""
         batch = self.arrivals.get(when)
@@ -165,7 +159,7 @@ class Transit:
 
     __slots__ = (
         "ch", "tag", "nbytes", "payload", "eager", "recv_ov", "seq",
-        "send_req", "recv_req", "arrived", "mid",
+        "send_req", "recv_req", "arrived", "mid", "rides",
     )
 
     def __init__(self, ch: Channel, tag: int, nbytes: float, payload: object,
@@ -183,39 +177,40 @@ class Transit:
         self.arrived = False  # data physically at the receiver
         #: observability message id (-1 when no recorder is attached)
         self.mid = mid
+        self.rides = False  # the payload is in its envelope's Arrivals
 
     # -- sender side -----------------------------------------------------------
 
     def sent(self) -> None:
-        """The send overhead is paid: put the message on the wire."""
+        """The send overhead is paid: the envelope joins the
+        :class:`Arrivals` event one channel latency on, and an eager
+        payload rides in it unless the overhead hook, asked here as
+        ``Fabric.start_transfer`` asks it, gives the data another
+        latency.  A latency too small to advance the clock gets cells
+        of its own (DESIGN.md section 4o)."""
         ch = self.ch
         wire = ch.wire
         engine = wire.engine
-        obs = engine.obs
-        when = engine.now + ch.latency
-        if obs is None and engine.overhead_hook is None and when > engine.now:
-            # quiet: envelope and payload latency expire in one event,
-            # shared with every message that lands right behind this one
+        if self.mid >= 0:
+            engine.obs.msg_send_done(self.mid)
+        latency = ch.latency
+        when = engine.now + latency
+        if self.eager:
+            data = wire.fabric.data_latency(ch.src_world, latency)
+            self.rides = when > engine.now and data == latency
+        if when > engine.now:
             wire.arrive(when, self)
         else:
-            wire.staged += 1
-            if obs is not None:
-                obs.msg_send_done(self.mid)
-            # The matchable envelope travels at control latency, in order.
-            engine.schedule(ch.latency, self.deliver)
-            if self.eager:
-                wire.fabric.start_transfer(
-                    ch.src_world, ch.dst_world, self.nbytes, self.landed
-                )
+            engine.schedule(latency, partial(ch.deliver_in_order, self))
         if self.eager:
-            # Data goes immediately (buffered at the receiver if no recv
-            # is posted yet); sender completes locally.
-            self.send_req.event.succeed(None)
+            if not self.rides:
+                engine.schedule(data, partial(
+                    wire.fabric.start_flow,
+                    ch.src_world, ch.dst_world, self.nbytes, self.landed,
+                ))
+            self.send_req.event.succeed(None)  # buffered at the receiver
 
     # -- receiver side ---------------------------------------------------------
-
-    def deliver(self) -> None:
-        self.ch.deliver_in_order(self)
 
     def bind(self, req: Request) -> None:
         """Matched with a posted receive."""
@@ -269,17 +264,17 @@ class Transit:
 
 
 class Arrivals:
-    """The messages of a quiet run that reach their receivers in one
-    instant, back to back, retired as one engine event.
+    """The envelopes that reach their receivers in one instant, back to
+    back, and the payloads that ride in them, retired as one event.
 
-    Staged, message *k* of such a run owns two adjacent cells (envelope,
-    ``start_flow``) and, when its payload is instantaneous, a third that
-    ``start_flow`` appends to the instant.  A message joins only while
-    this event is the newest entry of its instant, so :meth:`fire` walks
-    the very cells the staged run would have retired, in their order;
-    and it lands the instantaneous payloads itself only if it is still
-    the newest entry then -- otherwise the cells behind it come first,
-    as they would have, and one trailing event lands them.
+    In cells of their own, message *k*'s envelope and riding payload
+    would be two adjacent cells (envelope, ``start_flow``), plus a third
+    that ``start_flow`` appends to the instant for an instantaneous
+    payload.  A message joins only while this event is the newest entry
+    of its instant, so :meth:`fire` walks those very cells in their
+    order; it lands the instantaneous payloads itself only if it is
+    still the newest entry then -- otherwise the cells behind it come
+    first, as they would have, and one trailing event lands them.
     """
 
     __slots__ = ("wire", "msgs", "cell")
@@ -300,12 +295,15 @@ class Arrivals:
         fabric = wire.fabric
         instant = []
         for msg in msgs:
-            if type(msg) is Hop:  # a barrier round: no envelope, no payload
-                instant.append(msg)
+            if type(msg) is Hop:  # a barrier round: no channel, no flow
+                if msg.rides:
+                    instant.append(msg)
+                else:
+                    msg.landed()  # the envelope half of the round
                 continue
             ch = msg.ch
             ch.deliver_in_order(msg)
-            if msg.eager:
+            if msg.rides:
                 if msg.nbytes > EPS_BYTES:
                     fabric.start_flow(
                         ch.src_world, ch.dst_world, msg.nbytes, msg.landed
@@ -325,19 +323,18 @@ class Arrivals:
 
 
 class Barrier:
-    """One instance of ``Communicator.barrier`` on a quiet engine, run
-    for all of its ranks.
+    """One instance of ``Communicator.barrier``, run for all its ranks.
 
-    Rank *r*'s round *k* is the staged loop's ``sendrecv``: a zero-byte
-    message to ``r + 2**k`` and one from ``r - 2**k`` (mod size).  Each
-    message keeps the engine cells a quiet zero-byte :class:`Transit`
-    has, issued in the same order: the send grant on the sender's
-    progress server, its place in an :class:`Arrivals` event (landing
-    inside it or in its trailing cell), the receive grant at landing or
-    when the round starts, whichever is later.  It skips the per-round
-    request, channel, matcher, :class:`Message`, ``AllOf`` and generator
-    resume: a rank waits on one event, succeeded in the cell its last
-    round completes.  DESIGN.md section 4o says why that is exact.
+    Rank *r*'s round *k* is the ``sendrecv`` loop's: a zero-byte message
+    to ``r + 2**k`` and one from ``r - 2**k`` (mod size).  Each message
+    keeps the engine cells and hook calls a zero-byte :class:`Transit`
+    has, in the same order: the send grant on the sender's progress
+    server, its envelope's place in an :class:`Arrivals` event, the
+    payload's landing there (or in cells of its own), the receive grant
+    at landing or when the round starts, whichever is later.  It skips
+    the per-round request, channel, matcher, :class:`Message`, ``AllOf``
+    and generator resume: a rank waits on one event, succeeded in the
+    cell its last round completes (DESIGN.md section 4o: why it is exact).
 
     The instance leaves the wire's registry when its last rank does.
     """
@@ -386,23 +383,27 @@ class Barrier:
             cpu.request_call(self.recv_ov, partial(self._received, rank))
 
     def _sent(self, rank: int) -> None:
-        """The send overhead of ``rank``'s round is paid: on the wire."""
+        """The send overhead of ``rank``'s round is paid: on the wire,
+        as :meth:`Transit.sent` puts a zero-byte message there."""
         wire = self.wire
         engine = wire.engine
+        fabric = wire.fabric
         group = self.group
         k = self.round[rank]  # the round's receive cannot be done yet
         dst = (rank + (1 << k)) % len(group)
+        latency = fabric.plan(group[rank], group[dst], 0).latency
+        data = fabric.data_latency(group[rank], latency)
         now = engine.now
-        when = now + wire.fabric.plan(group[rank], group[dst], 0).latency
-        hop = Hop(self, dst, k)
+        when = now + latency
+        hop = Hop(self, dst, k, when > now and data == latency)
         if when > now:
             wire.arrive(when, hop)
         else:
-            # no latency to share: a staged message's envelope, flow
-            # start and landing, one cell each
-            wire.staged += 1
-            engine.schedule(0.0, _nothing)
-            engine.schedule(0.0, partial(engine.schedule, 0.0, hop.landed))
+            engine.schedule(latency, hop.landed)  # the envelope
+        if not hop.rides:
+            # the payload's flow start, then its landing at the end of
+            # that instant, one cell each
+            engine.schedule(data, partial(engine.schedule, 0.0, hop.landed))
 
     def _landed(self, rank: int, k: int) -> None:
         """Round ``k``'s message is at ``rank``."""
@@ -427,19 +428,20 @@ class Barrier:
 
 
 class Hop:
-    """A quiet barrier's round-``k`` message to ``rank``, as an
+    """A barrier instance's round-``k`` message to ``rank``, as an
     :class:`Arrivals` event carries it."""
 
-    __slots__ = ("barrier", "rank", "k")
+    __slots__ = ("barrier", "rank", "k", "rides", "left")
 
-    def __init__(self, barrier: Barrier, rank: int, k: int) -> None:
+    def __init__(self, barrier: Barrier, rank: int, k: int,
+                 rides: bool) -> None:
         self.barrier = barrier
         self.rank = rank
         self.k = k
+        self.rides = rides  # the payload lands with the envelope
+        self.left = 1 if rides else 2  # halves (envelope, payload) to land
 
     def landed(self) -> None:
-        self.barrier._landed(self.rank, self.k)
-
-
-def _nothing() -> None:
-    pass
+        self.left -= 1
+        if not self.left:
+            self.barrier._landed(self.rank, self.k)

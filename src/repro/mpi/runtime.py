@@ -209,11 +209,10 @@ class MPIRuntime:
     def _quiet_barrier(
         self, comm: Communicator, epoch: int
     ) -> Optional[Barrier]:
-        """Barrier instance ``epoch`` of ``comm`` on a quiet engine (its
-        first rank opens it); None on a loud one, which runs the staged
-        loop of :meth:`Communicator.barrier`."""
-        engine = self.engine
-        if engine.obs is not None or engine.overhead_hook is not None:
+        """Barrier instance ``epoch`` of ``comm`` (its first rank opens
+        it); None under an obs recorder, whose spans and message records
+        come from the ``sendrecv`` loop of :meth:`Communicator.barrier`."""
+        if self.engine.obs is not None:
             return None
         key = (comm.cid, epoch)
         barrier = self._wire.barriers.get(key)
@@ -225,16 +224,14 @@ class MPIRuntime:
         return barrier
 
     def message_stats(self) -> dict[str, int]:
-        """Messages issued so far, and how many of them reached their
-        receiver through a fused :class:`~repro.mpi.matching.Arrivals`
-        event or through the staged pipeline (the rest are in flight).
-        A quiet barrier's rounds count as messages too."""
+        """Messages issued so far (barrier rounds included), and how many
+        of their envelopes reached the receiver in an ``Arrivals`` event
+        (the rest are in flight, or had no latency to share one)."""
         return {
             "messages": self._wire.hops + sum(
                 ch.next_send_seq for ch in self._channels.values()
             ),
             "fused": self._wire.fused,
-            "staged": self._wire.staged,
         }
 
     # -- comm split ------------------------------------------------------------

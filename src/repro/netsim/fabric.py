@@ -279,22 +279,20 @@ class Fabric:
         nbytes: float,
         on_done: Callable[[], None],
     ) -> None:
-        """Run latency then the fluid flow; ``on_done`` fires at delivery."""
-        plan = self.plan(src_rank, dst_rank, nbytes)
-        latency = plan.latency
-        if self.engine.overhead_hook is not None:
-            latency = self.engine.overhead_hook("net_latency", src_rank, latency)
-            if latency < 0:  # not max(): a NaN must reach schedule()'s guard
-                latency = 0.0
-        label = (
-            f"x:{src_rank}->{dst_rank}" if self.engine.obs is not None else ""
-        )
-        # positional partial (nbytes, resources, on_complete, rate_cap,
-        # weight, label) over a closure: skips one Python frame per flow
-        self.engine.schedule(latency, partial(
-            self.solver.start_flow,
-            nbytes, plan.resources, on_done, plan.rate_cap, 1.0, label,
+        """Run the data latency then the flow; ``on_done`` fires at delivery."""
+        latency = self.plan(src_rank, dst_rank, nbytes).latency
+        self.engine.schedule(self.data_latency(src_rank, latency), partial(
+            self.start_flow, src_rank, dst_rank, nbytes, on_done
         ))
+
+    def data_latency(self, src_rank: int, latency: float) -> float:
+        """A payload's one-way ``latency`` after the overhead hook."""
+        hook = self.engine.overhead_hook
+        if hook is None:
+            return latency
+        latency = hook("net_latency", src_rank, latency)
+        # not max(): a NaN must reach schedule()'s guard
+        return 0.0 if latency < 0 else latency
 
     def start_flow(
         self,
@@ -303,11 +301,11 @@ class Fabric:
         nbytes: float,
         on_done: Callable[[], None],
     ) -> None:
-        """The fluid half of :meth:`start_transfer`, for a caller on a
-        quiet engine that has already waited out the plan's latency."""
+        """The fluid half of :meth:`start_transfer`."""
         plan = self.plan(src_rank, dst_rank, nbytes)
         self.solver.start_flow(
-            nbytes, plan.resources, on_done, plan.rate_cap, 1.0, ""
+            nbytes, plan.resources, on_done, plan.rate_cap, 1.0,
+            f"x:{src_rank}->{dst_rank}" if self.engine.obs is not None else "",
         )
 
     def gpu_flow(

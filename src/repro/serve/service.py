@@ -84,6 +84,11 @@ __all__ = [
 
 _EPS = 1e-12
 
+#: empty shard indexes (unknown bands, unstored collectives) a service
+#: keeps before it drops them all: a stream of queries for ever new
+#: unknown bands cannot grow a long-lived service without bound
+_EMPTY_INDEXES_MAX = 1024
+
 #: grade of a record that fails its own integrity: an error with no
 #: seconds to cost
 _CORRUPT = Severity(grade="error", cost_seconds=0.0, cost_bytes=0.0,
@@ -377,6 +382,9 @@ class DecisionService:
         # shard indexes, and per record key its verdict and parsed config
         self._seen = store.version
         self._indexes: dict[tuple[str, str], _ShardIndex] = {}
+        # the empty ones (each keeps its default verdict), bounded by
+        # _EMPTY_INDEXES_MAX
+        self._empty: dict[tuple[str, str], _ShardIndex] = {}
         self._verdicts: dict[str, Verdict] = {}
         self._configs: dict[str, HanConfig] = {}
         # decision counter handle per (provenance, coll)
@@ -385,10 +393,22 @@ class DecisionService:
     # -- plumbing ----------------------------------------------------------------
 
     def _index(self, band: str, coll: str) -> _ShardIndex:
-        idx = self._indexes.get((band, coll))
+        key = (band, coll)
+        idx = self._indexes.get(key)
+        if idx is not None:
+            return idx
+        idx = self._empty.get(key)
         if idx is None:
             idx = _ShardIndex(self.store.records(band, coll))
-            self._indexes[(band, coll)] = idx
+            if idx:
+                self._indexes[key] = idx
+                return idx
+            if len(self._empty) >= _EMPTY_INDEXES_MAX:
+                # a composite's cached verdict may have read an operand
+                # through one of them: the verdicts go too
+                self._empty.clear()
+                self._verdicts.clear()
+            self._empty[key] = idx
         return idx
 
     def _sync(self) -> None:
@@ -397,6 +417,7 @@ class DecisionService:
         self._seen = self.store.version
         if changes is None:  # views reloaded: nothing derived survives
             self._indexes.clear()
+            self._empty.clear()
             self._verdicts.clear()
             self._configs.clear()
             return
@@ -412,11 +433,15 @@ class DecisionService:
         else.  So a change drops its own config and verdict, its
         neighbors' verdicts and the verdict of each composite it is an
         operand of.  A shard with no index yet has nothing derived from
-        it: computing any of those verdicts indexes it first.
+        it: computing any of those verdicts indexes it first (and
+        dropping the empty indexes drops every verdict).
         """
         idx = self._indexes.get((band, coll))
         if idx is None:
-            return
+            idx = self._empty.pop((band, coll), None)
+            if idx is None:
+                return
+            self._indexes[(band, coll)] = idx
         n, p, m = idx.add(self.store.resolved(band, coll, key))
         self._configs.pop(key, None)
         stale = [idx.points[(n, p, ms)] for ms in idx.sizes[(n, p)]]
@@ -437,9 +462,14 @@ class DecisionService:
         infinite or negative nbytes; a commsize that is not a positive
         integer).
         """
-        band = q.band or (band_digest(q.machine)
-                          if q.machine is not None else None)
-        if band is None:
+        band = q.band
+        if not band and q.machine is not None:
+            try:
+                band = band_digest(q.machine)
+            except ValueError as exc:
+                raise QueryError(f"query machine {q.machine.name!r} has no "
+                                 f"hardware band: {exc}") from None
+        if not band:
             raise QueryError("query needs a machine or a band digest")
         commsize = q.commsize
         if not commsize:  # 0: derive from the machine

@@ -109,7 +109,10 @@ class StartGate:
     no overhead hook on the engine, no obs recorder attached, and the
     caller's ``quiet`` (``run_once`` passes False under tenant
     traffic) -- never a flag; anything else simulates the barrier,
-    recording nothing.  A barrier on one-rank communicators exchanges
+    recording nothing.  A fault plan's barrier takes the same message
+    path as a quiet one, but its grants and latencies are draws from
+    the injectors' random streams: a replay would skip them and shift
+    every later draw, so the run would read other times.  A barrier on one-rank communicators exchanges
     nothing and is never recorded.  The schedules go with
     ``repro.sim.fluid.clear_fill_memo()``.
     """

@@ -1,21 +1,22 @@
-"""The differential battery for the quiet barrier.
+"""The differential battery for the barrier instance.
 
-On a quiet engine ``Communicator.barrier`` is one ``Barrier`` state
-machine per barrier instance: every round keeps its engine cells (send
-grant, a place in an ``Arrivals`` event, receive grant) but builds no
-request, channel, message or resumed generator (DESIGN.md section 4o).
-Two references run every case:
-
-- *staged* -- ``_identity`` installed as the overhead hook makes the run
-  loud, so the barrier is the ``sendrecv`` loop over the five-event
-  message pipeline; times, results and barrier exit order must match;
-- *loop* -- a quiet run whose barriers take that same loop (the runtime
-  is told no quiet instance exists), so the messages are fused
-  ``Transit`` objects; the quiet barrier must retire exactly its events
-  and report its ``message_stats``.
+Unless an obs recorder is attached, ``Communicator.barrier`` is one
+``Barrier`` state machine per barrier instance: every round keeps its
+engine cells (send grant, a place in an ``Arrivals`` event, the
+payload's landing, receive grant) and its overhead-hook calls, but
+builds no request, channel, message or resumed generator (DESIGN.md
+section 4o).  Every case runs twice in one run mode -- quiet, an
+identity hook, seeded ``OsNoise``, seeded ``MessageJitter`` or a hook
+that halves every ``net_latency`` -- once as the instance and once as
+the *loop*: the ``sendrecv`` loop over ``Transit`` messages that a
+traced run takes (the runtime is told no instance exists).  The two
+must agree on results, times, barrier exit order, engine events and
+``message_stats``.  The parent-made reference for the loop under every
+hook is ``test_barrier_lock``, whose loud entries were generated while
+the loop ran over the staged five-event message pipeline.
 
 The cases mix barriers with user point-to-point traffic on the same
-communicator, with sub-communicators and with tenant traffic.  Three
+communicator, with sub-communicators and with tenant traffic.  Four
 planted mutants at the bottom are each caught by a case.
 """
 
@@ -30,6 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultPlan, MessageJitter, OsNoise
+from repro.faults.machine import FaultyMachineSpec
 from repro.hardware import shaheen2
 from repro.mpi import ANY_SOURCE, ANY_TAG, MPIRuntime
 from repro.mpi.matching import Arrivals, Barrier, Hop, Wire
@@ -38,20 +41,33 @@ from repro.sim.engine import Sleep
 from repro.tenancy import TenantScheduler, TenantWorkload, TrafficPlan
 
 KiB = 1024
+MODES = ("quiet", "hook", "noise", "jitter", "shrink")
 
 
 def _identity(kind, who, duration):
     return duration
 
 
-def _run(machine, program, mode, traffic=None, profile=None):
-    """``(per-rank results, shared log)`` of one run, and its runtime.
+def _shrink(kind, who, duration):
+    return duration * 0.5 if kind == "net_latency" else duration
 
-    ``mode`` is ``"staged"``, ``"loop"`` or ``"quiet"``."""
+
+def _run(machine, program, mode, loop, traffic=None, profile=None):
+    """``(per-rank results, shared log)`` of one run in run mode
+    ``mode``, and its runtime; ``loop`` makes every barrier the
+    ``sendrecv`` loop."""
+    if mode in ("noise", "jitter"):
+        plan = FaultPlan(seed=3).add(
+            OsNoise(amplitude=0.3, per_op=0.2) if mode == "noise"
+            else MessageJitter(amplitude=5e-7)
+        )
+        machine = FaultyMachineSpec.wrap(machine, plan)
     runtime = MPIRuntime(machine, profile)
-    if mode == "staged":
-        runtime.engine.overhead_hook = _identity
-    elif mode == "loop":
+    if mode in ("hook", "shrink"):
+        runtime.engine.overhead_hook = (
+            _identity if mode == "hook" else _shrink
+        )
+    if loop:
         runtime._quiet_barrier = lambda comm, epoch: None
     log: list = []
     if traffic is not None:
@@ -61,29 +77,22 @@ def _run(machine, program, mode, traffic=None, profile=None):
     return (results, log), runtime
 
 
-def differential(machine, program, traffic=None, profile=None) -> list[str]:
-    """What the quiet barrier disagrees with its references on (empty
-    when all three runs are the same)."""
-    runs = {
-        mode: _run(machine, program, mode, traffic, profile)
-        for mode in ("staged", "loop", "quiet")
-    }
-    got, quiet = runs["quiet"]
+def differential(machine, program, traffic=None, profile=None,
+                 mode="quiet") -> list[str]:
+    """What the barrier instance disagrees with the loop on in run mode
+    ``mode`` (empty when both runs are the same)."""
+    want, loop = _run(machine, program, mode, True, traffic, profile)
+    got, instance = _run(machine, program, mode, False, traffic, profile)
     diffs = []
-    for mode in ("staged", "loop"):
-        want, ref = runs[mode]
-        if want != got:
-            diffs.append(f"{mode}: {want!r}\n  != quiet: {got!r}")
-        if ref.engine.now != quiet.engine.now:
-            diffs.append(f"{mode}: engine.now {ref.engine.now!r} "
-                         f"!= {quiet.engine.now!r}")
-    loop = runs["loop"][1]
-    if loop.engine.events != quiet.engine.events:
-        diffs.append(f"events: loop {loop.engine.events} "
-                     f"!= quiet {quiet.engine.events}")
-    if loop.message_stats() != quiet.message_stats():
+    if want != got:
+        diffs.append(f"loop: {want!r}\n  != instance: {got!r}")
+    for what in ("now", "events"):
+        a, b = getattr(loop.engine, what), getattr(instance.engine, what)
+        if a != b:
+            diffs.append(f"{what}: loop {a!r} != instance {b!r}")
+    if loop.message_stats() != instance.message_stats():
         diffs.append(f"message_stats: loop {loop.message_stats()} "
-                     f"!= quiet {quiet.message_stats()}")
+                     f"!= instance {instance.message_stats()}")
     return diffs
 
 
@@ -176,7 +185,7 @@ def barrier_programs(draw):
             per_rank.append((ops, at, draw(pause), drain))
         rounds.append((on_sub, per_rank))
     traffic = draw(st.sampled_from((None, None, TRAFFIC)))
-    return mname, rounds, traffic
+    return mname, rounds, traffic, draw(st.sampled_from(MODES))
 
 
 def _pause(comm, pause):
@@ -236,9 +245,11 @@ def _barrier_program(rounds):
 
 @settings(max_examples=100, deadline=None)
 @given(case=barrier_programs())
-def test_random_barrier_programs_quiet_equals_staged(case):
-    mname, rounds, traffic = case
-    diffs = differential(MACHINES[mname], _barrier_program(rounds), traffic)
+def test_random_barrier_programs_instance_equals_loop(case):
+    mname, rounds, traffic, mode = case
+    diffs = differential(
+        MACHINES[mname], _barrier_program(rounds), traffic, mode=mode
+    )
     assert not diffs, "\n".join(diffs)
 
 
@@ -297,33 +308,34 @@ def _killed_mid_barrier(comm, log):
     log.append((comm.rank, comm.now))
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("mname", sorted(MACHINES))
 @pytest.mark.parametrize(
     "program", [_world, _skewed_entry, _user_message_beside_a_round,
                 _killed_mid_barrier],
 )
-def test_crafted_cases_quiet_equals_staged(program, mname):
-    assert differential(MACHINES[mname], program) == []
+def test_crafted_cases_instance_equals_loop(program, mname, mode):
+    assert differential(MACHINES[mname], program, mode=mode) == []
 
 
-def test_zero_latency_rounds_take_the_staged_cells():
-    """No latency to share an ``Arrivals`` event over: each round is a
-    staged message's cells, and the run stays exact."""
+@pytest.mark.parametrize("mode", MODES)
+def test_zero_latency_rounds_take_cells_of_their_own(mode):
+    """No latency to share an ``Arrivals`` event over: each round's
+    envelope, flow start and landing are one cell each, and the run
+    stays exact."""
     machine = dataclasses.replace(
         ONE_NODE, node=dataclasses.replace(ONE_NODE.node, shm_latency=0.0)
     )
     profile = dataclasses.replace(openmpi_profile(), sw_latency=0.0)
-    assert differential(machine, _skewed_entry, profile=profile) == []
-    _, quiet = _run(machine, _skewed_entry, "quiet", profile=profile)
-    stats = quiet.message_stats()
-    assert stats["staged"] == stats["messages"] == 2 * 4 * 2
+    assert differential(machine, _skewed_entry, profile=profile,
+                        mode=mode) == []
+    _, instance = _run(machine, _skewed_entry, mode, False, profile=profile)
+    assert instance.message_stats() == {"messages": 2 * 4 * 2, "fused": 0}
 
 
-def test_quiet_barrier_counts_its_rounds_as_fused_messages():
-    _, quiet = _run(ONE_NODE, _world, "quiet")
-    assert quiet.message_stats() == {
-        "messages": 8, "fused": 8, "staged": 0,
-    }
+def test_barrier_instance_counts_its_rounds_as_fused_messages():
+    _, instance = _run(ONE_NODE, _world, "quiet", False)
+    assert instance.message_stats() == {"messages": 8, "fused": 8}
 
 
 def test_finished_barrier_runtime_is_not_cyclic_garbage():
@@ -397,22 +409,41 @@ def _plant_grants_at_delivery(monkeypatch):
     monkeypatch.setattr(Arrivals, "fire", mutant)
 
 
+def _plant_ignores_the_hook(monkeypatch):
+    """Land a round's payload with its envelope although the hook moved
+    the payload's data latency."""
+    sent = Barrier._sent
+
+    def mutant(self, rank):
+        engine = self.wire.engine
+        hook, engine.overhead_hook = engine.overhead_hook, None
+        try:
+            sent(self, rank)
+        finally:
+            engine.overhead_hook = hook
+
+    monkeypatch.setattr(Barrier, "_sent", mutant)
+
+
 MUTANTS = {
-    "receives-before-it-sends": (_plant_receives_before_it_sends, _skewed_entry),
-    "opens-a-batch-per-round": (_plant_opens_a_batch_per_round, _world),
-    "grants-at-delivery": (
-        _plant_grants_at_delivery, _user_message_beside_a_round,
+    "receives-before-it-sends": (
+        _plant_receives_before_it_sends, _skewed_entry, "quiet",
     ),
+    "opens-a-batch-per-round": (_plant_opens_a_batch_per_round, _world, "quiet"),
+    "grants-at-delivery": (
+        _plant_grants_at_delivery, _user_message_beside_a_round, "quiet",
+    ),
+    "ignores-the-hook": (_plant_ignores_the_hook, _skewed_entry, "jitter"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_planted_mutant_is_caught(name, monkeypatch):
-    plant, program = MUTANTS[name]
-    assert differential(ONE_NODE, program) == []
+    plant, program, mode = MUTANTS[name]
+    assert differential(ONE_NODE, program, mode=mode) == []
     plant(monkeypatch)
     try:
-        caught = differential(ONE_NODE, program)
+        caught = differential(ONE_NODE, program, mode=mode)
     except RuntimeError as exc:  # e.g. a rank released twice
         caught = [repr(exc)]
     assert caught, f"mutant {name} went unnoticed"

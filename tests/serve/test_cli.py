@@ -77,6 +77,10 @@ def test_serve_no_queries_exits_2(tmp_path):
     ('{"coll": "bcast", "nbytes": 64, "commsize": 4, "band": "ab"}\n'
      '{"coll": "bcast", "nbytes": 64,\n',
      "line 2: Expecting"),
+    # a machine whose hardware band cannot be built (gpu_pod's two
+    # fabric islands do not divide a one-rank band)
+    ('{"coll": "bcast", "nbytes": 64, "machine": "gpu_pod:2x8"}\n',
+     "line 1: query machine 'gpu_pod' has no hardware band: ppn=1"),
 ])
 def test_serve_reports_a_bad_query_and_exits_2(tmp_path, capsys, text,
                                                where):

@@ -3,7 +3,8 @@
 ``HanModule.default_config`` hands out one of four frozen configs and
 an empty shard index keeps its default verdict, so serving defaults
 builds no ``HanConfig`` at all -- and every answer is byte-identical to
-the per-call construction it replaced.
+the per-call construction it replaced.  The empty indexes a service
+keeps are bounded, so ever new unknown bands cannot grow it.
 """
 
 import json
@@ -13,6 +14,7 @@ import pytest
 from repro.core.config import HanConfig
 from repro.core.han import HanModule
 from repro.obs.insights import make_insight
+from repro.serve import service as service_mod
 from repro.serve.service import Decision, DecisionService, Query, verdict_from
 from repro.serve.store import DecisionStore
 
@@ -77,3 +79,30 @@ def test_ten_thousand_default_answers_build_no_config(monkeypatch):
     for q, d in zip(queries, decisions):
         assert json.dumps(d.to_doc(), sort_keys=True) == _doc_built_per_call(
             q.coll, q.nbytes, q.commsize, q.band)
+
+
+def test_empty_indexes_of_unknown_bands_stay_bounded():
+    svc = DecisionService(DecisionStore())
+    bound = service_mod._EMPTY_INDEXES_MAX
+    for i in range(10_000):
+        d = svc.decide(Query("bcast", 64.0, commsize=4, band=f"{i:064x}"))
+        assert d.provenance == "default"
+        assert len(svc._empty) <= bound
+    assert len(svc._empty) == 10_000 % bound
+    assert not svc._indexes
+
+
+def test_each_unknown_band_reuses_one_default_verdict():
+    """The serve benchmark's shape: eight unknown bands, queried over
+    and over in several collectives."""
+    svc = DecisionService(DecisionStore())
+    bands = [f"{i:064x}" for i in range(8)]
+    colls = ("bcast", "allreduce", "reduce")
+    queries = [Query(colls[i % 3], float(2 ** (i % 12)), commsize=16,
+                     band=bands[i % 8]) for i in range(2_000)]
+    verdicts = {}
+    for q, d in zip(queries, svc.decide_batch(queries)):
+        verdicts.setdefault((q.band, q.coll), set()).add(id(d.verdict))
+    assert len(verdicts) == 24
+    assert all(len(ids) == 1 for ids in verdicts.values())
+    assert len(svc._empty) == 24

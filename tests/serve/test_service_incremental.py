@@ -8,8 +8,10 @@ size or geometry, an operand put under a served composite, ``compact``
 and ``refresh`` -- both must serve byte-identical documents.  A second
 run does the same over commsizes below, above, between and on the
 stored geometries, unknown bands, and shards that serve defaults until
-their first record; a seeded property test holds the bisect geometry
-scan to a scan of every geometry.
+their first record; a third puts records into bands that were unknown
+when first queried, also after the service dropped its empty indexes;
+a seeded property test holds the bisect geometry scan to a scan of
+every geometry.
 """
 
 import json
@@ -17,7 +19,8 @@ import random
 from math import log2
 
 from repro.core.config import HanConfig
-from repro.hardware import tiny_cluster
+from repro.hardware import shaheen2, small_cluster, stampede2, tiny_cluster
+from repro.serve import service as service_mod
 from repro.serve.service import _EPS, DecisionService, Query, _ShardIndex
 from repro.serve.store import DecisionStore, band_digest
 
@@ -194,6 +197,50 @@ def test_incremental_geometry_scan_and_defaults_match_a_fresh_service(
         served |= {d.provenance for d in svc.decide_batch(queries)}
     assert all(stored.values())
     assert served == {"exact", "nearest", "interpolated", "default"}
+
+
+def test_puts_into_once_unknown_bands_are_served(tmp_path, monkeypatch):
+    """A band first queried with nothing stored serves defaults; its
+    first records are then answered from, and a composite's verdict that
+    read an operand shard as empty is re-derived once the operand is
+    stored -- also after a flood of unknown bands made the service drop
+    its empty indexes."""
+    # room for the 11 empty shards the queries name, not for the flood
+    monkeypatch.setattr(service_mod, "_EMPTY_INDEXES_MAX", 16)
+    machines = [tiny_cluster(num_nodes=2, ppn=2), small_cluster(),
+                shaheen2(), stampede2()]
+    bands = [band_digest(m) for m in machines]
+    store = DecisionStore(tmp_path / "decisions")
+    clock = [1.0e9]
+
+    def put(b, coll, m, scale=1.0):
+        clock[0] += 1.0
+        store.put_decision(machines[b], coll, m, CONFIGS[b],
+                           expected_time=_time(coll, m, scale),
+                           n=2, p=2, wall_time=clock[0])
+
+    # allreduce is stored in band 0, its operands nowhere yet
+    for m in SIZES:
+        put(0, "allreduce", m)
+    queries = [Query(coll, m, commsize=4, band=b) for b in bands
+               for coll in ("allreduce", "reduce", "bcast") for m in SIZES]
+    svc = DecisionService(store)
+    _assert_fresh(svc, store, queries, "before any put")
+    flood = [Query("bcast", 64.0, commsize=4, band=f"{i:064x}")
+             for i in range(20)]
+    for step, (b, coll, scale) in enumerate([
+        (1, "allreduce", 1.0), (0, "reduce", 0.2), (2, "bcast", 1.0),
+        (0, "bcast", 0.2), (3, "reduce", 1.0),
+    ]):
+        if step % 2:
+            svc.decide_batch(flood)  # drops the empty indexes, twice over
+        for m in SIZES:
+            put(b, coll, m, scale)
+        _assert_fresh(svc, store, queries, (step, b, coll))
+        docs = svc.decide_batch(
+            [Query(coll, m, commsize=4, band=bands[b]) for m in SIZES])
+        assert {d.provenance for d in docs} == {"exact"}
+        assert [d.config for d in docs] == [CONFIGS[b]] * len(SIZES)
 
 
 def test_bisect_geometry_scan_matches_a_linear_scan():

@@ -207,6 +207,20 @@ class _HookedRuntime(MPIRuntime):
         self.engine.overhead_hook = lambda kind, who, duration: duration
 
 
+class _ReplayingGate(measure_mod.StartGate):
+    """A start gate that replays the quiet schedule of the machine under
+    whatever plan or hook the run carries."""
+
+    def __init__(self, runtime, scope, **kw):
+        engine, machine = runtime.engine, runtime.machine
+        hook, engine.overhead_hook = engine.overhead_hook, None
+        runtime.machine = machine.pristine()
+        try:
+            super().__init__(runtime, scope, **kw)
+        finally:
+            engine.overhead_hook, runtime.machine = hook, machine
+
+
 def _loud_kwargs(tmp_path):
     return {
         "fault_plan": {"fault_plan": FaultPlan(seed=3).add(OsNoise(amplitude=0.4))},
@@ -238,10 +252,23 @@ def test_loud_measurements_neither_record_nor_replay(how, tmp_path, monkeypatch)
     assert len(measure_mod._BARRIER_EXITS) == 1
     if how == "overhead_hook":
         # an identity hook changes no number, so the whole measurement
-        # must be the quiet one with its barrier simulated -- through
-        # the staged message pipeline, which retires more events
+        # must be the quiet one with its barrier simulated, event for
+        # event
         quiet, _ = measured(machine)
-        assert want == quiet and want_events > quiet_cold_events
+        assert want == quiet and want_events == quiet_cold_events
+    if how == "fault_plan":
+        # why a noisy run must not replay: forced to, it reads other
+        # times.  The noisy barrier's CPU grants are draws from the
+        # plan's per-op stream, so a replay skips them and shifts every
+        # later draw (and the ranks leave at the quiet instants)
+        noisy = {"fault_plan": FaultPlan(seed=3).add(
+            OsNoise(amplitude=0.4, per_op=0.3))}
+        simulated, simulated_events = measured(machine, **noisy)
+        with monkeypatch.context() as mp:
+            mp.setattr(measure_mod, "StartGate", _ReplayingGate)
+            forced, forced_events = measured(machine, **noisy)
+        assert forced_events < simulated_events  # it did replay
+        assert forced[1] != simulated[1]
 
 
 def test_faulty_machine_passed_directly_is_not_eligible():
