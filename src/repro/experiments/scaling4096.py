@@ -1,13 +1,14 @@
 """Paper-scale run: HAN collectives at 4096 processes (256 nodes x 16).
 
 The published evaluation runs up to 4096 processes; the incremental
-fluid solver is what makes that geometry tractable in simulation (the
-reference solver re-solves every in-flight flow globally at every rate
-event).  This driver times MPI_Bcast and MPI_Allreduce at 1 MiB on the
-full geometry and reports both the simulated collective times and the
+fluid solver is what makes that geometry tractable in simulation (a
+global solver re-solves every in-flight flow at every rate event).
+This module times MPI_Bcast and MPI_Allreduce at 1 MiB on the full
+geometry and reports both the simulated collective times and the
 engine event count; the ``scale4096`` workload of
-``benchmarks/perf/run.py`` pins both on every run, and its ``--ablate``
-bit-compares the incremental and reference solvers at paper scale.
+``benchmarks/perf/run.py`` pins both on every run, and
+``tests/sim/test_fluid_oracle_runs.py`` bit-compares the quick
+geometry under the global re-solve oracle.
 
 Scales:
 

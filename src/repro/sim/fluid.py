@@ -22,54 +22,73 @@ single-flow resource.
 Incremental solving
 -------------------
 
-The solver is event-driven: on every batch of flow arrivals/departures the
-rates are recomputed and a single "next completion" callback is
-(re)scheduled on the engine.  Same-instant arrivals are batched through a
-`PRIORITY_LATE` callback so a collective step that starts P flows triggers
-one recomputation, not P.
+The solver is event-driven.  Flow starts, retirements, aborts and
+capacity rescales leave *seeds*; one `PRIORITY_LATE` callback per
+instant re-solves what the seeds can change and (re)arms a single "next
+completion" callback on the engine, so a collective step that starts P
+flows triggers one recomputation, not P.  Completions come off a lazy
+heap of ``(t_done, fid, epoch)`` entries.
 
-Two solver modes share one memoized progressive-filling entry point
-(:meth:`FluidSolver._progressive_fill`) over two bit-identical kernels:
-
-``"incremental"`` (the default)
-    A resource→flow incidence index is maintained; each recompute
-    re-solves only the connected component of flows that (transitively)
-    share a resource with whatever changed — a flow started/aborted/
-    retired, or a capacity rescale.  This is *exact*, not an
-    approximation: the max-min allocation of disjoint components is
-    independent (progressive filling never moves bandwidth across
-    components), so flows outside the component keep their rates — and
-    because rates, remaining bytes and completion instants are only
-    re-committed when a rate actually *changes*, the floating-point
-    history of every flow is bit-identical to the reference mode.
-    Completions are tracked in a lazy heap of ``(t_done, fid, epoch)``
-    entries instead of an O(n) horizon scan.  Components are small, so
-    they are solved by the scalar kernel (``_fill_scalar``).
-
-``"reference"``
-    The retained global solver: every recompute re-solves all flows with
-    the vectorized numpy kernel (``_fill_vectorized``) and scans all
-    completion horizons.  It exists as the verification oracle
-    for the differential suite (``tests/sim/test_fluid_differential.py``)
-    and as an escape hatch (``REPRO_FLUID_SOLVER=reference``).
-
-Bit-identity between the modes rests on three disciplines:
+A re-solve covers only the flows that share a *bound* resource with a
+seed, transitively (:meth:`FluidSolver._affected_component`), and it is
+exact, not an approximation: progressive filling never moves bandwidth
+between components that share no bound resource, so flows outside the
+closure keep their rates.  Bit-identity with a global re-solve of every
+flow (the oracle of ``tests/sim/fluid_oracle.py``) rests on three
+disciplines:
 
 1. *Committed drains*: a flow's ``remaining`` is drained only when its
-   rate changes; observers use the non-committing ``drained_at`` view.
-   (The reference mode follows the same discipline, so both modes
-   perform the identical sequence of floating-point operations per flow.)
+   rate changes (:meth:`FluidSolver._apply_rates`); observers use the
+   non-committing ``drained_at`` view.
 2. *Exact completion instants*: ``t_done = drained_at + remaining/rate``
    is computed once per rate commit and placed on the engine heap
-   verbatim via :meth:`Engine.schedule_at`; a flow retires exactly when
-   ``t_done <= now`` in both modes.
+   verbatim via :meth:`Engine.schedule_at`.
 3. *Order-stable kernels*: flows are solved in fid order, and both
-   kernels accumulate each resource's weight sum and residual in
-   (fid, route) order, so a component solve sees the same value
-   sequence per resource as the global solve restricted to that
-   component; the instantaneous load of a resource is likewise always a
-   fid-order sum of its flows' rates from 0.0
-   (see :meth:`FluidSolver._refresh_load`).
+   kernels (:meth:`FluidSolver._fill_scalar` for small components,
+   :meth:`FluidSolver._fill_vectorized` from ``_VECTOR_MIN`` flows up)
+   accumulate each resource's weight sum and residual in (fid, route)
+   order; the load of a resource is likewise always a fid-order sum of
+   its flows' rates from 0.0 (:meth:`FluidSolver._refresh_load`).
+
+Slack resources
+---------------
+
+A resource is *slack* when every incident flow has weight 1 and a
+finite cap, and their caps, counted once per route crossing, sum to at
+most ``capacity * (1 - 1e-9)``.  A slack resource never fixes a rate:
+in any filling round its fair share (residual over active flows) exceeds
+the smallest active cap by more than the kernel's ``1e-12`` tie window,
+so a cap always binds first and the filling runs as if the resource
+were absent.  (Weights break this: capacity 10 under A (weight 1, cap
+5) and B (weight 9, cap 4) fills A at 1.)  Three per-resource tallies,
+kept at start, rate commit, retirement and abort, decide it in O(1):
+the sum of caps, the flows below their cap, and the flows that are
+weighted or uncapped.  They buy three shortcuts that change no bit:
+
+(a) *Start lane.*  A weight-1, capped new flow whose every resource
+    stays slack with it and carries no below-cap flow takes its cap in
+    :meth:`FluidSolver.start_flow` (the drain and ``t_done`` arithmetic
+    of ``_apply_rates``) and appends it to each resource load (it is the
+    largest fid, so that is the fid-order sum).  It is never a seed.  The
+    instant's recompute callback still runs, re-solves nothing if nothing
+    else is dirty or due, and arms the next completion as before, so the
+    engine sees the same cells and the same schedule calls.
+(b) *Retire skip.*  When the only seeds are retirements and aborts and
+    every flow left on their resources runs at its cap, nothing is
+    re-solved: a removal only raises the fair shares there, and a flow
+    at its cap cannot take more, so every round fixes the same flows at
+    the same values.  Only the loads are refreshed.
+(c) *Closure cut.*  The component walk does not cross a slack resource.
+    Dirty resources always expand: a retirement can leave a bound
+    resource slack and free the flows behind it.
+
+Under an obs recorder the start lane is off (the start is an ordinary
+seed); (b) and (c) run, and the utilization samples cover every resource
+whose load moved, so the recorder's deduplicated counter stream is a
+full re-solve's.  Like the component split itself, these arguments hold
+up to near-ties inside the kernel's ``1e-12`` window, which a smaller
+problem can group into rounds differently; the differential and slack
+batteries under ``tests/sim`` and every timing lock find none.
 """
 
 from __future__ import annotations
@@ -77,7 +96,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -99,30 +117,25 @@ __all__ = [
 EPS_BYTES = 1e-6
 _INF = math.inf
 
-#: environment override for the default solver mode (benchmark A/B switch)
-_MODE_ENV = "REPRO_FLUID_SOLVER"
-_MODES = ("incremental", "reference")
+#: a resource whose flows' caps sum to at most capacity * _SLACK is slack
+#: (see the module docstring): the margin dwarfs the kernel's 1e-12 tie
+#: window and any rounding in the incrementally kept sums
+_SLACK = 1.0 - 1e-9
+
+#: components of at least this many flows take the numpy kernel, smaller
+#: ones the scalar one (numpy's per-call cost dominates below it)
+_VECTOR_MIN = 128
 
 #: process-wide progressive-fill memo (see FluidSolver._progressive_fill):
 #: (caps id, flow item id, ...) -> rates, where a caps id names one
 #: capacity vector and an item id one flow's (route, rate_cap, weight),
-#: both interned (see _intern), so a key is a flat tuple of ints.
-#: Bounded by *generational* eviction: entries live in a current
-#: generation and one read-mostly previous generation; when the current
-#: generation reaches half of _FILL_MEMO_MAX it becomes the previous one
-#: (dropping the old previous generation wholesale), and hits on the
-#: previous generation promote the entry back into the current one.
-#: Hot entries therefore survive eviction indefinitely, while cold ones
-#: age out after at most two rotations — unlike the former wholesale
-#: clear(), which threw away the entire working set at the cap.
-#: REPRO_FLUID_FILL_MEMO=0 disables it (differential tests use this to
-#: exercise the kernel itself; benchmarks use it for the pre-memo
-#: baseline) — results are bit-identical either way, the memo only ever
-#: returns arrays the kernel itself produced for the identical inputs.
+#: both interned (see _intern).  Generational eviction: when the current
+#: generation reaches half of _FILL_MEMO_MAX it replaces the previous one,
+#: and a hit there is promoted back, so hot entries never age out.  It
+#: only ever returns lists a kernel produced for the identical inputs.
 _FILL_MEMO: dict = {}
 _FILL_MEMO_OLD: dict = {}
 _FILL_MEMO_MAX = 200_000
-_FILL_MEMO_ENV = "REPRO_FLUID_FILL_MEMO"
 
 #: intern tables for the memo key parts: capacity vector -> id and
 #: (route, rate_cap, weight) -> id.  Every id comes from one process-wide
@@ -142,10 +155,6 @@ def _intern(table: dict, value) -> int:
             table.clear()
         got = table[value] = next(_NEXT_ID)
     return got
-
-
-def _fill_memo_enabled() -> bool:
-    return os.environ.get(_FILL_MEMO_ENV, "1") != "0"
 
 
 def _fill_memo_store(key: tuple, value: np.ndarray) -> None:
@@ -218,7 +227,7 @@ class Flow:
     rate: float = 0.0  # current allocated rate, maintained by the solver
     weight: float = 1.0  # share weight on contended resources
     meta: dict = field(default_factory=dict)
-    # -- solver bookkeeping (see module docstring, "Bit-identity") --------
+    # -- solver bookkeeping (see the module docstring) --------------------
     drained_at: float = 0.0  # instant `remaining` was last committed
     t_done: float = _INF  # completion instant at the current rate
     epoch: int = 0  # bumped per rate commit; invalidates heap entries
@@ -235,22 +244,10 @@ class FluidSolver:
 
     Resources are created once (topology build time) via
     :meth:`add_resource`; flows come and go via :meth:`start_flow`.
-
-    ``mode`` selects the solver strategy (``"incremental"`` or
-    ``"reference"``); when ``None`` it comes from the
-    ``REPRO_FLUID_SOLVER`` environment variable, defaulting to
-    ``"incremental"``.  Both modes produce bit-identical rates,
-    completion times and accounting integrals.
     """
 
-    def __init__(self, engine: Engine, mode: Optional[str] = None):
-        if mode is None:
-            mode = os.environ.get(_MODE_ENV, "incremental")
-        if mode not in _MODES:
-            raise ValueError(f"unknown fluid solver mode {mode!r}; want one of {_MODES}")
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.mode = mode
-        self._incremental = mode == "incremental"
         self._capacity: list[float] = []
         self._names: list[str] = []
         self._flows: dict[int, Flow] = {}
@@ -260,42 +257,38 @@ class FluidSolver:
         self._token_time = _INF
         self._recompute_pending = False
         self._dead_resources = 0  # resources currently at zero capacity
-        # incremental-mode state: resource -> set of incident flow ids,
-        # dirty seeds accumulated since the last recompute, and the lazy
-        # completion heap of [t_done, fid, epoch] entries.
+        # resource -> set of incident flow ids, dirty seeds accumulated
+        # since the last recompute, and the lazy completion heap of
+        # [t_done, fid, epoch] entries.
         self._res_flows: list[set[int]] = []
         self._dirty_fids: set[int] = set()
         self._dirty_rids: set[int] = set()
         self._cheap: list[list] = []
+        # per-resource slack tallies (module docstring, "Slack
+        # resources"): caps of weight-1 capped flows per route crossing,
+        # incident flows below their cap, incident flows that are
+        # weighted or uncapped; and capacity * _SLACK
+        self._cap_sum: list[float] = []
+        self._below: list[int] = []
+        self._unslack: list[int] = []
+        self._slack_cap: list[float] = []
         # statistics
         self.total_flows = 0
         self.recomputes = 0
         #: flows handed to the progressive-filling kernel, summed over
-        #: recomputes — the incremental mode's work metric (the reference
-        #: mode counts every active flow at every recompute).
+        #: recomputes — the solver's work metric
         self.kernel_flows_solved = 0
-        #: solve-memo bookkeeping: a max-min allocation depends only on
-        #: the component's structure (routes, weights, rate caps) and the
-        #: current capacities — not on remaining bytes — so identical
-        #: configurations (ubiquitous on tuning paths: warm iterations,
-        #: per-segment pipeline rounds, repeated measurement runtimes)
-        #: reuse the solved rates verbatim.  The memo is process-wide
-        #: (keyed by the interned capacity vector), so the many
-        #: short-lived solvers an autotuning sweep creates share one warm
-        #: cache.
+        #: fills answered by the process-wide memo: rates depend only on
+        #: routes, weights, caps and capacities, never on remaining bytes,
+        #: so warm iterations, pipeline rounds and the many short-lived
+        #: solvers of a tuning sweep reuse solved components verbatim
         self.fill_cache_hits = 0
-        self._fill_memo_on = _fill_memo_enabled()
         self._caps_id = -1  # interned tuple(self._capacity); -1 = stale
-        # route arrays arriving on the trusted fast path are cached,
-        # immutable fabric plans — derive (res_list, res_unique, res_uset)
-        # once per distinct array object instead of per flow start.  The
-        # cached array reference keeps the id() key stable and is checked
-        # by identity before reuse.
+        # (res_list, res_unique, res_uset) per cached fabric route array,
+        # keyed by id() and checked by identity against the held array
         self._route_derived: dict[int, tuple] = {}
-        # time-integrated accounting, maintained by _advance_accounting():
-        # per-resource seconds with nonzero load, and bytes served.  The
-        # instantaneous load vector (_load) is refreshed on the resources
-        # whose flows or rates changed, at each recompute.
+        # the instantaneous load vector and its time integrals (busy
+        # seconds, bytes served), kept by _advance_accounting
         self._load = np.zeros(0)
         self._busy_time = np.zeros(0)
         self._served_bytes = np.zeros(0)
@@ -304,11 +297,9 @@ class FluidSolver:
         # arrays (growing per add_resource is O(R^2) at topology build)
         self._cap_arr = np.zeros(0)
         #: False when every resource load is known zero (no active flows)
-        #: — lets the per-event accounting integration skip its numpy work
         self._load_any = False
-        # utilization counters go to this recorder; a recorder change
-        # (attach/detach) forces a full re-emission so partial sampling
-        # never hides a rid from a freshly attached observer.
+        # the recorder the last utilization samples went to; a change
+        # forces a full emission for the freshly attached observer
         self._obs_last_recorder = None
 
     # -- resources -----------------------------------------------------------
@@ -320,6 +311,10 @@ class FluidSolver:
         self._capacity.append(float(capacity))
         self._names.append(name)
         self._res_flows.append(set())
+        self._cap_sum.append(0.0)
+        self._below.append(0)
+        self._unslack.append(0)
+        self._slack_cap.append(float(capacity) * _SLACK)
         self._caps_id = -1  # capacity vector changed: new memo keyspace
         # accounting arrays grow lazily (_ensure_arrays): a paper-scale
         # fabric registers thousands of resources back to back
@@ -383,7 +378,10 @@ class FluidSolver:
             self._dead_resources += (capacity == 0.0) - (old == 0.0)
             self._capacity[rid] = capacity
             self._cap_arr[rid] = capacity
+            self._slack_cap[rid] = capacity * _SLACK
             self._dirty_rids.add(rid)
+            # its flows are seeds too, so no retire skip passes them over
+            self._dirty_fids |= self._res_flows[rid]
         self._caps_id = -1
         self._mark_dirty()
 
@@ -454,28 +452,88 @@ class FluidSolver:
         flow.res_unique = derived[2]
         flow.res_uset = derived[3]
         self._flows[fid] = flow
+        res_flows = self._res_flows
         for rid in flow.res_unique:
-            self._res_flows[rid].add(fid)
-        self._dirty_fids.add(fid)
+            res_flows[rid].add(fid)
         obs = self.engine.obs
         if obs is not None:
             flow.meta["obs_t0"] = self.engine.now
             flow.meta["obs_label"] = label
             flow.meta["obs_nbytes"] = float(nbytes)
-        self._mark_dirty()
+        self._mark_dirty()  # a lane start too: that cell arms its completion
+        if flow.weight == 1.0 and flow.rate_cap < _INF:
+            cap_sum = self._cap_sum
+            for rid in flow.res_list:
+                cap_sum[rid] += flow.rate_cap
+            if obs is None and self._start_lane(flow):
+                return fid
+        else:
+            unslack = self._unslack
+            for rid in flow.res_unique:
+                unslack[rid] += 1
+        below = self._below
+        for rid in flow.res_unique:
+            below[rid] += 1  # at rate 0.0, below any cap
+        self._dirty_fids.add(fid)
         return fid
+
+    def _start_lane(self, f: Flow) -> bool:
+        """Give a fresh flow its cap now if no rate can move (lane (a)).
+
+        Every resource of ``f`` must stay slack with it and carry no
+        below-cap flow: then its own cap alone binds ``f``, and ``f``
+        binds no other flow.  A lane flow is never counted below cap; the
+        instant's recompute arms its completion.
+        """
+        unslack, below = self._unslack, self._below
+        cap_sum, slack_cap = self._cap_sum, self._slack_cap
+        for rid in f.res_unique:
+            if unslack[rid] or below[rid] or cap_sum[rid] > slack_cap[rid]:
+                return False
+        self._advance_accounting()  # the elapsed interval ran at the old loads
+        # _apply_rates' commit from rate 0.0 at the start instant, where
+        # the drain `remaining - 0.0 * 0.0` leaves `remaining` as it is
+        cap = f.rate = f.rate_cap
+        f.epoch += 1
+        f.t_done = self.engine.now + f.remaining / cap
+        heapq.heappush(self._cheap, [f.t_done, f.fid, f.epoch])
+        load = self._load
+        for rid in f.res_unique:
+            load[rid] += cap
+        self._load_any = True
+        return True
 
     def abort_flow(self, fid: int) -> None:
         """Drop a flow without firing its completion callback."""
-        f = self._flows.pop(fid, None)
+        f = self._flows.get(fid)
         if f is None:
             return
         self._advance_accounting()
-        for rid in f.res_unique:
-            self._res_flows[rid].discard(fid)
-            self._dirty_rids.add(rid)
+        self._unlink(f)
         self._dirty_fids.discard(fid)
         self._mark_dirty()
+
+    def _unlink(self, f: Flow) -> None:
+        """Take a retiring or aborted flow off its resources, dirtying them."""
+        fid = f.fid
+        del self._flows[fid]
+        res_flows, dirty = self._res_flows, self._dirty_rids
+        for rid in f.res_unique:
+            res_flows[rid].discard(fid)
+            dirty.add(rid)
+        if f.rate < f.rate_cap:
+            below = self._below
+            for rid in f.res_unique:
+                below[rid] -= 1
+        if f.weight == 1.0 and f.rate_cap < _INF:
+            cap_sum = self._cap_sum
+            for rid in f.res_list:
+                # an emptied resource restarts its sum from an exact 0.0
+                cap_sum[rid] = cap_sum[rid] - f.rate_cap if res_flows[rid] else 0.0
+        else:
+            unslack = self._unslack
+            for rid in f.res_unique:
+                unslack[rid] -= 1
 
     @property
     def active_flows(self) -> int:
@@ -514,13 +572,9 @@ class FluidSolver:
     def _advance_accounting(self) -> None:
         """Integrate per-resource accounting for the elapsed interval.
 
-        ``_load`` holds the bytes/s crossing each resource over the
-        interval since the last rate event (it was refreshed when rates
-        last changed), so busy seconds and served bytes accumulate
-        exactly — including across mid-flow capacity rescales, which
-        call here *before* touching capacity.  Flow byte drains are kept
-        separately, per flow, committed only at rate changes (see the
-        module docstring).
+        ``_load`` held over the whole interval since the last rate event,
+        so busy seconds and served bytes accumulate exactly; every load
+        or capacity change calls here first.
         """
         dt = self.engine.now - self._last_update
         self._last_update = self.engine.now
@@ -539,20 +593,10 @@ class FluidSolver:
         self._recompute_pending = False
         self.recomputes += 1
         self._advance_accounting()
-        now = self.engine.now
-        if self._incremental:
-            due = self._pop_due(now)
-        else:
-            due = sorted(
-                (f for f in self._flows.values() if f.t_done <= now),
-                key=lambda f: f.fid,
-            )
+        due = self._pop_due(self.engine.now)
         if due:
             self._retire(due)
-        if self._incremental:
-            touched = self._recompute_incremental()
-        else:
-            touched = self._recompute_reference()
+        touched = self._resolve()
         obs = self.engine.obs
         if obs is not None:
             self._sample_utilization(obs, touched)
@@ -560,78 +604,67 @@ class FluidSolver:
             self._obs_last_recorder = None
         self._schedule_next()
 
-    def _recompute_reference(self) -> None:
-        """Global re-solve: all flows, all resources (the oracle path)."""
-        self._dirty_fids.clear()
-        self._dirty_rids.clear()
-        flows = list(self._flows.values())  # fids are monotonic: dict order == fid order
-        if flows:
-            rates = self._progressive_fill(flows)
-            self._apply_rates(flows, rates, push_heap=False)
-            self.kernel_flows_solved += len(flows)
-        self._load[:] = 0.0
-        for f in self._flows.values():
-            if f.resources.size:
-                self._load[f.resources] += f.rate
-        self._load_any = bool(self._flows)
-        return None
+    def _resolve(self) -> Optional[list[int]]:
+        """Re-solve what the seeds can change; consumes the seeds.
 
-    def _recompute_incremental(self) -> Optional[list[int]]:
-        """Re-solve only the component(s) touching the dirty seeds."""
-        # Fast path: one freshly started flow sharing no resource with
-        # any other — its component is itself, so the BFS, the sort and
-        # the dict-based load refresh all collapse.  Produces the exact
-        # arithmetic of the generic path restricted to one flow
-        # (_progressive_fill dispatches singletons to _fill_scalar too).
+        Returns the sorted rids whose utilization an obs recorder should
+        sample (None without one).
+        """
         dirty_fids = self._dirty_fids
-        if len(dirty_fids) == 1 and not self._dirty_rids:
+        dirty_rids = self._dirty_rids
+        obs = self.engine.obs
+        if not dirty_fids:
+            # retire skip (b): freed bandwidth no flow left there can take
+            below = self._below
+            for rid in dirty_rids:
+                if below[rid]:
+                    break
+            else:
+                self._dirty_rids = set()
+                self._refresh_load([], dirty_rids)
+                self._load_any = bool(self._flows)
+                return None if obs is None else sorted(dirty_rids)
+        elif len(dirty_fids) == 1 and not dirty_rids:
+            # one fresh flow alone on its resources is its own component:
+            # the generic path's arithmetic, minus the walk and the sums
             (fid,) = dirty_fids
             f = self._flows.get(fid)
             if f is not None and all(
                 len(self._res_flows[rid]) == 1 for rid in f.res_unique
             ):
                 dirty_fids.clear()
-                self._apply_rates([f], self._fill_scalar([f]), push_heap=True)
+                self._apply_rates([f], self._fill_scalar([f]))
                 self.kernel_flows_solved += 1
                 load = self._load
                 r = f.rate
                 for rid in f.res_unique:
                     load[rid] = r
                 self._load_any = True
-                if self.engine.obs is None:
-                    return None
-                return sorted(f.res_unique)
+                return None if obs is None else sorted(f.res_unique)
         comp_fids, comp_rids = self._affected_component()
-        dirty_rids = self._dirty_rids
-        self._dirty_fids.clear()
+        dirty_fids.clear()
         self._dirty_rids = set()
-        if not comp_rids and not comp_fids:
-            return None
         flows = [self._flows[fid] for fid in sorted(comp_fids)]
         changed: list[Flow] = []
         if flows:
             rates = self._progressive_fill(flows)
-            changed = self._apply_rates(flows, rates, push_heap=True)
+            changed = self._apply_rates(flows, rates)
             self.kernel_flows_solved += len(flows)
         self._refresh_load(changed, dirty_rids)
         self._load_any = bool(self._flows)
-        # the sorted rids feed only the utilization samples
-        return None if self.engine.obs is None else sorted(comp_rids)
+        return None if obs is None else sorted(comp_rids)
 
     def _refresh_load(self, changed: list[Flow], dirty_rids: set[int]) -> None:
         """Re-sum ``_load`` on the resources whose load may have moved.
 
         Those are the routes of the flows whose rate ``_apply_rates``
-        changed, plus the dirty rids (flows retired or aborted there, or
-        a capacity rescale).  Every other resource kept the rate of each
-        of its flows and at most gained flows still at rate 0.0 (a start
-        on a dead resource), whose exact ``+ 0.0`` moves no sum, so its
-        load is already the value a rebuild would produce.  Each
-        refreshed rid re-sums its incident rates from 0.0 in fid order
-        with plain scalar adds (not ``sum``, which compensates on 3.12+):
-        the exact IEEE sequence of the reference rebuild's per-flow
-        ``load[route] += rate``, where a rid appearing twice in one route
-        (a double bus crossing) counts once.  ``dirty_rids`` is consumed.
+        changed, plus the dirty rids (retirements, aborts, rescales).
+        Every other resource kept its flows' rates and at most gained
+        flows at rate 0.0, whose exact ``+ 0.0`` moves no sum (or a lane
+        rate, appended as the last term).  Each refreshed rid re-sums its
+        incident rates from 0.0 in fid order with plain scalar adds (not
+        ``sum``, which compensates on 3.12+), a double crossing counting
+        once.  ``dirty_rids`` is consumed.
         """
         rids = dirty_rids
         for f in changed:
@@ -646,20 +679,20 @@ class FluidSolver:
             load[rid] = acc
 
     def _affected_component(self) -> tuple[set[int], set[int]]:
-        """Closure of flows transitively sharing a resource with the seeds.
+        """Closure of flows transitively sharing a bound resource with the seeds.
 
-        Seeds are flows started since the last recompute (``_dirty_fids``)
-        plus resources whose capacity changed or whose flows retired or
-        aborted (``_dirty_rids``).  The returned rid set additionally
-        contains flowless dirty rids (so their load/obs samples refresh).
+        Seeds are flows started or rescaled since the last recompute
+        (``_dirty_fids``) plus resources whose capacity changed or whose
+        flows retired or aborted (``_dirty_rids``).  The walk crosses no
+        slack resource except a dirty one (closure cut (c)).  The
+        returned rid set holds every route of the flows found, and the
+        flowless dirty rids (so their load/obs samples refresh).
         """
         flows = self._flows
         res_flows = self._res_flows
-        # frontier expansion via C-level set unions: per level, gather
-        # the frontier flows' resources (shared per-route frozensets),
-        # then the flows incident to the newly seen resources.  Visits
-        # the exact membership the scalar per-edge walk visited, ~3x
-        # cheaper on the big components of paper-scale runs.
+        unslack, cap_sum, slack_cap = self._unslack, self._cap_sum, self._slack_cap
+        # frontier expansion via C-level set unions: per level, the
+        # frontier flows' resources, then the flows on the new bound ones
         seen_f: set[int] = set()
         seen_r: set[int] = set(self._dirty_rids)
         frontier: set[int] = {fid for fid in self._dirty_fids if fid in flows}
@@ -674,16 +707,16 @@ class FluidSolver:
             seen_r |= new_r
             frontier = set()
             for rid in new_r:
-                frontier |= res_flows[rid]
+                if unslack[rid] or cap_sum[rid] > slack_cap[rid]:
+                    frontier |= res_flows[rid]
             frontier -= seen_f
         return seen_f, seen_r
 
     def _pop_due(self, now: float) -> list[Flow]:
         """Pop every flow whose completion instant has arrived (fid order).
 
-        Heap entries are lazily invalidated: an entry is live only if its
-        fid is still active *and* its epoch matches the flow's (each rate
-        commit bumps the epoch, orphaning older entries).
+        An entry is live only while its fid is active and its epoch is the
+        flow's (each rate commit bumps the epoch, orphaning older entries).
         """
         heap = self._cheap
         flows = self._flows
@@ -697,43 +730,33 @@ class FluidSolver:
         return due
 
     def _retire(self, due: list[Flow]) -> None:
-        """Remove finished flows and fire their completion callbacks.
-
-        Callbacks run as normal-priority events *now* so any flows they
-        start are folded into the same recompute batch (same-instant
-        completions were already batched by the caller's due scan).
-        """
+        """Remove finished flows and fire their completion callbacks, as
+        normal-priority events *now*, so flows they start join this
+        instant's next recompute."""
         obs = self.engine.obs
         for f in due:
-            del self._flows[f.fid]
-            for rid in f.res_unique:
-                self._res_flows[rid].discard(f.fid)
-                self._dirty_rids.add(rid)
+            self._unlink(f)
             if obs is not None and "obs_t0" in f.meta:
                 self._emit_flow_spans(obs, f)
             self.engine.schedule(0.0, f.on_complete)
 
-    def _apply_rates(
-        self, flows: list[Flow], rates: list[float], push_heap: bool
-    ) -> list[Flow]:
-        """Commit newly solved rates; untouched rates commit nothing.
+    def _apply_rates(self, flows: list[Flow], rates: list[float]) -> list[Flow]:
+        """Commit newly solved rates; returns the flows whose rate moved.
 
-        Returns the flows whose rate changed, in ``flows`` order.
-
-        The commit discipline is the heart of cross-mode bit-identity: a
-        flow drains (remaining -= rate * dt) only here, and only when the
-        solved rate *differs* from the current one.  Since disjoint
-        components solve to identical values, a reference-mode global
-        re-solve commits exactly the flows an incremental component
-        re-solve commits, with identical operands.
+        A flow drains (remaining -= rate * dt) only here, and only when
+        its rate *differs*, so a global re-solve commits exactly the
+        flows a component re-solve commits, with identical operands.
         """
         now = self.engine.now
         cheap = self._cheap
-        changed = []
-        for f, r in zip(flows, rates):
-            if r == f.rate:
-                continue
-            changed.append(f)
+        below = self._below
+        moved = [(f, r) for f, r in zip(flows, rates) if r != f.rate]
+        for f, r in moved:
+            cap = f.rate_cap
+            if (r < cap) != (f.rate < cap):  # crossed its cap
+                step = 1 if r < cap else -1
+                for rid in f.res_unique:
+                    below[rid] += step
             rem = f.remaining - f.rate * (now - f.drained_at)
             f.remaining = rem if rem > 0.0 else 0.0
             f.drained_at = now
@@ -741,20 +764,17 @@ class FluidSolver:
             f.epoch += 1
             if r > 0.0:
                 f.t_done = now + f.remaining / r
-                if push_heap:
-                    heapq.heappush(cheap, [f.t_done, f.fid, f.epoch])
+                heapq.heappush(cheap, [f.t_done, f.fid, f.epoch])
             else:
                 f.t_done = _INF
-        return changed
+        return [f for f, _r in moved]
 
     def _sample_utilization(self, obs, touched: Optional[list[int]]) -> None:
         """Emit per-resource utilization counter samples (obs attached).
 
-        ``touched`` (sorted) limits emission to the resources the
-        recompute touched; unchanged resources would emit the identical
-        value and be deduplicated by the recorder anyway.  A recorder
-        change forces a full emission so fresh observers see every
-        resource once.
+        ``touched`` (sorted) limits them to resources whose load may have
+        moved (others would repeat a value the recorder deduplicates); a
+        new recorder gets every resource once.
         """
         if obs is not self._obs_last_recorder:
             self._obs_last_recorder = obs
@@ -788,62 +808,49 @@ class FluidSolver:
     def _progressive_fill(self, flows: list[Flow]) -> list[float]:
         """The solved rate of each of ``flows`` (fid order), memoized.
 
-        A miss runs the mode's kernel: the scalar one for the
-        incremental mode's components, the vectorized one for the
-        reference mode's global solve.  A single flow always takes the
+        A miss runs :meth:`_fill`; a single flow always takes the
         scalar kernel and skips the memo.
         """
         if len(flows) == 1:
             return self._fill_scalar(flows)
-        # Solve memo: rates depend only on routes, weights, rate caps and
-        # capacities (never on remaining bytes), so an identical
-        # configuration — same flows in the same fid order under the same
-        # capacity vector — reuses the previously solved list verbatim
-        # (bit-identical by construction: it *is* a kernel's output, and
-        # the two kernels agree bit for bit).  Resources outside the
-        # flows' union carry no edges and cannot influence the solution,
-        # so the capacity vector, not the component's rids, keys it.
-        key = None
-        if self._fill_memo_on:
-            caps_id = self._caps_id
-            if caps_id < 0:
-                caps_id = self._caps_id = _intern(_CAPS_IDS, tuple(self._capacity))
-            ids = [f.memo_id for f in flows]
-            if -1 in ids:  # some flow's first memoized fill
-                for i, f in enumerate(flows):
-                    if f.memo_id < 0:
-                        f.memo_id = _intern(
-                            _ITEM_IDS, (tuple(f.res_list), f.rate_cap, f.weight)
-                        )
-                    ids[i] = f.memo_id
-            key = (caps_id, *ids)
-            cached = _fill_memo_get(key)
-            if cached is not None:
-                self.fill_cache_hits += 1
-                return cached
-        if self._incremental:
-            rate = self._fill_scalar(flows)
-        else:
-            rate = self._fill_vectorized(flows)
-        if key is not None:
-            _fill_memo_store(key, rate)
+        # the same flows (routes, caps, weights) in the same fid order
+        # under the same capacity vector reuse a kernel's output verbatim
+        caps_id = self._caps_id
+        if caps_id < 0:
+            caps_id = self._caps_id = _intern(_CAPS_IDS, tuple(self._capacity))
+        ids = [f.memo_id for f in flows]
+        if -1 in ids:  # some flow's first memoized fill
+            for i, f in enumerate(flows):
+                if f.memo_id < 0:
+                    f.memo_id = _intern(
+                        _ITEM_IDS, (tuple(f.res_list), f.rate_cap, f.weight)
+                    )
+                ids[i] = f.memo_id
+        key = (caps_id, *ids)
+        cached = _fill_memo_get(key)
+        if cached is not None:
+            self.fill_cache_hits += 1
+            return cached
+        rate = self._fill(flows)
+        _fill_memo_store(key, rate)
         return rate
+
+    def _fill(self, flows: list[Flow]) -> list[float]:
+        """Progressive filling by the kernel that suits the component size."""
+        if len(flows) >= _VECTOR_MIN:
+            return self._fill_vectorized(flows)
+        return self._fill_scalar(flows)
 
     def _fill_scalar(self, flows: list[Flow]) -> list[float]:
         """Progressive filling with per-flow rate caps, one float at a time.
 
-        Bit-exact mirror of :meth:`_fill_vectorized`.  Per round, each
-        resource's weight sum adds its active flows' weights from 0.0 in
-        (fid, route) order, the order of ``np.add.at``; a flow's share
-        is the minimum over its route, which no order changes; every
-        flow within ``1e-12`` of the bottleneck is fixed; and the fixed
-        rates leave the residuals in (fid, route) order again.  A
-        residual is clipped at 0.0 after each subtraction rather than
-        once per round: rates are non-negative, so a residual that dips
-        below zero stays below and both clip it to the same 0.0.  The
-        incremental mode's components are small (about 40 flows over 15
-        resources on a tuning sweep's fresh solves), where numpy's
-        per-call cost outweighs these loops.
+        Bit-exact mirror of :meth:`_fill_vectorized`: per round, weight
+        sums accumulate from 0.0 in (fid, route) order, the order of
+        ``np.add.at``; a flow's share is the minimum over its route;
+        every flow within ``1e-12`` of the bottleneck is fixed; the fixed
+        rates leave the residuals in (fid, route) order again.  Clipping a
+        residual at 0.0 after each subtraction instead of once per round
+        gives the same 0.0, as rates are non-negative.
         """
         cap = self._capacity
         routes = [f.res_list for f in flows]
@@ -896,8 +903,8 @@ class FluidSolver:
     def _fill_vectorized(self, flows: list[Flow]) -> list[float]:
         """Progressive filling over every resource, vectorized with numpy.
 
-        The reference mode's kernel (the oracle the differential suite
-        holds :meth:`_fill_scalar` to); ``flows`` must be in fid order.
+        For large components (and the test oracle's global solve);
+        ``flows`` must be in fid order.
         """
         nf = len(flows)
         lens = np.fromiter((f.resources.size for f in flows), dtype=np.intp, count=nf)
@@ -949,47 +956,38 @@ class FluidSolver:
     def _schedule_next(self) -> None:
         """(Re)arm the completion callback at the earliest ``t_done``.
 
-        The incremental mode peeks the lazy heap (discarding orphaned
-        entries); the reference mode scans every flow.  Both modes place
-        the instant on the engine heap *exactly* (``schedule_at``), so a
-        completion fires at the bit-identical time in either mode.
+        Peeks the lazy heap (discarding orphaned entries) and places the
+        instant on the engine heap *exactly* (``schedule_at``), so a
+        completion fires at its bit-identical time.
         """
         if not self._flows:
             if self._completion_token is not None:
                 self.engine.cancel(self._completion_token)
                 self._completion_token = None
             return
-        if self._incremental:
-            heap = self._cheap
-            flows = self._flows
-            t_next = _INF
-            while heap:
-                t, fid, epoch = heap[0]
-                f = flows.get(fid)
-                if f is not None and f.epoch == epoch:
-                    t_next = t
-                    break
-                heapq.heappop(heap)
-        else:
-            t_next = min(f.t_done for f in self._flows.values())
+        heap = self._cheap
+        flows = self._flows
+        t_next = _INF
+        while heap:
+            t, fid, epoch = heap[0]
+            f = flows.get(fid)
+            if f is not None and f.epoch == epoch:
+                t_next = t
+                break
+            heapq.heappop(heap)
         if not math.isfinite(t_next):
             if self._completion_token is not None:
                 self.engine.cancel(self._completion_token)
                 self._completion_token = None
             if self._dead_resources:
-                # Flows stalled on a zero-capacity (dead) resource are
-                # legitimate: a later set_capacity() restore re-triggers
-                # the recompute and they resume where they left off.
-                return
+                return  # stalled on a dead resource until its restore
             raise RuntimeError(
                 "fluid solver stall: active flow with zero rate and no "
                 "pending capacity change"
             )
         if self._completion_token is not None:
             if self._token_time == t_next:
-                # the earliest completion is unchanged; the pending token
-                # already targets it — skip the cancel/reschedule churn
-                return
+                return  # the pending token already targets it
             self.engine.cancel(self._completion_token)
         self._completion_token = self.engine.schedule_at(
             t_next, self._on_token, priority=PRIORITY_LATE
@@ -997,9 +995,7 @@ class FluidSolver:
         self._token_time = t_next
 
     def _on_token(self) -> None:
-        # the token just fired off the engine heap; forget it *before*
-        # recomputing so _schedule_next never "reuses" a consumed token
-        self._completion_token = None
+        self._completion_token = None  # spent: _schedule_next must not reuse it
         self._recompute()
 
     # -- introspection ---------------------------------------------------------
@@ -1007,7 +1003,6 @@ class FluidSolver:
     def kernel_stats(self) -> dict:
         """Solver work counters for benchmarks and obs snapshots."""
         return {
-            "mode": self.mode,
             "recomputes": self.recomputes,
             "kernel_flows_solved": self.kernel_flows_solved,
             "total_flows": self.total_flows,
@@ -1017,20 +1012,14 @@ class FluidSolver:
     def sync_accounting(self) -> None:
         """Fold the interval since the last rate event into the integrals.
 
-        The busy-time integrals advance lazily (at rate-change events);
-        call this before reading them mid-run.  Idempotent, and does not
-        perturb the simulation: flow drain state is untouched (remaining
-        bytes are committed per flow, at rate changes only).
+        Call before reading them mid-run; idempotent, and it leaves every
+        flow's drain state untouched.
         """
         self._advance_accounting()
 
     def busy_time(self, rid: int) -> float:
-        """Seconds (up to the last sync) the resource carried any flow.
-
-        This is the *time-integrated* busy measure the observability
-        timeline uses — unlike :meth:`utilization`, which reports only
-        the instantaneous rates at the moment of the call.
-        """
+        """Seconds (up to the last sync) the resource carried any flow;
+        unlike :meth:`utilization`, a time integral."""
         self._ensure_arrays()
         return float(self._busy_time[rid])
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Link", "Topology"]
 
@@ -81,6 +82,8 @@ class Topology(ABC):
 
     def to_networkx(self) -> nx.DiGraph:
         """Export the switch-level link graph for validation tests."""
+        import networkx as nx  # heavy, and only validation exports need it
+
         g = nx.DiGraph()
         for link in self.links:
             g.add_edge(link.src, link.dst, lid=link.lid, capacity=link.capacity)

@@ -615,7 +615,7 @@ def _run_fluid(make, schedule):
     (event count, batch count) and not just the observable timings."""
     caps, flows, cap_events, aborts, probes = schedule
     engine = make()
-    solver = FluidSolver(engine, mode="incremental")
+    solver = FluidSolver(engine)
     rids = [solver.add_resource(c, name=f"r{i}") for i, c in enumerate(caps)]
 
     log: list = []

@@ -5,6 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Engine, FluidSolver
+from tests.sim.fluid_oracle import ReferenceSolver
+
+#: the production solver and the global re-solve oracle
+SOLVERS = {"incremental": FluidSolver, "reference": ReferenceSolver}
 
 
 def make():
@@ -156,7 +160,7 @@ def test_capped_flow_without_resources_beside_a_routed_flow(mode):
     crosses no resource used to be left at rate 0: a stall error in the
     incremental mode, a late finish (1.2 s) in the reference one."""
     eng = Engine()
-    net = FluidSolver(eng, mode=mode)
+    net = SOLVERS[mode](eng)
     r = net.add_resource(100.0)
     done = {}
     net.start_flow(100.0, [r], record_completion(done, eng, "routed"))
@@ -234,7 +238,7 @@ def test_nan_capacity_rescale_rejected_mid_flow(mode):
     """set_capacity(r, nan) mid-flow used to end the flow at the rescale
     instant; now it raises, and the flow keeps its 1 s schedule."""
     eng = Engine()
-    net = FluidSolver(eng, mode=mode)
+    net = SOLVERS[mode](eng)
     r = net.add_resource(1.0)
     done, errors = {}, []
     net.start_flow(1.0, [r], record_completion(done, eng, "f"))
@@ -475,7 +479,7 @@ def test_zero_capacity_stall_and_resume_rates(mode):
     """set_capacity(0) stalls in-flight flows at rate 0 (no stall error);
     restoring the capacity resumes them and they finish exactly."""
     eng = Engine()
-    net = FluidSolver(eng, mode=mode)
+    net = SOLVERS[mode](eng)
     r = net.add_resource(100.0)
     done = {}
     fid = net.start_flow(300.0, [r], record_completion(done, eng, "f"))
@@ -501,7 +505,7 @@ def test_zero_capacity_stall_and_resume_rates(mode):
 @pytest.mark.parametrize("mode", ["incremental", "reference"])
 def test_flow_started_on_dead_resource_waits_for_revival(mode):
     eng = Engine()
-    net = FluidSolver(eng, mode=mode)
+    net = SOLVERS[mode](eng)
     r = net.add_resource(100.0)
     done = {}
     eng.schedule(0.0, lambda: net.set_capacity(r, 0.0))

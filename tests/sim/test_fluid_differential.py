@@ -1,16 +1,17 @@
-"""Differential fuzzing: incremental fluid solver vs the reference mode.
+"""Differential fuzzing: the fluid solver vs the global re-solve oracle.
 
 Each seed builds one random flow schedule — random topology sizes,
 routes (duplicate resource ids allowed), weights, rate caps, mid-flight
 capacity rescales (including zero-capacity dead windows), and aborts —
-and replays it under both solver modes.  Every observable is compared
-with exact ``==``: completion instants, abort instants, sampled flow
-rates, and the busy-time / served-bytes accounting integrals.
+and replays it under the production solver and under
+``tests.sim.fluid_oracle.ReferenceSolver``.  Every observable is
+compared with exact ``==``: completion instants, abort instants, sampled
+flow rates, and the busy-time / served-bytes accounting integrals.
 
-The reference mode always runs with the progressive-fill memo disabled,
-so it is the pure re-solve-everything oracle.  The incremental side runs
-with the memo for most seeds and without it for a subset, exercising
-both the memo path and the raw per-component kernel.
+The oracle never uses the progressive-fill memo, so it is the pure
+re-solve-everything solver.  The production side runs with the memo for
+most seeds and without it (``NoMemoSolver``) for a subset, exercising
+both the memo path and the raw per-component kernels.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 
 from repro.sim.engine import Engine
 from repro.sim.fluid import FluidSolver
+from tests.sim.fluid_oracle import NoMemoSolver, ReferenceSolver
 
 
 def make_schedule(seed: int):
@@ -131,11 +133,10 @@ def make_fabric_schedule(seed: int):
     return caps, flows, cap_events, aborts, probes
 
 
-def run_schedule(mode: str, schedule, memo: bool, monkeypatch):
-    monkeypatch.setenv("REPRO_FLUID_FILL_MEMO", "1" if memo else "0")
+def run_schedule(cls: type, schedule):
     caps, flows, cap_events, aborts, probes = schedule
     engine = Engine()
-    solver = FluidSolver(engine, mode=mode)
+    solver = cls(engine)
     rids = [solver.add_resource(c, name=f"r{i}") for i, c in enumerate(caps)]
 
     log: list = []
@@ -191,49 +192,41 @@ def run_schedule(mode: str, schedule, memo: bool, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(200))
-def test_incremental_matches_reference(seed, monkeypatch):
+def test_incremental_matches_reference(seed):
     schedule = make_schedule(seed)
-    ref = run_schedule("reference", schedule, memo=False,
-                       monkeypatch=monkeypatch)
-    inc = run_schedule("incremental", schedule, memo=True,
-                       monkeypatch=monkeypatch)
+    ref = run_schedule(ReferenceSolver, schedule)
+    inc = run_schedule(FluidSolver, schedule)
     assert inc == ref
 
 
 @pytest.mark.parametrize("seed", range(100))
-def test_fabric_incremental_matches_reference(seed, monkeypatch):
+def test_fabric_incremental_matches_reference(seed):
     """Fabric-tier routes (two-island nodes) are bit-identical too."""
     schedule = make_fabric_schedule(seed)
-    ref = run_schedule("reference", schedule, memo=False,
-                       monkeypatch=monkeypatch)
-    inc = run_schedule("incremental", schedule, memo=True,
-                       monkeypatch=monkeypatch)
+    ref = run_schedule(ReferenceSolver, schedule)
+    inc = run_schedule(FluidSolver, schedule)
     assert inc == ref
 
 
 @pytest.mark.parametrize("seed", range(0, 100, 10))
-def test_fabric_incremental_kernel_without_memo(seed, monkeypatch):
+def test_fabric_incremental_kernel_without_memo(seed):
     """Fabric corpus against the raw kernel (memo off on both sides)."""
     schedule = make_fabric_schedule(seed)
-    ref = run_schedule("reference", schedule, memo=False,
-                       monkeypatch=monkeypatch)
-    inc = run_schedule("incremental", schedule, memo=False,
-                       monkeypatch=monkeypatch)
+    ref = run_schedule(ReferenceSolver, schedule)
+    inc = run_schedule(NoMemoSolver, schedule)
     assert inc == ref
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 8))
-def test_incremental_kernel_without_memo(seed, monkeypatch):
+def test_incremental_kernel_without_memo(seed):
     """Same comparison with the solve memo disabled on both sides.
 
     Guarantees the per-component kernel itself — not memo replay of an
     earlier kernel output — reproduces the reference bit-for-bit.
     """
     schedule = make_schedule(seed)
-    ref = run_schedule("reference", schedule, memo=False,
-                       monkeypatch=monkeypatch)
-    inc = run_schedule("incremental", schedule, memo=False,
-                       monkeypatch=monkeypatch)
+    ref = run_schedule(ReferenceSolver, schedule)
+    inc = run_schedule(NoMemoSolver, schedule)
     assert inc == ref
 
 
@@ -244,7 +237,7 @@ def test_scalar_kernel_matches_vectorized(seed):
     capped flow that crosses no resource), bit for bit."""
     make = make_fabric_schedule if seed % 2 else make_schedule
     caps, flows, cap_events, _aborts, _probes = make(seed)
-    solver = FluidSolver(Engine(), mode="reference")
+    solver = ReferenceSolver(Engine())
     for cap in caps:
         solver.add_resource(cap)
     for _t, rid, cap in cap_events[:2]:

@@ -17,6 +17,7 @@ from repro.sim import fluid
 from repro.sim.engine import Engine
 from repro.sim.fluid import FluidSolver, clear_fill_memo, fill_memo_sizes
 from repro.tuning import Autotuner, SearchSpace
+from tests.sim.fluid_oracle import NoMemoSolver
 
 KiB, MiB = 1024.0, 1024.0 * 1024.0
 
@@ -28,11 +29,12 @@ def _cold_memo():
     clear_fill_memo()
 
 
-def _solver_a(log: list, clear_at: float | None, second_solver):
+def _solver_a(log: list, clear_at: float | None, second_solver,
+              cls: type = FluidSolver):
     """Two flows share r0 from t=0; at t=2 a short third flow joins and
     retires, so the original pair is re-solved after ``clear_at``."""
     engine = Engine()
-    solver = FluidSolver(engine)
+    solver = cls(engine)
     r0 = solver.add_resource(100.0)
     r1 = solver.add_resource(70.0)
     fids = {}
@@ -68,12 +70,9 @@ def _solver_b():
     assert solver.fill_cache_hits == 0
 
 
-def test_cleared_ids_cannot_alias_a_live_solvers_entries(monkeypatch):
-    monkeypatch.setenv("REPRO_FLUID_FILL_MEMO", "0")
+def test_cleared_ids_cannot_alias_a_live_solvers_entries():
     ref: list = []
-    _solver_a(ref, None, None)
-
-    monkeypatch.setenv("REPRO_FLUID_FILL_MEMO", "1")
+    _solver_a(ref, None, None, NoMemoSolver)
 
     def clear_then_second_solver():
         clear_fill_memo()
@@ -105,9 +104,17 @@ def test_equal_capacity_vectors_share_entries():
     assert second.kernel_stats()["recomputes"] == first.kernel_stats()["recomputes"]
 
 
-def test_warm_up_sweep_counts_are_pinned(monkeypatch):
-    """The 4x4 warm-up task sweep of the perf benchmark: a keying change
-    that loses sharing between its twelve solvers moves these counts."""
+@pytest.mark.parametrize("coll, pins", [
+    # every flow of the bcast sweep takes the start lane or the retire
+    # skip: a change that sends slack flows back to the kernel moves it
+    ("bcast", (0.06576230678274436, 12, 727, 0, 0, (0, 0))),
+    # the allreduce sweep's reductions contend, so it fills and shares
+    ("allreduce", (0.2898821996223005, 4, 2229, 192, 14, (37, 0))),
+], ids=["bcast", "allreduce"])
+def test_warm_up_sweep_counts_are_pinned(coll, pins, monkeypatch):
+    """The 4x4 warm-up task sweep of the perf benchmark (and its
+    allreduce twin): a keying change that loses sharing between its
+    solvers moves these counts."""
     solvers: list[FluidSolver] = []
     init = FluidSolver.__init__
 
@@ -119,13 +126,15 @@ def test_warm_up_sweep_counts_are_pinned(monkeypatch):
     space = SearchSpace(seg_sizes=(512 * KiB,), messages=(64.0 * KiB, 1.0 * MiB),
                         adapt_algorithms=("chain",), inner_segs=(None,))
     report = Autotuner(shaheen2(num_nodes=4, ppn=4), space=space, warm_iters=6,
-                       workers=0, cache=None).tune(("bcast",), "task")
-    assert report.tuning_cost == 0.06576230678274436
-    assert len(solvers) == 12
-    assert sum(s.recomputes for s in solvers) == 727
-    assert sum(s.kernel_flows_solved for s in solvers) == 2998
-    assert sum(s.fill_cache_hits for s in solvers) == 372
-    assert fill_memo_sizes() == (99, 0)
+                       workers=0, cache=None).tune((coll,), "task")
+    assert (
+        report.tuning_cost,
+        len(solvers),
+        sum(s.recomputes for s in solvers),
+        sum(s.kernel_flows_solved for s in solvers),
+        sum(s.fill_cache_hits for s in solvers),
+        fill_memo_sizes(),
+    ) == pins
 
 
 def test_ids_are_flat_ints_and_never_reissued():

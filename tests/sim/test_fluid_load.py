@@ -46,7 +46,7 @@ def load_mismatches(kind: str, seed: int, monkeypatch) -> tuple[int, int]:
 
     with monkeypatch.context() as m:
         m.setattr(FluidSolver, "_recompute", checked)
-        run_schedule("incremental", MAKERS[kind](seed), memo=True, monkeypatch=m)
+        run_schedule(FluidSolver, MAKERS[kind](seed))
     return counts[0], counts[1]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro.sim.fluid as fluid
-from repro.sim.fluid import clear_fill_memo, fill_memo_sizes
+from repro.sim.fluid import FluidSolver, clear_fill_memo, fill_memo_sizes
 from tests.sim.test_fluid_differential import make_schedule, run_schedule
 
 
@@ -69,12 +69,10 @@ def test_miss_returns_none():
 # -- the safety property ------------------------------------------------------
 
 
-def test_warm_memo_replay_is_bit_identical(monkeypatch):
+def test_warm_memo_replay_is_bit_identical():
     schedule = make_schedule(7)
-    cold = run_schedule("incremental", schedule, memo=True,
-                        monkeypatch=monkeypatch)
+    cold = run_schedule(FluidSolver, schedule)
     cur, old = fill_memo_sizes()
     assert cur + old > 0  # the run actually populated the memo
-    warm = run_schedule("incremental", schedule, memo=True,
-                        monkeypatch=monkeypatch)
+    warm = run_schedule(FluidSolver, schedule)
     assert warm == cold
