@@ -45,8 +45,8 @@ from math import inf
 from types import MappingProxyType
 from typing import Optional, Sequence
 
+from repro import segstore
 from repro.obs.severity import OK, Severity, grade_excess, severity
-from repro.segstore import canonical_line, order_key
 
 __all__ = [
     "COMPOSITIONS",
@@ -471,19 +471,25 @@ class InsightEngine:
 
     # -- ingest ----------------------------------------------------------------
 
-    def ingest(self, doc: dict) -> bool:
-        """Fold one run summary in; False for duplicates/unusable docs."""
+    def ingest(self, doc: dict, line: Optional[str] = None) -> bool:
+        """Fold one run summary in; False for duplicates/unusable docs.
+
+        ``line`` is the record's canonical line when the caller already
+        holds it (a store read, see :meth:`follow`); it is computed here
+        only when absent.
+        """
         key = doc.get("key")
         if not key or doc.get("time") is None:
             return False
-        line = canonical_line(doc)
+        if line is None:
+            line = segstore.canonical_line(doc)
         seen = self._seen.setdefault(key, set())
         if line in seen:
             self.duplicates += 1
             return False
         seen.add(line)
         self.records += 1
-        order = order_key(doc, line)
+        order = segstore.order_key(doc, line)
         t = float(doc["time"])
         bisect.insort(self._hist.setdefault(key, []), (order, t))
 
@@ -541,11 +547,16 @@ class InsightEngine:
         return True
 
     def ingest_store(self, store) -> int:
-        """Batch sweep: fold every record of a RunStore; returns count."""
+        """Batch sweep: fold every record of a RunStore; returns count.
+
+        Reads :meth:`~repro.obs.store.RunStore.group_pairs`, so each
+        record arrives with its canonical line: a compacted store's
+        records are never re-serialized.
+        """
         n = 0
-        for _key, runs in store.groups():
-            for doc in runs:
-                if self.ingest(doc):
+        for _key, pairs in store.group_pairs():
+            for doc, line in pairs:
+                if self.ingest(doc, line):
                     n += 1
         return n
 
@@ -554,11 +565,13 @@ class InsightEngine:
 
         The streaming spelling of :meth:`ingest_store`: call it after
         (or while) writers append and the engine state advances per
-        record instead of per sweep.
+        record instead of per sweep.  Reads
+        :meth:`~repro.obs.store.RunStore.tail_pairs`, which
+        canonicalizes each new record once; the engine reuses that line.
         """
-        records, cursor = store.tail(cursor)
-        for doc in records:
-            self.ingest(doc)
+        pairs, cursor = store.tail_pairs(cursor)
+        for doc, line in pairs:
+            self.ingest(doc, line)
         return cursor
 
     # -- checks ----------------------------------------------------------------

@@ -41,6 +41,12 @@ Fleet-scale layout — the shard protocol of :mod:`repro.segstore`
   shards' open files; the incremental insight engine
   (:class:`~repro.obs.insights.InsightEngine`) follows it so insights
   update per appended record instead of per sweep.
+- **pairs** — every read yields a record with its canonical line (the
+  dedup identity and the order tiebreak): segment lines as read,
+  records of the open tail, ``pend-*`` snapshots and legacy files
+  canonicalized once (:func:`repro.segstore.read_pairs`).
+  :meth:`tail_pairs` and :meth:`group_pairs` hand those lines on, so
+  the insight engine never re-serializes a stored record.
 
 The insight engine (:mod:`repro.obs.insights`) consumes these groups
 for guideline checks and MAD-band regression detection.
@@ -243,17 +249,33 @@ def _resolve(docs: list) -> list[tuple[str, str]]:
     )
 
 
-def _history(by_line: dict) -> list[dict]:
-    """Deduped records ``{canonical line: doc}`` in history order."""
-    return [by_line[line] for line in sorted(
+def _history(by_line: dict) -> list[tuple[dict, str]]:
+    """Deduped records ``{canonical line: doc}`` as ``(doc, line)``
+    pairs in history order."""
+    return [(by_line[line], line) for line in sorted(
         by_line, key=lambda line: segstore.order_key(by_line[line], line))]
 
 
-def _shrunk(f: Path, offset: int) -> bool:
+def _listing(shard: str) -> list[os.DirEntry]:
+    """The ``*.jsonl`` entries of a shard directory, by name.
+
+    A shard that vanished, or was replaced by a file, after the root was
+    listed reads as empty, as it would have a moment later.
+    """
     try:
-        return f.stat().st_size < offset
+        with os.scandir(shard) as it:
+            return sorted((e for e in it if e.name.endswith(".jsonl")),
+                          key=lambda e: e.name)
     except OSError:
-        return True
+        return []
+
+
+def _size(entry: os.DirEntry) -> int:
+    """Size of a listed file; -1 once it is gone."""
+    try:
+        return entry.stat().st_size
+    except OSError:
+        return -1
 
 
 class RunStore:
@@ -271,21 +293,32 @@ class RunStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.appends = 0
-        #: segment -> {key: [line offsets]}; segments are immutable and
-        #: content-named, so a path's index never goes stale
-        self._idx_cache: dict[Path, dict] = {}
+        #: segment path -> {key: [line offsets]}; segments are immutable
+        #: and content-named, so a path's index never goes stale
+        self._idx_cache: dict[str, dict] = {}
+        #: shard name -> path of its open tail
+        self._open: dict[str, str] = {}
 
     # -- layout ----------------------------------------------------------------
 
-    def _shard_dir(self, key: str) -> Path:
-        return self.root / key[:_SHARD_CHARS]
+    def _shard_dir(self, key: str) -> str:
+        return os.path.join(self.root, key[:_SHARD_CHARS])
 
-    def _shards(self) -> list[Path]:
-        return sorted(d for d in self.root.iterdir() if d.is_dir())
+    def _shards(self) -> list[os.DirEntry]:
+        """The shard directories under the root, by name."""
+        with os.scandir(self.root) as it:
+            return sorted((e for e in it if e.is_dir()), key=lambda e: e.name)
 
     @staticmethod
-    def _segments(shard: Path) -> list[Path]:
-        return sorted(shard.glob("seg-*.jsonl"))
+    def _shard_files(shard: str) -> tuple[list[str], list[str]]:
+        """One listing of a shard: its segments, and the files that must
+        be parsed line by line (the open tail, mid-compaction ``pend-*``
+        snapshots and legacy per-group files)."""
+        segs: list[str] = []
+        mutable: list[str] = []
+        for e in _listing(shard):
+            (segs if segstore.is_segment(e.name) else mutable).append(e.path)
+        return segs, mutable
 
     # -- writing ---------------------------------------------------------------
 
@@ -295,8 +328,12 @@ class RunStore:
         if not key:
             raise ValueError("run summary must carry a 'key' (see run_key)")
         doc.setdefault("schema_version", STORE_SCHEMA_VERSION)
-        segstore.append_line(self._shard_dir(key) / segstore.OPEN,
-                             segstore.canonical_line(doc))
+        shard = key[:_SHARD_CHARS]
+        path = self._open.get(shard)
+        if path is None:
+            path = self._open[shard] = os.path.join(self.root, shard,
+                                                    segstore.OPEN)
+        segstore.append_line(path, segstore.canonical_line(doc))
         self.appends += 1
         return key
 
@@ -315,15 +352,20 @@ class RunStore:
         return copied
 
     # -- reading ---------------------------------------------------------------
+    #
+    # A reader that needs identity or order gets (doc, canonical line)
+    # pairs: segment lines as read, other files' records canonicalized
+    # once by segstore.read_pairs.
 
-    def _seg_index(self, seg: Path) -> dict:
+    def _seg_index(self, seg: str) -> dict:
         keys = self._idx_cache.get(seg)
         if keys is None:
-            keys = self._idx_cache[seg] = segstore.load_index(seg)["keys"]
+            keys = self._idx_cache[seg] = \
+                segstore.load_index(Path(seg))["keys"]
         return keys
 
     @staticmethod
-    def _seg_records_at(seg: Path, offsets) -> Iterator[tuple[dict, str]]:
+    def _seg_records_at(seg: str, offsets) -> Iterator[tuple[dict, str]]:
         try:
             with open(seg, "rb") as fh:
                 for off in offsets:
@@ -336,29 +378,20 @@ class RunStore:
         except OSError:
             return
 
-    @staticmethod
-    def _shard_mutable(shard: Path) -> Iterator[tuple[dict, str]]:
-        """Records of the files that must be parsed line by line: the
-        open tail, mid-compaction ``pend-*`` snapshots, and legacy
-        per-group files."""
-        for f in sorted(shard.glob("*.jsonl")):
-            if not f.name.startswith("seg-"):
-                for doc in segstore.read_docs(f)[0]:
-                    yield doc, segstore.canonical_line(doc)
-
-    def _shard_groups(self, shard: Path, only: Optional[str] = None,
+    def _shard_groups(self, shard: str, only: Optional[str] = None,
                       ) -> dict[str, dict[str, dict]]:
         """A shard's deduped records (or just group ``only``'s), as
         ``{key: {canonical line: doc}}``."""
         by_key: dict[str, dict[str, dict]] = {}
-        for seg in self._segments(shard):
+        segs, mutable = self._shard_files(shard)
+        for seg in segs:
             idx = self._seg_index(seg)
             for key in (idx if only is None else {only} & idx.keys()):
                 bucket = by_key.setdefault(key, {})
                 for doc, line in self._seg_records_at(seg, idx[key]):
                     bucket[line] = doc
-        for doc, line in self._shard_mutable(shard):
-            if only is None or doc["key"] == only:
+        for f in mutable:
+            for doc, line in segstore.read_pairs(f, key=only)[0]:
                 by_key.setdefault(doc["key"], {})[line] = doc
         return by_key
 
@@ -366,17 +399,18 @@ class RunStore:
         """Every group key — from segment indexes plus the open tails."""
         out: set[str] = set()
         for shard in self._shards():
-            for seg in self._segments(shard):
+            segs, mutable = self._shard_files(shard.path)
+            for seg in segs:
                 out.update(self._seg_index(seg))
-            for doc, _line in self._shard_mutable(shard):
-                out.add(doc["key"])
+            for f in mutable:
+                out.update(doc["key"] for doc in segstore.read_docs(f)[0])
         return sorted(out)
 
     def runs(self, key: str) -> list[dict]:
         """Every stored run for a group, in deterministic history order
         (``wall_time``, then canonical line)."""
         groups = self._shard_groups(self._shard_dir(key), only=key)
-        return _history(groups.get(key, {}))
+        return [doc for doc, _line in _history(groups.get(key, {}))]
 
     def latest(self, key: str) -> Optional[dict]:
         """Newest run of a group.
@@ -385,29 +419,36 @@ class RunStore:
         newest record for the key; only the shard's small mutable tail
         (``open.jsonl`` and friends) is parsed in full.
         """
-        shard = self._shard_dir(key)
+        segs, mutable = self._shard_files(self._shard_dir(key))
         newest: list[tuple[dict, str]] = []
-        for seg in self._segments(shard):
+        for seg in segs:
             # segment lines are sorted by (key, wall_time, line): the
             # key's last offset is its newest record in this segment
             offs = self._seg_index(seg).get(key, ())[-1:]
             newest.extend(self._seg_records_at(seg, offs))
-        newest.extend(pair for pair in self._shard_mutable(shard)
-                      if pair[0]["key"] == key)
+        for f in mutable:
+            newest.extend(segstore.read_pairs(f, key=key)[0])
         best = max(newest, key=lambda pair: segstore.order_key(*pair),
                    default=None)
         return best[0] if best is not None else None
 
-    def groups(self) -> Iterator[tuple[str, list[dict]]]:
-        """Stream ``(key, runs)`` pairs, one shard in memory at a time."""
+    def group_pairs(self) -> Iterator[tuple[str, list[tuple[dict, str]]]]:
+        """Stream ``(key, [(run, canonical line), ...])`` in history
+        order, one shard in memory at a time."""
         for shard in self._shards():
-            by_key = self._shard_groups(shard)
+            by_key = self._shard_groups(shard.path)
             for key in sorted(by_key):
                 yield key, _history(by_key[key])
 
+    def groups(self) -> Iterator[tuple[str, list[dict]]]:
+        """Stream ``(key, runs)`` pairs, one shard in memory at a time:
+        :meth:`group_pairs` without the lines."""
+        for key, pairs in self.group_pairs():
+            yield key, [doc for doc, _line in pairs]
+
     def __len__(self) -> int:
         """Total stored runs (not groups); streams shard by shard."""
-        return sum(len(runs) for _, runs in self.groups())
+        return sum(len(pairs) for _, pairs in self.group_pairs())
 
     # -- compaction ------------------------------------------------------------
 
@@ -426,9 +467,10 @@ class RunStore:
         for shard in self._shards():
             if prefix is not None and shard.name != prefix[:_SHARD_CHARS]:
                 continue
-            count, gone = segstore.fold(shard, _resolve, sidecar=True)
+            count, gone = segstore.fold(Path(shard.path), _resolve,
+                                        sidecar=True)
             for f in gone:
-                self._idx_cache.pop(f, None)
+                self._idx_cache.pop(str(f), None)
             if count:
                 stats["shards"] += 1
                 stats["records"] += count
@@ -442,12 +484,28 @@ class RunStore:
         """Change feed: records appended since ``cursor``.
 
         Returns ``(records, cursor)``; pass the cursor back to get only
+        newer records.  :meth:`tail_pairs` is the same feed with each
+        record's canonical line.
+        """
+        pairs, cursor = self.tail_pairs(cursor)
+        return [doc for doc, _line in pairs], cursor
+
+    def tail_pairs(self, cursor: Optional[dict] = None,
+                   ) -> tuple[list[tuple[dict, str]], dict]:
+        """Change feed as ``(record, canonical line)`` pairs.
+
+        Returns ``(pairs, cursor)``; pass the cursor back to get only
         newer records.  The cursor is a plain JSON-serializable dict, so
-        a follower can persist it across processes.  Steady state reads
-        only the bytes appended to each shard's ``open.jsonl``; when a
-        shard's file set changed underneath the cursor (a compaction),
-        the shard is re-read and already-delivered records are filtered
-        out by the cursor's high-water mark (max delivered
+        a follower can persist it across processes.  Steady state lists
+        each shard once and reads only the bytes appended to its files
+        since the cursor; a file whose size still equals its offset is
+        not opened.  Each new record of ``open.jsonl`` is canonicalized
+        once, here, and the line travels with it, so a follower
+        (:meth:`~repro.obs.insights.InsightEngine.follow`) need not
+        re-serialize it.  When a shard's file set changed underneath
+        the cursor (a compaction), the shard is re-read (its segment
+        lines are already canonical) and already-delivered records are
+        filtered out by the cursor's high-water mark (max delivered
         ``(wall_time, line)``), so followers see no duplicates.  Records
         back-dated below the mark that land *during* a compaction window
         may be skipped — followers needing them should re-ingest from
@@ -457,26 +515,29 @@ class RunStore:
         batch: list[tuple[tuple[float, str], dict]] = []
         new_state: dict[str, dict] = {}
         for shard in self._shards():
-            name = shard.name
-            files = {f.name: f for f in sorted(shard.glob("*.jsonl"))}
-            st = state.get(name)
+            files = _listing(shard.path)
+            st = state.get(shard.name)
             mark = None
             offsets: dict[str, int] = {}
             if st is not None:
                 mark = tuple(st["mark"]) if st.get("mark") else None
                 offsets = dict(st.get("files", {}))
+            sizes = None
+            if st is not None and set(offsets) == {f.name for f in files}:
+                sizes = {f.name: _size(f) for f in files}
             # a file that shrank was truncated or replaced
-            same_files = (st is not None and set(offsets) == set(files)
-                          and not any(_shrunk(f, offsets[fname])
-                                      for fname, f in files.items()))
+            same_files = sizes is not None and all(
+                sizes[name] >= offsets[name] for name in sizes)
             got: list[tuple[tuple[float, str], dict]] = []
             new_offsets: dict[str, int] = {}
             seen: set[str] = set()
-            for fname, f in files.items():
-                docs, new_offsets[fname] = segstore.read_docs(
-                    f, offsets.get(fname, 0) if same_files else 0)
-                for doc in docs:
-                    line = segstore.canonical_line(doc)
+            for f in files:
+                start = offsets[f.name] if same_files else 0
+                if same_files and sizes[f.name] == start:
+                    new_offsets[f.name] = start  # nothing appended
+                    continue
+                pairs, new_offsets[f.name] = segstore.read_pairs(f.path, start)
+                for doc, line in pairs:
                     ok = segstore.order_key(doc, line)
                     # first sight of this shard, or its files changed
                     # underneath us (compaction): everything was re-read,
@@ -491,12 +552,13 @@ class RunStore:
                 top = got[-1][0]
                 mark = top if mark is None or top > mark else mark
             batch.extend(got)
-            new_state[name] = {
+            new_state[shard.name] = {
                 "files": new_offsets,
                 "mark": list(mark) if mark is not None else None,
             }
         batch.sort(key=lambda pair: pair[0])
-        return ([doc for _ok, doc in batch],
+        # an order key is (wall_time, canonical line)
+        return ([(doc, ok[1]) for ok, doc in batch],
                 {"schema": STORE_SCHEMA_VERSION, "shards": new_state})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -8,11 +8,18 @@ protocol in this module; nothing here knows what a record means.
 - **append** -- :func:`append_line` lands one whole line on the shard's
   ``open.jsonl`` with a single ``O_APPEND`` write: no locks, any number
   of concurrent writers.
-- **read** -- :func:`read_docs` returns the records of the
-  newline-terminated lines of a file.  A torn tail (dead or in-flight
-  writer) is left unconsumed so a later read picks it up whole; lines
-  that are not UTF-8, not JSON, not an object or carry no ``key`` are
-  skipped, never raised.
+- **read** -- a record read from a shard is a ``(doc, canonical line)``
+  pair (:func:`read_pairs`); :func:`read_docs` returns just the records
+  for readers that need no identity or order.  Only the
+  newline-terminated lines of a file count: a torn tail (dead or
+  in-flight writer) is left unconsumed so a later read picks it up
+  whole, and lines that are not UTF-8, not JSON, not an object or carry
+  no ``key`` are skipped, never raised.  A ``seg-*`` line is trusted as
+  its own canonical line, since only :func:`fold` writes segments and it
+  writes nothing else.  Any other file -- the open tail, a ``pend-*``
+  snapshot, a store's legacy files -- may hold a foreign writer's
+  spelling of a record, so each of its records is canonicalized once,
+  when the pair is read.
 - **fold** -- :func:`fold` compacts every file of a shard into one
   immutable segment ``seg-<sha256(body)[:12]>.jsonl``.  The store's
   ``resolve`` callback picks and orders the surviving
@@ -50,10 +57,12 @@ __all__ = [
     "complete_lines",
     "fold",
     "index_path",
+    "is_segment",
     "load_index",
     "order_key",
     "parse_line",
     "read_docs",
+    "read_pairs",
     "read_object",
     "write_atomic",
 ]
@@ -65,9 +74,13 @@ OPEN = "open.jsonl"
 INDEX_SCHEMA_VERSION = 1
 
 
+#: ``json.dumps(doc, sort_keys=True)`` without building an encoder per call
+_CANONICAL = json.JSONEncoder(sort_keys=True)
+
+
 def canonical_line(doc: dict) -> str:
     """The canonical JSONL line of a record -- its dedup identity."""
-    return json.dumps(doc, sort_keys=True)
+    return _CANONICAL.encode(doc)
 
 
 def order_key(doc: dict, line: str) -> tuple[float, str]:
@@ -87,7 +100,8 @@ def order_key(doc: dict, line: str) -> tuple[float, str]:
 # -- reading -----------------------------------------------------------------------
 
 
-def complete_lines(path: Path, start: int = 0) -> tuple[list[str], int]:
+def complete_lines(path: str | os.PathLike, start: int = 0,
+                   ) -> tuple[list[str], int]:
     """Newline-terminated lines of ``path`` from byte ``start``.
 
     Returns ``(lines, end)`` where ``end`` is the offset just past the
@@ -118,11 +132,38 @@ def parse_line(line: str) -> Optional[dict]:
     return None
 
 
-def read_docs(path: Path, start: int = 0) -> tuple[list[dict], int]:
+def read_docs(path: str | os.PathLike, start: int = 0,
+              ) -> tuple[list[dict], int]:
     """Records of the complete lines of ``path`` from byte ``start``,
     and the offset to resume from (see :func:`complete_lines`)."""
     lines, end = complete_lines(path, start)
     return [doc for doc in map(parse_line, lines) if doc is not None], end
+
+
+def is_segment(path: str | os.PathLike) -> bool:
+    """Whether ``path`` names a segment: a file :func:`fold` wrote,
+    whose every line is already canonical."""
+    return os.path.basename(path).startswith("seg-")
+
+
+def read_pairs(path: str | os.PathLike, start: int = 0,
+               key: Optional[str] = None,
+               ) -> tuple[list[tuple[dict, str]], int]:
+    """``(record, canonical line)`` pairs of the complete lines of
+    ``path`` from byte ``start`` (group ``key``'s records alone when
+    given), and the offset to resume from.
+
+    A segment's line is its own canonical line; a record of any other
+    file is canonicalized here, once (see the module docstring).
+    """
+    lines, end = complete_lines(path, start)
+    trusted = is_segment(path)
+    pairs = []
+    for line in lines:
+        doc = parse_line(line)
+        if doc is not None and (key is None or doc["key"] == key):
+            pairs.append((doc, line if trusted else canonical_line(doc)))
+    return pairs, end
 
 
 def read_object(path: Path) -> Optional[dict]:
@@ -164,7 +205,7 @@ def write_atomic(path: Path, data: str | bytes) -> None:
         raise
 
 
-def append_line(path: Path, line: str) -> None:
+def append_line(path: str | os.PathLike, line: str) -> None:
     """Land ``line`` on ``path`` with one ``O_APPEND`` write."""
     data = (line + "\n").encode("utf-8")
     for _ in range(16):

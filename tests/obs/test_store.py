@@ -1,10 +1,18 @@
-"""Run store: key contract, append/read round-trip, torn-line tolerance."""
+"""Run store: key contract, append/read round-trip, torn-line tolerance,
+and the one read contract: each record read once, as a (doc, canonical
+line) pair."""
 
 import json
+import shutil
+import sys
 from pathlib import Path
 
+import pytest
+
+from repro import segstore
 from repro.core.config import HanConfig
 from repro.hardware.machines import shaheen2
+from repro.obs.insights import InsightEngine
 from repro.obs.store import (
     RunStore,
     config_digest,
@@ -63,8 +71,6 @@ def test_store_append_read_round_trip(tmp_path):
 
 
 def test_store_rejects_keyless_docs(tmp_path):
-    import pytest
-
     store = RunStore(tmp_path)
     with pytest.raises(ValueError):
         store.append({"coll": "bcast"})
@@ -310,3 +316,219 @@ def test_merge_from_is_idempotent_union(tmp_path):
     a.compact()
     b.compact()
     assert {k: r for k, r in a.groups()} == {k: r for k, r in b.groups()}
+
+
+# -- one read per record: (doc, canonical line) pairs --------------------------------
+
+
+def _foreign(doc, spelling):
+    """``doc`` as a writer that is not this store might spell it."""
+    if spelling == "reordered":
+        return json.dumps(dict(reversed(list(doc.items()))))
+    if spelling == "compact":
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False)
+
+
+def _canonical_only(root, doc):
+    store = RunStore(root)
+    store.append(dict(doc))
+    store.compact()
+    return _segment_bytes(root)
+
+
+@pytest.mark.parametrize("twin", ["segment", "open"])
+@pytest.mark.parametrize("place", ["open", "pend", "legacy"])
+@pytest.mark.parametrize("spelling", ["reordered", "compact", "unicode"])
+def test_a_foreign_spelling_is_one_record_with_its_canonical_twin(
+        tmp_path, spelling, place, twin):
+    doc = _point(_machine(), "bcast", 1024, 1e-3, wall=7)
+    doc["source"] = "mesuré ✓"  # ensure_ascii=False spells this apart
+    key = doc["key"]
+    assert _foreign(doc, spelling) != segstore.canonical_line(doc)
+    store = RunStore(tmp_path / "store")
+    store.append(dict(doc))
+    if twin == "segment":
+        store.compact()
+    engine = InsightEngine()
+    cursor = engine.follow(store)  # the twin is delivered first
+    name = {"open": "open.jsonl", "pend": "pend-0a0b0c0d0e0f.jsonl",
+            "legacy": f"{key}.jsonl"}[place]
+    with open(store.root / key[:2] / name, "a", encoding="utf-8") as fh:
+        fh.write(_foreign(doc, spelling) + "\n")
+
+    engine.follow(store, cursor)  # tail or engine drops it as seen
+    assert engine.records == 1
+    assert store.tail()[0] == [doc]
+    streamed = InsightEngine()
+    streamed.follow(store)
+    assert streamed.records == 1
+    assert list(store.groups()) == [(key, [doc])]
+    batch = InsightEngine()
+    assert batch.ingest_store(store) == 1
+    assert store.runs(key) == [doc]
+    assert store.latest(key) == doc
+    assert store.keys() == [key] and len(store) == 1
+    assert store.compact()["records"] == 1
+    assert _segment_bytes(store.root) == \
+        _canonical_only(tmp_path / "canonical", doc)
+    assert store.runs(key) == [doc]
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """Counts calls of segstore.canonical_line from now on, wherever a
+    module bound it."""
+    calls = []
+    real = segstore.canonical_line
+
+    def counting(doc):
+        calls.append(doc)
+        return real(doc)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "canonical_line", None) is real:
+            monkeypatch.setattr(mod, "canonical_line", counting)
+    return calls
+
+
+def test_each_read_record_is_canonicalized_at_most_once(
+        tmp_path, canonical_calls):
+    m = _machine()
+    store = RunStore(tmp_path)
+    engine = InsightEngine()
+    docs = _docs(m)
+    for doc in docs[:8]:
+        store.append(doc)
+    canonical_calls.clear()
+    cursor = engine.follow(store)  # first sight: tail reads everything
+    assert len(canonical_calls) == 8 == engine.records
+    for doc in docs[8:]:
+        store.append(doc)
+    canonical_calls.clear()
+    cursor = engine.follow(store, cursor)  # steady state: the new bytes
+    assert len(canonical_calls) == len(docs) - 8
+    canonical_calls.clear()
+    engine.follow(store, cursor)  # idle
+    assert canonical_calls == []
+
+    store.compact()
+    store.append(_point(m, "reduce", 4096, 3e-3, wall=0))  # an open tail
+    canonical_calls.clear()
+    assert len(store.keys()) == 3
+    assert canonical_calls == []  # keys() needs no identity
+    store.compact()
+    canonical_calls.clear()
+    batch = InsightEngine()
+    assert batch.ingest_store(store) == len(docs) + 1
+    assert canonical_calls == []  # segment lines are their own identity
+
+
+def _two_shards(root):
+    """A store with records in at least two shards, a stray file beside
+    them, and the cursor of a follower that has read them all."""
+    m = _machine()
+    store = RunStore(root)
+    docs = _docs(m, n=2) + [_point(m, "reduce", 4096, 3e-3, wall=0)]
+    for doc in docs:
+        store.append(doc)
+    (store.root / "stray.txt").write_text("not a shard")
+    shards = sorted({doc["key"][:2] for doc in docs})
+    assert len(shards) >= 2
+    victim = next(d for d in docs if d["key"][:2] == shards[0])
+    survivor = next(d for d in docs if d["key"][:2] == shards[-1])
+    cursor = store.tail()[1]
+    store.append(_point(m, survivor["coll"], survivor["nbytes"], 5e-3,
+                        wall=9))
+    return store, victim["key"], cursor
+
+
+def _doom(store, key, fate):
+    shard = store.root / key[:2]
+    shutil.rmtree(shard)
+    if fate == "replaced":
+        shard.write_text("a file where a shard was")
+
+
+READERS = {
+    "tail": lambda store, cursor: store.tail()[0],
+    "tail-resume": lambda store, cursor: store.tail(cursor)[0],
+    "groups": lambda store, cursor: list(store.groups()),
+    "keys": lambda store, cursor: store.keys(),
+    "len": lambda store, cursor: len(store),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("fate", ["vanished", "replaced"])
+def test_a_shard_that_goes_away_mid_walk_reads_as_gone(
+        tmp_path, monkeypatch, reader, fate):
+    read = READERS[reader]
+    calm, key, cursor = _two_shards(tmp_path / "calm")
+    _doom(calm, key, fate)
+    want = read(calm, cursor)
+
+    racing, key, cursor = _two_shards(tmp_path / "racing")
+    listing = RunStore._shards
+
+    def list_then_doom(self):
+        shards = listing(self)  # the victim is still listed...
+        _doom(self, key, fate)  # ...but gone before it is scanned
+        return shards
+
+    monkeypatch.setattr(RunStore, "_shards", list_then_doom)
+    assert read(racing, cursor) == want
+    monkeypatch.undo()
+    assert racing.latest(key) is None
+    assert racing.runs(key) == []
+
+
+#: ``json.dumps`` of the cursors ``tail`` returned, as of commit
+#: 3e3d173, for the store the test below builds: after its first four
+#: records, and after two more and a compaction
+PINNED_CURSORS = (
+    r'{"schema": 1, "shards": {"ab": {"files": {"open.jsonl": 312}, '
+    r'"mark": [3.0, "{\"coll\": \"bcast\", \"key\": \"ab01\", '
+    r'\"schema_version\": 1, \"source\": \"pin\", \"time\": 0.004, '
+    r'\"wall_time\": 3.0}"]}, "cd": {"files": {"open.jsonl": 104}, '
+    r'"mark": [1.0, "{\"coll\": \"bcast\", \"key\": \"cd01\", '
+    r'\"schema_version\": 1, \"source\": \"pin\", \"time\": 0.002, '
+    r'\"wall_time\": 1.0}"]}}}',
+    r'{"schema": 1, '
+    r'"shards": {"ab": {"files": {"seg-1656b1c55762.jsonl": 312}, '
+    r'"mark": [3.0, "{\"coll\": \"bcast\", \"key\": \"ab01\", '
+    r'\"schema_version\": 1, \"source\": \"pin\", \"time\": 0.004, '
+    r'\"wall_time\": 3.0}"]}, '
+    r'"cd": {"files": {"seg-4118325d37a9.jsonl": 208}, "mark": [4.0, '
+    r'"{\"coll\": \"bcast\", \"key\": \"cd01\", \"schema_version\": 1, '
+    r'\"source\": \"pin\", \"time\": 0.005, \"wall_time\": 4.0}"]}, '
+    r'"ef": {"files": {"seg-7ee65cbbcf27.jsonl": 104}, "mark": [5.0, '
+    r'"{\"coll\": \"bcast\", \"key\": \"ef01\", \"schema_version\": 1, '
+    r'\"source\": \"pin\", \"time\": 0.006, \"wall_time\": 5.0}"]}}}',
+)
+
+
+def _pin(store, key, i):
+    store.append({"schema_version": 1, "key": key, "coll": "bcast",
+                  "time": 1e-3 * (i + 1), "wall_time": float(i),
+                  "source": "pin"})
+
+
+def test_a_persisted_cursor_resumes_with_nothing_redelivered_or_skipped(
+        tmp_path):
+    store = RunStore(tmp_path)
+    for i, key in enumerate(["ab01", "cd01", "ab02", "ab01"]):
+        _pin(store, key, i)
+    old, old_compacted = PINNED_CURSORS
+    assert json.dumps(store.tail()[1]) == old  # the format is unchanged
+    _pin(store, "cd01", 4)
+    _pin(store, "ef01", 5)
+    records, cursor = store.tail(json.loads(old))
+    assert [d["wall_time"] for d in records] == [4.0, 5.0]
+    store.compact()
+    records, cursor = store.tail(cursor)
+    assert records == [] and json.dumps(cursor) == old_compacted
+    # an old cursor that predates the compaction resumes by its marks
+    records, _cursor = store.tail(json.loads(old))
+    assert [d["wall_time"] for d in records] == [4.0, 5.0]
+    assert store.tail(json.loads(old_compacted))[0] == []
