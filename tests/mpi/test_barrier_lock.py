@@ -15,7 +15,8 @@ Each case runs quiet (its key is the bare case name) and in the loud
 modes of ``test_lifecycle_lock`` (key ``<mode>/<case>``): an identity
 overhead hook, seeded ``OsNoise``, seeded ``MessageJitter``, a hook that
 halves every ``net_latency``, and an attached ``ObsRecorder``, whose
-spans, counter samples and message records are pinned as a digest.
+spans, counter samples, message records and metrics registry are
+pinned as a digest.
 
 Exit order is same-instant resume order, so the lock holds whichever
 path a barrier takes to get there.  When a timing-model change is

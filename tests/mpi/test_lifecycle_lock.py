@@ -10,7 +10,7 @@ Every case runs one program on a fresh runtime in one of these modes:
 - ``shrink`` -- a hook that halves every ``net_latency``, so an eager
   payload lands before its envelope;
 - ``obs`` -- an ``ObsRecorder``; the case also pins a digest of its
-  spans, counter samples and message records.
+  spans, counter samples, message records and metrics registry.
 
 The programs are
 
@@ -398,8 +398,10 @@ def _digest(value) -> str:
 
 def obs_digest(rec) -> str:
     """sha256 over every span, counter sample and message record, in
-    emission order."""
-    return _digest([rec.spans, rec.counters, list(rec.messages.values())])
+    emission order, and the metrics registry (whose histogram exemplars
+    follow span-end order)."""
+    return _digest([rec.spans, rec.counters, list(rec.messages.values()),
+                    rec.metrics.to_doc()])
 
 
 def program_of(key: str):
