@@ -18,7 +18,7 @@ from typing import Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG, INTERNAL_TAG_BASE
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.request import Request
 from repro.sim.engine import AllOf, AnyOf
 
@@ -95,10 +95,6 @@ class Communicator:
         if r < 0:
             raise IndexError(f"rank {r} out of range")
         return nodes[r]
-
-    def translate_world(self, world_rank: int) -> int:
-        """World rank -> rank in this communicator (ValueError if absent)."""
-        return self.group.index(world_rank)
 
     @property
     def now(self) -> float:
@@ -227,29 +223,18 @@ class Communicator:
 
         Collective *modules* provide their own tuned barriers; this one
         exists so applications and tests can synchronize without picking
-        a module.  One :class:`~repro.mpi.matching.Barrier` runs every
-        rank's rounds with the loop's engine cells and hook calls; an obs
-        recorder gets the loop below, whose message records and spans
-        feed the critical-path walk.
+        a module.  Rank *r*'s round *k* is a zero-byte message to
+        ``r + 2**k`` and one from ``r - 2**k`` (mod size), tagged
+        ``INTERNAL_TAG_BASE + epoch % 1024``; one
+        :class:`~repro.mpi.matching.Barrier` runs every rank's rounds,
+        with the engine cells, hook calls and obs records a ``sendrecv``
+        loop over those messages would have.
         """
         epoch = self._barrier_epoch
         self._barrier_epoch += 1
-        size, rank = self.size, self.rank
-        if size == 1:
+        if self.size == 1:
             return
-        quiet = self.runtime._quiet_barrier(self, epoch)
-        if quiet is not None:
-            yield quiet.enter(rank)
-            return
-        tag = INTERNAL_TAG_BASE + (epoch % 1024)
-        dist = 1
-        while dist < size:
-            dst = (rank + dist) % size
-            src = (rank - dist) % size
-            yield from self.sendrecv(
-                dst, src, nbytes=0, send_tag=tag, recv_tag=tag
-            )
-            dist *= 2
+        yield self.runtime._barrier(self, epoch).enter(self.rank)
 
     def barrier_replay(self, released):
         """Leave a barrier whose outcome the caller already knows.
