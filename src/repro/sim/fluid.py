@@ -82,13 +82,13 @@ weighted or uncapped.  They buy three shortcuts that change no bit:
     Dirty resources always expand: a retirement can leave a bound
     resource slack and free the flows behind it.
 
-Under an obs recorder the start lane is off (the start is an ordinary
-seed); (b) and (c) run, and the utilization samples cover every resource
-whose load moved, so the recorder's deduplicated counter stream is a
-full re-solve's.  Like the component split itself, these arguments hold
-up to near-ties inside the kernel's ``1e-12`` window, which a smaller
-problem can group into rounds differently; the differential and slack
-batteries under ``tests/sim`` and every timing lock find none.
+Under an obs recorder the utilization samples cover every resource
+whose load moved, a lane start's route included, so the recorder's
+deduplicated counter stream is a full re-solve's.  Like the component
+split itself, these arguments hold up to near-ties inside the kernel's
+``1e-12`` window, which a smaller problem can group into rounds
+differently; the differential and slack batteries under ``tests/sim``
+and every timing lock find none.
 """
 
 from __future__ import annotations
@@ -301,6 +301,9 @@ class FluidSolver:
         # the recorder the last utilization samples went to; a change
         # forces a full emission for the freshly attached observer
         self._obs_last_recorder = None
+        # routes of the lane starts since the last recompute (obs only):
+        # their loads moved outside any re-solve
+        self._lane_rids: set[int] = set()
 
     # -- resources -----------------------------------------------------------
 
@@ -465,7 +468,9 @@ class FluidSolver:
             cap_sum = self._cap_sum
             for rid in flow.res_list:
                 cap_sum[rid] += flow.rate_cap
-            if obs is None and self._start_lane(flow):
+            if self._start_lane(flow):
+                if obs is not None:
+                    self._lane_rids |= flow.res_uset
                 return fid
         else:
             unslack = self._unslack
@@ -599,6 +604,9 @@ class FluidSolver:
         touched = self._resolve()
         obs = self.engine.obs
         if obs is not None:
+            if self._lane_rids:
+                touched = sorted(self._lane_rids.union(touched))
+                self._lane_rids = set()
             self._sample_utilization(obs, touched)
         else:
             self._obs_last_recorder = None
