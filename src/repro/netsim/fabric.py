@@ -133,9 +133,6 @@ class Fabric:
         except IndexError:
             raise IndexError(f"rank {rank} out of range") from None
 
-    def same_node(self, a: int, b: int) -> bool:
-        return self.node_of(a) == self.node_of(b)
-
     @property
     def fabric_domains(self) -> int:
         """NVLink islands per node (0 on CPU-only nodes, >= 1 on GPU nodes)."""

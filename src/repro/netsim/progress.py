@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.sim.engine import Engine, SimEvent
 
 __all__ = ["ProgressServer"]
@@ -126,72 +124,13 @@ class ProgressServer:
     ) -> list[SimEvent]:
         """Queue a back-to-back burst of jobs; one event per job.
 
-        The FIFO grant math for the whole burst resolves in one
-        vectorized pass — a running ``add.accumulate`` *seeded with the
-        start instant* — instead of N separate ``request()`` bookkeeping
-        rounds.  Seeding matters for bit-identity: sequential calls
-        compute ``((start+d0)+d1)+...`` with a rounding step per job,
-        and only an accumulate over ``[start, d0, d1, ...]`` reproduces
-        those exact doubles (``start + cumsum(d)`` rounds the partial
-        sums *before* adding the start and drifts by an ulp almost
-        immediately).  Per-job accounting (``busy_time``, obs spans) is
-        likewise replayed job by job.
+        One :meth:`request` per duration, in order, except that a
+        negative duration anywhere rejects the burst before any job is
+        queued.
         """
-        engine = self.engine
-        n = len(durations)
-        if n == 0:
-            return []
-        d = np.asarray(durations, dtype=np.float64)
-        if d.min() < 0:
+        if any(d < 0 for d in durations):
             raise ValueError("negative duration in burst")
-        hook = engine.overhead_hook
-        if hook is not None:
-            # per-job hook consultation, exactly as N request() calls
-            rank = self.rank
-            d = np.maximum(0.0, np.fromiter(  # keeps a NaN, as _grant does
-                (hook("cpu", rank, x) for x in d.tolist()),
-                dtype=np.float64, count=n,
-            ))
-        now = engine.now
-        start0 = self._busy_until
-        if start0 < now:
-            start0 = now
-        ends = np.add.accumulate(np.concatenate(((start0,), d)))[1:]
-        self._busy_until = float(ends[-1])
-        self.jobs += n
-        obs = engine.obs
-        end_list = ends.tolist()
-        dur_list = d.tolist()
-        # sequential float adds, matching N scalar request() calls bit
-        # for bit (np.sum's pairwise reduction would not)
-        busy = self.busy_time
-        for x in dur_list:
-            busy += x
-        self.busy_time = busy
-        if obs is not None:
-            track = f"cpu:{self.name or self.rank}"
-            prev_end = start0
-            for i, end in enumerate(end_list):
-                dur = dur_list[i]
-                if dur <= 0:
-                    prev_end = end
-                    continue
-                s = prev_end
-                sid = -1
-                if s > now:
-                    sid = obs.complete(track, "queued", now, s,
-                                       "wait", rank=self.rank)
-                obs.complete(track, label, s, end, "cpu", rank=self.rank)
-                obs.cpu_job(self.rank, dur, s - now, sid=sid)
-                prev_end = end
-        events = []
-        schedule_at = engine.schedule_at
-        ev_name = self._ev_name
-        for end in end_list:
-            ev = SimEvent(engine, ev_name)
-            schedule_at(end, ev.succeed)
-            events.append(ev)
-        return events
+        return [self.request(d, label) for d in durations]
 
     @property
     def backlog(self) -> float:

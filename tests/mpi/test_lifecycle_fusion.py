@@ -180,7 +180,7 @@ def test_fault_plan_and_recorder_runs_fuse_every_message():
     stats = traced.message_stats()
     assert stats["fused"] == stats["messages"] == len(rec.messages) > 0
     assert repr(got) == repr(want)  # the recorder never moves a time
-    # its barrier is the sendrecv loop, which retires the instance's cells
+    # the recorder only stamps records: its barrier is the same instance
     assert traced.engine.events == quiet.engine.events
 
 
