@@ -289,9 +289,6 @@ def wall_ratios() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="", help="JSON report path")
-    parser.add_argument("--budget", type=float, default=BUDGET)
-    parser.add_argument("--metrics-budget", type=float,
-                        default=METRICS_BUDGET)
     args = parser.parse_args(argv)
 
     wall_disabled, res_disabled = run_disabled()
@@ -321,11 +318,11 @@ def main(argv=None) -> int:
         "hook_crossings": crossings,
         "guard_cost_ns": per_check * 1e9,
         "disabled_overhead_bound": bound,
-        "budget": args.budget,
+        "budget": BUDGET,
         "metric_updates": updates,
         "metric_update_cost_ns": {k: v * 1e9 for k, v in costs.items()},
         "metrics_overhead_bound": metrics_bound,
-        "metrics_budget": args.metrics_budget,
+        "metrics_budget": METRICS_BUDGET,
         "attached_overhead": wall_attached / wall_disabled - 1.0,
         "deterministic": deterministic,
         "han_1mib_32x32_wall_ratios": wall_ratios(),
@@ -339,25 +336,25 @@ def main(argv=None) -> int:
     if not deterministic:
         print("FAIL: recorder perturbed simulated results", file=sys.stderr)
         ok = False
-    if bound > args.budget:
+    if bound > BUDGET:
         print(
             f"FAIL: disabled-path overhead bound {bound:.4%} exceeds "
-            f"{args.budget:.0%}",
+            f"{BUDGET:.0%}",
             file=sys.stderr,
         )
         ok = False
-    if metrics_bound > args.metrics_budget:
+    if metrics_bound > METRICS_BUDGET:
         print(
             f"FAIL: metrics-plane overhead bound {metrics_bound:.4%} "
-            f"exceeds {args.metrics_budget:.0%}",
+            f"exceeds {METRICS_BUDGET:.0%}",
             file=sys.stderr,
         )
         ok = False
     if ok:
         print(
             f"OK: disabled-path bound {bound:.4%} (budget "
-            f"{args.budget:.0%}); metrics-plane bound {metrics_bound:.4%} "
-            f"(budget {args.metrics_budget:.0%}); recorder attach is "
+            f"{BUDGET:.0%}); metrics-plane bound {metrics_bound:.4%} "
+            f"(budget {METRICS_BUDGET:.0%}); recorder attach is "
             f"deterministic in both modes"
         )
     return 0 if ok else 1

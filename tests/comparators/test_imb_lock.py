@@ -10,22 +10,13 @@ size takes ``HanModule.default_config``.
 A second test pins the sweep protocol: every size of a multi-size
 ``imb_run`` is its own measured run, so the sweep reports exactly what
 the one-size calls report.
-
-The simulator is deterministic and the fixture stores floats verbatim,
-so every comparison is exact.  When a timing-model change is
-intentional, regenerate the fixture::
-
-    PYTHONPATH=src python -m tests.comparators.test_imb_lock
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-FIXTURE = Path(__file__).resolve().parent / "imb_lock.json"
+from tests import locks
 
 KiB = 1024
 MACHINES = ("shaheen2", "stampede2")
@@ -73,25 +64,9 @@ def run_case(key: str) -> float:
     return res.times[0]
 
 
-def _fixture() -> dict:
-    return json.loads(FIXTURE.read_text())
-
-
-def test_fixture_covers_the_grid():
-    assert sorted(_fixture()) == sorted(cases())
-    assert len(cases()) == 140
-
-
 @pytest.mark.parametrize("machine", MACHINES)
 def test_imb_times_are_pinned(machine):
-    want = _fixture()
-    diffs = []
-    for key in cases():
-        if key.startswith(machine + "/"):
-            got = run_case(key)
-            if got != want[key]:
-                diffs.append(f"  {key}: expected {want[key]!r}, got {got!r}")
-    assert not diffs, "imb_run times moved:\n" + "\n".join(diffs)
+    locks.check("imb", machine + "/")
 
 
 @pytest.mark.parametrize("name", ("han", "craympi"))
@@ -106,15 +81,3 @@ def test_sweep_is_its_one_size_calls(name):
               for s in sizes]
     assert sweep.sizes == tuple(sizes)
     assert list(sweep.times) == single
-
-
-def main() -> int:
-    lock = {key: run_case(key) for key in cases()}
-    lines = (f"  {json.dumps(k)}: {json.dumps(lock[k])}" for k in sorted(lock))
-    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {FIXTURE} ({len(lock)} cases)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,100 +1,76 @@
-"""Golden-trace regression: exact completion times of every collective.
+"""Golden traces: exact measured times of every HAN collective.
 
-The simulator is deterministic, so the golden file pins *bit-exact*
-times.  A failure means the timing model changed: if intentional, run
-``python scripts/regen_golden.py`` and commit the updated file; if not,
-the diff below is the regression.
+Each suite runs ``measure_collective`` for all nine collectives (the
+barrier at 0 B, the others at 64 KiB and 1 MiB) on one machine and
+configuration, and pins the headline ``time`` and the ``sim_cost``:
+
+- ``shaheen2`` 4x4, the flat-node CPU suite;
+- ``gpu_pod`` 2x8 with ``smod="gpu"``: split-NVLink accelerator nodes,
+  so the island / node / network schedules (the island-level leader
+  composite as HAN's intra stage) are pinned too.
+
+A suite's own case pins its machine geometry and configuration, and
+``header`` the provenance a result file carries (``schema_version``,
+``config_digest`` of the shaheen2 configuration).
 """
 
 from __future__ import annotations
 
-import importlib.util
-import json
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[2]
-GOLDEN = Path(__file__).resolve().parent / "collectives.json"
+from tests import locks
+
+KiB, MiB = 1024, 1024 * 1024
+#: every collective measure_collective can time (barrier takes no bytes)
+COLLS = (
+    "bcast", "reduce", "allreduce", "gather", "scatter", "allgather",
+    "reduce_scatter", "alltoall", "barrier",
+)
+SIZES = (64 * KiB, 1 * MiB)
+SUITES = ("shaheen2", "gpu_pod")
 
 
-def _load_regen():
-    spec = importlib.util.spec_from_file_location(
-        "regen_golden", ROOT / "scripts" / "regen_golden.py"
-    )
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+def _suite(name: str):
+    """``(machine, geometry, config)`` of one suite."""
+    from repro.core.config import HanConfig
+    from repro.hardware import gpu_pod, shaheen2
+
+    if name == "shaheen2":
+        return shaheen2(num_nodes=4, ppn=4), "4x4", HanConfig(fs=512 * KiB)
+    return (gpu_pod(num_nodes=2, ppn=8), "2x8",
+            HanConfig(fs=512 * KiB, smod="gpu"))
 
 
-def _diff_lines(want: dict, got: dict) -> list[str]:
-    lines = []
-    for key in sorted(set(want) | set(got)):
-        w, g = want.get(key), got.get(key)
-        if w == g:
-            continue
-        if w is None:
-            lines.append(f"  {key}: NEW (no golden entry) got={g}")
-        elif g is None:
-            lines.append(f"  {key}: MISSING (golden expects {w})")
-        else:
-            for field in sorted(set(w) | set(g)):
-                wv, gv = w.get(field), g.get(field)
-                if wv == gv:
-                    continue
-                rel = (
-                    f"{(gv - wv) / wv:+.3%}"
-                    if isinstance(wv, float) and wv
-                    else "n/a"
-                )
-                lines.append(
-                    f"  {key}.{field}: expected {wv!r}, got {gv!r} ({rel})"
-                )
-    return lines
+def cases() -> list[str]:
+    """Every case key: ``header``, ``<suite>`` and
+    ``<suite>/<coll>/<nbytes>``."""
+    keys = ["header"]
+    for suite in SUITES:
+        keys.append(suite)
+        for coll in COLLS:
+            keys += [f"{suite}/{coll}/{nbytes}"
+                     for nbytes in ((0,) if coll == "barrier" else SIZES)]
+    return keys
 
 
-def _golden_suites():
-    if not GOLDEN.exists():
-        pytest.fail(
-            f"golden file missing: {GOLDEN}\n"
-            "generate it with: python scripts/regen_golden.py"
-        )
-    return sorted(json.loads(GOLDEN.read_text())["suites"])
+def run_case(key: str) -> dict:
+    from repro.experiments.common import RESULT_SCHEMA_VERSION
+    from repro.obs.store import config_digest
+    from repro.tuning.measure import measure_collective
+
+    if key == "header":
+        return {"schema_version": RESULT_SCHEMA_VERSION,
+                "config_digest": config_digest(_suite("shaheen2")[2])}
+    suite, _, rest = key.partition("/")
+    machine, geometry, config = _suite(suite)
+    if not rest:
+        return {"machine": f"{machine.name} {geometry}",
+                "config": repr(config)}
+    coll, nbytes = rest.split("/")
+    m = measure_collective(machine, coll, int(nbytes), config)
+    return {"time": m.time, "sim_cost": m.sim_cost}
 
 
-@pytest.mark.parametrize("suite", ["shaheen2", "gpu_pod"])
-def test_collective_times_match_golden(suite):
-    if not GOLDEN.exists():
-        pytest.fail(
-            f"golden file missing: {GOLDEN}\n"
-            "generate it with: python scripts/regen_golden.py"
-        )
-    golden_doc = json.loads(GOLDEN.read_text())
-    assert suite in golden_doc["suites"], (
-        f"golden file has no {suite!r} suite; regenerate with "
-        "scripts/regen_golden.py"
-    )
-    golden = golden_doc["suites"][suite]
-    current = _load_regen().compute_golden()["suites"][suite]
-
-    assert current["machine"] == golden["machine"], (
-        "golden machine geometry changed; regenerate with "
-        "scripts/regen_golden.py"
-    )
-    assert current["config"] == golden["config"]
-
-    diff = _diff_lines(golden["traces"], current["traces"])
-    if diff:
-        pytest.fail(
-            f"[{suite}] collective completion times diverged from "
-            "tests/golden/collectives.json:\n"
-            + "\n".join(diff)
-            + "\n\nIf this change is intentional, regenerate the golden "
-            "file:\n    python scripts/regen_golden.py"
-        )
-
-
-def test_golden_file_covers_every_suite():
-    """New suites in the regen script must be frozen (and parametrized)."""
-    current = sorted(_load_regen()._suites())
-    assert current == _golden_suites() == ["gpu_pod", "shaheen2"]
+@pytest.mark.parametrize("part", ["header", *SUITES])
+def test_collective_times_match_golden(part):
+    locks.check("golden", part)

@@ -13,23 +13,14 @@ number of events the engine retired.  The grid is
 - 6 and 8 ranks,
 
 444 cases.  Ranks enter with a staggered skew, so the arrival order at
-every rendezvous is fixed and not simply rank order.  The simulator is
-deterministic and the fixture stores floats verbatim, so the comparison
-is exact equality.
-
-When a timing-model change is intentional, regenerate the fixture::
-
-    PYTHONPATH=src python -m tests.modules.test_shm_timing_lock
+every rendezvous is fixed and not simply rank order.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-FIXTURE = Path(__file__).resolve().parent / "shm_timing_lock.json"
+from tests import locks
 
 MODULES = ("sm", "solo", "gpu")
 FABRICS = ("flat", "pod")
@@ -66,19 +57,14 @@ def cases():
     return keys
 
 
-def run_case(key: str) -> list:
-    """``[engine.now, engine.events, [exit time per rank]]`` for one case."""
+def run_case(key: str) -> dict:
+    """``engine.now``, ``engine.events`` and every rank's exit time."""
     from repro.modules import make_module
-    from repro.mpi import MPIRuntime
-    from repro.sim.fluid import clear_fill_memo
 
     mod_name, fabric, ranks, coll, nbytes, root = key.split("/")
     ranks, nbytes = int(ranks), int(nbytes)
-    clear_fill_memo()
-    runtime = MPIRuntime(_machine(fabric, ranks))
     mod = make_module(mod_name)
     kw = {} if root == "-" else {"root": int(root)}
-    exits = [None] * ranks
 
     def prog(comm):
         yield from comm.compute(SKEW * ((3 * comm.rank + 1) % ranks))
@@ -86,48 +72,15 @@ def run_case(key: str) -> list:
             yield from mod.barrier(comm)
         else:
             yield from getattr(mod, coll)(comm, nbytes, **kw)
-        exits[comm.rank] = comm.now
+        return comm.now
 
-    runtime.run(prog)
-    return [runtime.engine.now, runtime.engine.events, exits]
-
-
-def compute_lock() -> dict:
-    return {key: run_case(key) for key in cases()}
-
-
-def _fixture() -> dict:
-    return json.loads(FIXTURE.read_text())
-
-
-def test_fixture_covers_the_grid():
-    assert sorted(_fixture()) == sorted(cases())
-    assert len(cases()) == 444
+    exits, runtime, _ = locks.run(_machine(fabric, ranks), prog)
+    return {"now": runtime.engine.now, "events": runtime.engine.events,
+            "exits": exits}
 
 
 @pytest.mark.parametrize("mod_name", MODULES)
 @pytest.mark.parametrize("fabric", FABRICS)
 @pytest.mark.parametrize("ranks", RANKS)
 def test_schedules_are_pinned(mod_name, fabric, ranks):
-    want = _fixture()
-    prefix = f"{mod_name}/{fabric}/{ranks}/"
-    diffs = []
-    for key in cases():
-        if not key.startswith(prefix):
-            continue
-        got = run_case(key)
-        if got != want[key]:
-            diffs.append(f"  {key}: expected {want[key]!r}, got {got!r}")
-    assert not diffs, "shared-memory schedules moved:\n" + "\n".join(diffs)
-
-
-def main() -> int:
-    doc = compute_lock()
-    lines = (f"{json.dumps(k)}: {json.dumps(doc[k])}" for k in sorted(doc))
-    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {FIXTURE} ({len(doc)} cases)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    locks.check("shm_timing", f"{mod_name}/{fabric}/{ranks}/")

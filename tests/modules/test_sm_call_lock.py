@@ -11,10 +11,11 @@ loud.  The grid is
   the rooted ones;
 - HAN with ``smod="sm"`` on ``shaheen2`` 4x4 and 8x6: bcast (roots 0
   and ``size - 1``) and allreduce x the same sizes;
-- run modes ``quiet``, ``hook`` (an identity overhead hook), ``noise``
-  (a seeded ``OsNoise`` fault plan), ``tenant`` (a background HAN
-  allreduce sweep, killed when the foreground finishes) and ``obs`` (an
-  ``ObsRecorder``; the case also pins a digest of its spans),
+- run modes of ``tests/locks.py``: ``quiet``, ``hook`` (an identity
+  overhead hook), ``noise`` (a seeded ``OsNoise`` fault plan),
+  ``tenant`` (this lock's own background HAN allreduce sweep, killed
+  when the foreground finishes) and ``obs`` (an ``ObsRecorder``; the
+  case also pins its ``obs_digest``),
 
 360 cases, and on top of them, in the same run modes:
 
@@ -27,23 +28,14 @@ loud.  The grid is
 rank order.  Each case records every rank's exit time, the order in
 which the ranks leave (same-instant resume order), ``engine.now``,
 ``engine.events`` and each rank's progress-server ``jobs`` and
-``busy_time``.  Floats are stored with ``float.hex``, so the comparison
-is exact.
-
-When a timing-model change is intentional, regenerate the fixture::
-
-    PYTHONPATH=src python -m tests.modules.test_sm_call_lock
+``busy_time``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from pathlib import Path
-
 import pytest
 
-FIXTURE = Path(__file__).resolve().parent / "sm_call_lock.json"
+from tests import locks
 
 KiB, MiB = 1024, 1024 * 1024
 SIZES = (0, 1 * KiB, 8 * KiB + 256, 1 * MiB)
@@ -57,7 +49,10 @@ WIDE_ROOTED = {"sm": ("scatter",), "solo": (*SM_ROOTED, "scatter"),
                "gpu": (*SM_ROOTED, "scatter")}
 WIDE_UNROOTED = {"sm": ("alltoall",), "solo": (*SM_UNROOTED, "alltoall"),
                  "gpu": (*SM_UNROOTED, "alltoall")}
-MODES = ("quiet", "hook", "noise", "tenant", "obs")
+#: the harness's run modes, with this lock's own tenant sweep
+MODES = {name: locks.MODES[name]
+         for name in ("quiet", "hook", "noise", "tenant", "obs")}
+MODES["tenant"] = locks.Mode(traffic=locks.tenant(7, 1e-6))
 #: per-rank entry skew (seconds), scaled by a scrambled rank index
 SKEW = 0.25e-6
 
@@ -98,45 +93,12 @@ def cases():
     return keys
 
 
-def _identity(kind, who, duration):
-    return duration
-
-
-def _traffic():
-    from repro.tenancy import TenantWorkload, TrafficPlan
-
-    return TrafficPlan(seed=7).add(
-        TenantWorkload(
-            name="bg", coll="allreduce", pattern="sweep",
-            sizes=(8, 4 * KiB, 256 * KiB), gap=1e-6, jitter=0.5,
-        )
-    )
-
-
-def _span_digest(rec) -> str:
-    """sha256 over every span and counter sample, in emission order."""
-    h = hashlib.sha256()
-    for s in rec.spans:
-        args = sorted((k, repr(v)) for k, v in s.args.items())
-        h.update(repr((s.sid, s.track, s.name, s.cat, s.t0.hex(),
-                       s.t1.hex(), args)).encode())
-    for c in rec.counters:
-        h.update(repr((c.track, c.name, c.t.hex(), repr(c.value))).encode())
-    return h.hexdigest()[:16]
-
-
 def run_case(key: str) -> dict:
     """What one case pins (see the module docstring)."""
     from repro.core import HanModule
     from repro.core.config import HanConfig
-    from repro.faults import FaultPlan, OsNoise
-    from repro.faults.machine import FaultyMachineSpec
     from repro.hardware import gpu_cluster, shaheen2
     from repro.modules import make_module
-    from repro.mpi import MPIRuntime
-    from repro.obs import ObsRecorder
-    from repro.sim.fluid import clear_fill_memo
-    from repro.tenancy import TenantScheduler
 
     mode, target, coll, nbytes, root = key.split("/")
     nbytes = int(nbytes)
@@ -151,15 +113,7 @@ def run_case(key: str) -> dict:
         nodes, ppn = HAN_MACHINES[mname]
         machine = shaheen2(num_nodes=nodes, ppn=ppn)
         mod = HanModule(config=HanConfig(smod=smod or "sm"))
-    if mode == "noise":
-        plan = FaultPlan(seed=3).add(OsNoise(amplitude=0.3, per_op=0.2))
-        machine = FaultyMachineSpec.wrap(machine, plan)
     kw = {} if root == "-" else {"root": int(root)}
-    clear_fill_memo()
-    runtime = MPIRuntime(machine)
-    if mode == "hook":
-        runtime.engine.overhead_hook = _identity
-    rec = ObsRecorder(runtime.engine).attach() if mode == "obs" else None
     order = []
 
     def prog(comm):
@@ -172,35 +126,19 @@ def run_case(key: str) -> dict:
         order.append(comm.rank)
         return comm.now
 
-    if mode == "tenant":
-        exits = TenantScheduler(runtime, _traffic()).run(prog)
-    else:
-        exits = runtime.run(prog)
+    exits, runtime, rec = locks.run(machine, prog, mode=MODES[mode])
     progress = runtime.fabric.progress
     out = {
-        "now": runtime.engine.now.hex(),
+        "now": runtime.engine.now,
         "events": runtime.engine.events,
-        "exits": [t.hex() for t in exits],
+        "exits": exits,
         "order": order,
         "jobs": [p.jobs for p in progress],
-        "busy": [p.busy_time.hex() for p in progress],
+        "busy": [p.busy_time for p in progress],
     }
     if rec is not None:
-        out["spans"] = _span_digest(rec)
+        out["obs"] = locks.obs_digest(rec)
     return out
-
-
-def compute_lock() -> dict:
-    return {key: run_case(key) for key in cases()}
-
-
-def _fixture() -> dict:
-    return json.loads(FIXTURE.read_text())
-
-
-def test_fixture_covers_the_grid():
-    assert sorted(_fixture()) == sorted(cases())
-    assert len(cases()) == 1215
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -210,25 +148,4 @@ def test_fixture_covers_the_grid():
      *(f"han-solo-{m}" for m in HAN_MACHINES)],
 )
 def test_schedules_are_pinned(mode, target):
-    want = _fixture()
-    prefix = f"{mode}/{target}/"
-    diffs = []
-    for key in cases():
-        if not key.startswith(prefix):
-            continue
-        got = run_case(key)
-        if got != want[key]:
-            diffs.append(f"  {key}: expected {want[key]!r}, got {got!r}")
-    assert not diffs, "SHM call schedules moved:\n" + "\n".join(diffs)
-
-
-def main() -> int:
-    doc = compute_lock()
-    lines = (f"{json.dumps(k)}: {json.dumps(doc[k])}" for k in sorted(doc))
-    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {FIXTURE} ({len(doc)} cases)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    locks.check("sm_call", f"{mode}/{target}/")

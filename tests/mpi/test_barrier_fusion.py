@@ -5,17 +5,18 @@ instance: every round keeps its engine cells (send grant, a place in an
 ``Arrivals`` event, the payload's landing, receive grant), its
 overhead-hook calls and its obs records, but builds no request,
 channel, message or resumed generator (DESIGN.md section 4o).  Every
-case runs twice in one run mode -- quiet, an identity hook, seeded
-``OsNoise``, seeded ``MessageJitter``, a hook that halves every
-``net_latency``, or an ``ObsRecorder`` in ``full`` or ``metrics`` mode
--- once as the instance and once as the *loop*: :func:`loop_barrier`,
-a ``sendrecv`` loop over ``Transit`` messages that stands in for
-``Communicator.barrier``.  The two must agree on results, times, barrier
-exit order, engine events and ``message_stats``, and under a recorder
-on the obs digest and the metrics registry.  The parent-made reference
-for the loop under every hook is ``test_barrier_lock``, whose loud
-entries were generated while the runtime ran the loop over the staged
-five-event message pipeline.
+case runs twice in one run mode of ``tests/locks.py`` -- quiet, an
+identity hook, seeded ``OsNoise``, seeded ``MessageJitter``, a hook that
+halves every ``net_latency``, or an ``ObsRecorder`` in ``full`` (``obs``)
+or ``metrics`` mode -- once as the instance and once as the *loop*:
+:func:`loop_barrier`, a ``sendrecv`` loop over ``Transit`` messages that
+stands in for ``Communicator.barrier``.  The two must agree on results,
+times, barrier exit order, engine events and ``message_stats``, and
+under a recorder on ``obs_digest`` (records and metrics registry).
+Every run is fresh: nothing here reads the harness cache.  The
+parent-made reference for the loop under every hook is
+``test_barrier_lock``, whose loud entries were generated while the
+runtime ran the loop over the staged five-event message pipeline.
 
 The cases mix barriers with user point-to-point traffic on the same
 communicator, with sub-communicators and with tenant traffic.  Six
@@ -33,8 +34,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultPlan, MessageJitter, OsNoise
-from repro.faults.machine import FaultyMachineSpec
 from repro.hardware import shaheen2
 from repro.mpi import ANY_SOURCE, ANY_TAG, Communicator, MPIRuntime
 from repro.mpi.constants import INTERNAL_TAG_BASE
@@ -42,20 +41,14 @@ from repro.mpi.matching import EAGER, Arrivals, Barrier, Hop, Wire
 from repro.netsim.profiles import openmpi_profile
 from repro.obs import ObsRecorder
 from repro.sim.engine import Sleep
-from repro.tenancy import TenantScheduler, TenantWorkload, TrafficPlan
-from tests.mpi.test_lifecycle_lock import obs_digest
+from tests import locks
 
 KiB = 1024
-MODES = ("quiet", "hook", "noise", "jitter", "shrink", "full", "metrics")
-RECORDERS = ("full", "metrics")
-
-
-def _identity(kind, who, duration):
-    return duration
-
-
-def _shrink(kind, who, duration):
-    return duration * 0.5 if kind == "net_latency" else duration
+MODES = {
+    name: locks.Mode(plan=locks.jitter(seed=3)) if name == "jitter"
+    else locks.MODES[name]
+    for name in ("quiet", "hook", "noise", "jitter", "shrink", "obs", "metrics")
+}
 
 
 def loop_barrier(comm):
@@ -77,67 +70,43 @@ def loop_barrier(comm):
 
 def _run(machine, program, mode, loop, traffic=None, profile=None):
     """``(per-rank results, shared log)`` of one run in run mode
-    ``mode`` (a mode of :data:`MODES`, or a hooked mode and a recorder
-    joined by ``+``), its runtime and its recorder (or None); ``loop``
-    makes every barrier :func:`loop_barrier`."""
-    hook, _, record = mode.partition("+")
-    if hook in RECORDERS:
-        hook, record = "quiet", hook
-    if hook in ("noise", "jitter"):
-        plan = FaultPlan(seed=3).add(
-            OsNoise(amplitude=0.3, per_op=0.2) if hook == "noise"
-            else MessageJitter(amplitude=5e-7)
-        )
-        machine = FaultyMachineSpec.wrap(machine, plan)
-    runtime = MPIRuntime(machine, profile)
-    if hook in ("hook", "shrink"):
-        runtime.engine.overhead_hook = (
-            _identity if hook == "hook" else _shrink
-        )
-    rec = None
-    if record:
-        rec = ObsRecorder(runtime.engine, mode=record).attach()
+    ``mode`` (a name of :data:`MODES` or a :class:`locks.Mode`) beside
+    ``traffic``, its runtime and its recorder (or None); ``loop`` makes
+    every barrier :func:`loop_barrier`."""
+    if isinstance(mode, str):
+        mode = MODES[mode]
+    if traffic is not None:
+        mode = dataclasses.replace(mode, traffic=traffic)
     log: list = []
     barrier = Communicator.barrier
     if loop:
         Communicator.barrier = loop_barrier
     try:
-        if traffic is not None:
-            results = TenantScheduler(runtime, traffic).run(program, log)
-        else:
-            results = runtime.run(program, log)
+        results, runtime, rec = locks.run(machine, program, log, mode=mode,
+                                          profile=profile)
     finally:
         Communicator.barrier = barrier
-        if rec is not None:
-            rec.detach()
     return (results, log), runtime, rec
+
+
+#: what the loop and the instance must agree on
+OBSERVED = ("results and log", "now", "events", "message_stats", "obs_digest")
 
 
 def differential(machine, program, traffic=None, profile=None,
                  mode="quiet") -> list[str]:
     """What the barrier instance disagrees with the loop on in run mode
     ``mode`` (empty when both runs are the same)."""
-    want, loop, loop_rec = _run(machine, program, mode, True, traffic,
-                                profile)
-    got, instance, rec = _run(machine, program, mode, False, traffic,
-                              profile)
-    diffs = []
-    if want != got:
-        diffs.append(f"loop: {want!r}\n  != instance: {got!r}")
-    for what in ("now", "events"):
-        a, b = getattr(loop.engine, what), getattr(instance.engine, what)
-        if a != b:
-            diffs.append(f"{what}: loop {a!r} != instance {b!r}")
-    if loop.message_stats() != instance.message_stats():
-        diffs.append(f"message_stats: loop {loop.message_stats()} "
-                     f"!= instance {instance.message_stats()}")
-    if rec is not None:
-        if obs_digest(loop_rec) != obs_digest(rec):
-            diffs.append("obs digest: loop != instance")
-        a, b = loop_rec.metrics.to_doc(), rec.metrics.to_doc()
-        if a != b:
-            diffs.append(f"metrics: loop {a!r}\n  != instance {b!r}")
-    return diffs
+
+    def observed(loop):
+        out, runtime, rec = _run(machine, program, mode, loop, traffic,
+                                 profile)
+        return (out, runtime.engine.now, runtime.engine.events,
+                runtime.message_stats(), rec and locks.obs_digest(rec))
+
+    return [f"{what}: loop {a!r}\n  != instance {b!r}"
+            for what, a, b in zip(OBSERVED, observed(True), observed(False))
+            if a != b]
 
 
 # -- random programs: user traffic around and through barriers --------------------
@@ -171,12 +140,7 @@ MACHINES = {
     "3x2": shaheen2(num_nodes=3, ppn=2),
 }
 ATOMS = {name: _atoms(m) for name, m in MACHINES.items()}
-TRAFFIC = TrafficPlan(seed=5).add(
-    TenantWorkload(
-        name="bg", coll="allreduce", pattern="sweep",
-        sizes=(8, 4 * KiB), gap=1e-6, jitter=0.5,
-    )
-)
+TRAFFIC = locks.tenant(5, 1e-6, sizes=(8, 4 * KiB))
 
 
 @st.composite
@@ -229,7 +193,7 @@ def barrier_programs(draw):
             per_rank.append((ops, at, draw(pause), drain))
         rounds.append((on_sub, per_rank))
     traffic = draw(st.sampled_from((None, None, TRAFFIC)))
-    return mname, rounds, traffic, draw(st.sampled_from(MODES))
+    return mname, rounds, traffic, draw(st.sampled_from(list(MODES)))
 
 
 def _pause(comm, pause):
@@ -352,7 +316,7 @@ def _killed_mid_barrier(comm, log):
     log.append((comm.rank, comm.now))
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("mname", sorted(MACHINES))
 @pytest.mark.parametrize(
     "program", [_world, _skewed_entry, _user_message_beside_a_round,
@@ -362,7 +326,7 @@ def test_crafted_cases_instance_equals_loop(program, mname, mode):
     assert differential(MACHINES[mname], program, mode=mode) == []
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", list(MODES))
 def test_zero_latency_rounds_take_cells_of_their_own(mode):
     """No latency to share an ``Arrivals`` event over: each round's
     envelope, flow start and landing are one cell each, and the run
@@ -472,7 +436,7 @@ def test_recorder_reattached_mid_barrier_keeps_its_records_in_order(step):
     detach_at = step * 1e-7
     want, _, _ = _run(ONE_NODE, _skewed_entry, "quiet", False)
     got, _, rec = _run(ONE_NODE, _toggled(detach_at, detach_at + 2e-7),
-                       "full", False)
+                       "obs", False)
     assert got == want
     assert _records_in_order(rec) == []
 
@@ -593,10 +557,11 @@ MUTANTS = {
     ),
     "ignores-the-hook": (_plant_ignores_the_hook, _skewed_entry, "jitter"),
     "opens-the-recv-span-first": (
-        _plant_opens_the_recv_span_first, _world, "full",
+        _plant_opens_the_recv_span_first, _world, "obs",
     ),
     "arrives-at-delivery": (
-        _plant_arrives_at_delivery, _skewed_entry, "shrink+full",
+        _plant_arrives_at_delivery, _skewed_entry,
+        dataclasses.replace(MODES["shrink"], record="full"),
     ),
 }
 

@@ -12,27 +12,20 @@ Every case records, in the order the ranks leave, each rank's exit as
   ``build_hierarchy(world)``, entered straight after the splits.
 
 Each case runs quiet (its key is the bare case name) and in the loud
-modes of ``test_lifecycle_lock`` (key ``<mode>/<case>``): an identity
+run modes of ``tests/locks.py`` (key ``<mode>/<case>``): an identity
 overhead hook, seeded ``OsNoise``, seeded ``MessageJitter``, a hook that
 halves every ``net_latency``, and an attached ``ObsRecorder``, whose
-spans, counter samples, message records and metrics registry are
-pinned as a digest.
+records are pinned as ``obs_digest``.
 
 Exit order is same-instant resume order, so the lock holds whichever
-path a barrier takes to get there.  When a timing-model change is
-intentional, regenerate the fixture::
-
-    PYTHONPATH=src python -m tests.mpi.test_barrier_lock
+path a barrier takes to get there.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-FIXTURE = Path(__file__).resolve().parent / "barrier_lock.json"
+from tests import locks
 
 WORLD = (
     ("shaheen2", 16, 12), ("shaheen2", 32, 16), ("shaheen2", 3, 5),
@@ -83,54 +76,28 @@ PROGRAMS = {
     "low/stampede2/3x5": (("stampede2", 3, 5), _low),
 }
 LOUD = ("hook", "noise", "jitter", "shrink", "obs")
-CASES = [*PROGRAMS, *(f"{mode}/{key}" for mode in LOUD for key in PROGRAMS)]
+
+
+def cases() -> list[str]:
+    """Every case key: ``<case>`` (quiet) or ``<mode>/<case>``."""
+    return [*PROGRAMS, *(f"{mode}/{key}" for mode in LOUD for key in PROGRAMS)]
 
 
 def run_case(key: str) -> dict:
     """The exits (in exit order) and engine events of one case."""
-    from repro.mpi import MPIRuntime
-    from tests.mpi.test_lifecycle_lock import obs_digest, runtime_for
-
     mode, _, name = key.partition("/")
     if mode not in LOUD:
         mode, name = "quiet", key
     spec, program = PROGRAMS[name]
-    if mode == "quiet":
-        runtime, rec = MPIRuntime(_machine(*spec)), None
-    else:
-        runtime, rec = runtime_for(mode, _machine(*spec))
     log: list = []
-    runtime.run(program, log)
-    out = {
-        "exits": [[rank, float.hex(when)] for rank, when in log],
-        "events": runtime.engine.events,
-    }
+    _, runtime, rec = locks.run(_machine(*spec), program, log,
+                                mode=locks.MODES[mode])
+    out = {"exits": log, "events": runtime.engine.events}
     if rec is not None:
-        rec.detach()
-        out["obs"] = obs_digest(rec)
+        out["obs"] = locks.obs_digest(rec)
     return out
 
 
-def _fixture() -> dict:
-    return json.loads(FIXTURE.read_text())
-
-
-def test_fixture_covers_the_cases():
-    assert sorted(_fixture()) == sorted(CASES)
-
-
-@pytest.mark.parametrize("key", sorted(CASES))
+@pytest.mark.parametrize("key", sorted(cases()))
 def test_barrier_exits_are_pinned(key):
-    assert run_case(key) == _fixture()[key]
-
-
-def main() -> int:
-    lock = {key: run_case(key) for key in sorted(CASES)}
-    lines = (f"  {json.dumps(k)}: {json.dumps(lock[k])}" for k in lock)
-    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {FIXTURE} ({len(lock)} cases)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert locks.result("barrier", key) == locks.fixture("barrier")[key]

@@ -1,4 +1,4 @@
-"""The differential battery: the one message lifecycle against the staged one.
+"""The differential battery: every run mode takes one message lifecycle.
 
 Every run, quiet or loud, retires the envelope arrivals of all messages
 that reach their receivers in one instant as one ``Arrivals`` event,
@@ -7,54 +7,48 @@ lands zero-byte payloads inside it (DESIGN.md section 4o).  The
 reference is ``test_lifecycle_lock``'s fixture, made while every loud
 run still took the staged five-event pipeline: its ``hook`` entries
 (an identity overhead hook, which moves no duration) are the staged
-pipeline's numbers, and its ``noise``, ``jitter``, ``shrink`` and
-``obs`` entries those of the staged pipeline under real hooks and a
-recorder.  Its ``tenant`` entries (a quiet engine sharing the machine
-with a background HAN sweep) were made by the fused path, which the
-staged pipeline's own battery then held equal to the staged one.  A
-run must agree with its entry bit for bit on every field but
-``events``, which may only be lower; a quiet run is held to the
-``hook`` entry.
+pipeline's numbers.  Its ``tenant`` entries (a quiet engine sharing the
+machine with a background HAN sweep) were made by the fused path, which
+the staged pipeline's own battery then held equal to the staged one.
+A quiet run is held to the ``hook`` entry and a tenant run to the
+``tenant`` entry, bit for bit on every field but ``events``, which may
+only be lower.  Both runs are the lock's own cases, read from the
+harness cache (``tests/locks.py``), so each is simulated once per
+process.
 
 Sensitivity is shown at the bottom: six planted mutants, each caught
-by a case of this battery.
+by a case of this battery on a fresh run.
 """
 
 from __future__ import annotations
 
-import functools
 import gc
 import weakref
 
 import pytest
 
 from repro.faults import FaultPlan, MessageJitter
-from repro.faults.machine import FaultyMachineSpec
 from repro.hardware import shaheen2
 from repro.modules import make_module
 from repro.mpi import MPIRuntime
 from repro.mpi import matching
 from repro.mpi.matching import Arrivals, Channel, Transit
-from repro.obs import ObsRecorder
+from tests import locks
 from tests.mpi.test_lifecycle_lock import (
-    CORPUS, CRAFTED, barrier_then_bcast, cases, fixture, machine_of,
-    run_case,
+    CORPUS, CRAFTED, barrier_then_bcast, cases, machine_of,
 )
 
 KiB = 1024
 ONE_NODE = machine_of("1x4")
-_lock = functools.cache(fixture)  # read once: it is 2 MB of JSON
 
 
-def _identity(kind, who, duration):
-    return duration
-
-
-def differential(key: str, mode: str = "quiet") -> list[str]:
-    """What a run of lock case ``key`` in ``mode`` disagrees with the
-    staged reference on (empty when they are the same run)."""
-    want = _lock()[f"{'hook' if mode == 'quiet' else mode}/{key}"]
-    got = run_case(f"{mode}/{key}")
+def differential(key: str, mode: str = "quiet", run=locks.result) -> list[str]:
+    """What lock case ``key`` run in ``mode`` (by ``run``: the cache, or
+    :func:`locks.fresh`) disagrees with its reference on (empty when
+    they are the same run)."""
+    want = locks.fixture("lifecycle")[
+        f"{'hook' if mode == 'quiet' else mode}/{key}"]
+    got = run("lifecycle", f"{mode}/{key}")
     diffs = [
         f"{field}: staged {want[field]!r} != {got.get(field)!r}"
         for field in want if field != "events" and got.get(field) != want[field]
@@ -144,7 +138,7 @@ def test_every_message_is_fused_within_the_event_budget(hooked):
     def events_and_messages(program):
         runtime = MPIRuntime(machine)
         if hooked:
-            runtime.engine.overhead_hook = _identity
+            runtime.engine.overhead_hook = locks.identity
         events = _lifecycle_events(runtime)
         runtime.run(program)
         stats = runtime.message_stats()
@@ -165,18 +159,16 @@ def test_every_message_is_fused_within_the_event_budget(hooked):
 
 
 def test_fault_plan_and_recorder_runs_fuse_every_message():
-    quiet = MPIRuntime(ONE_NODE)
-    want = quiet.run(barrier_then_bcast)
+    want, quiet, _ = locks.run(ONE_NODE, barrier_then_bcast)
 
     plan = FaultPlan(seed=3).add(MessageJitter(amplitude=1e-7))
-    faulty = MPIRuntime(FaultyMachineSpec.wrap(ONE_NODE, plan))
-    faulty.run(barrier_then_bcast)
+    _, faulty, _ = locks.run(ONE_NODE, barrier_then_bcast,
+                             mode=locks.Mode(plan=plan))
     stats = faulty.message_stats()
     assert stats["fused"] == stats["messages"] > 0
 
-    traced = MPIRuntime(ONE_NODE)
-    with ObsRecorder(traced.engine) as rec:
-        got = traced.run(barrier_then_bcast)
+    got, traced, rec = locks.run(ONE_NODE, barrier_then_bcast,
+                                 mode=locks.MODES["obs"])
     stats = traced.message_stats()
     assert stats["fused"] == stats["messages"] == len(rec.messages) > 0
     assert repr(got) == repr(want)  # the recorder never moves a time
@@ -273,27 +265,27 @@ def _plant_treats_payloads_as_instant(monkeypatch):
     monkeypatch.setattr(matching, "EPS_BYTES", float("inf"))
 
 
+def _fresh(key: str, mode: str = "quiet"):
+    return lambda: differential(key, mode, run=locks.fresh)
+
+
 MUTANTS = {
     "lands-behind-nothing": (
         _plant_lands_behind_nothing,
-        lambda: differential("crafted/resumed_behind_the_arrival"),
+        _fresh("crafted/resumed_behind_the_arrival"),
     ),
     "fuses-under-a-hook": (
-        _plant_fuses_under_a_hook,
-        lambda: differential("crafted/barrier_then_bcast", "jitter"),
+        _plant_fuses_under_a_hook, _fresh("crafted/barrier_then_bcast", "jitter"),
     ),
     "skips-the-recv-overhead": (
-        _plant_skips_the_recv_overhead,
-        lambda: differential("crafted/same_instant_arrivals"),
+        _plant_skips_the_recv_overhead, _fresh("crafted/same_instant_arrivals"),
     ),
     "arrives-in-reverse": (
-        _plant_arrives_in_reverse,
-        lambda: differential("crafted/same_instant_arrivals"),
+        _plant_arrives_in_reverse, _fresh("crafted/same_instant_arrivals"),
     ),
     "drops-the-hold-back": (_plant_drops_the_hold_back, _hold_back_order),
     "treats-payloads-as-instant": (
-        _plant_treats_payloads_as_instant,
-        lambda: differential("crafted/eager_ring"),
+        _plant_treats_payloads_as_instant, _fresh("crafted/eager_ring"),
     ),
 }
 

@@ -1,18 +1,11 @@
 """Pin the point-to-point message lifecycle, quiet and loud, bit for bit.
 
-Every case runs one program on a fresh runtime in one of these modes:
-
-- ``quiet`` -- no hook, no recorder, no other traffic;
-- ``tenant`` -- a background HAN allreduce sweep shares the machine;
-- ``hook`` -- an identity overhead hook (changes no duration);
-- ``noise`` -- a seeded ``OsNoise`` fault plan (CPU overheads);
-- ``jitter`` -- a seeded ``MessageJitter`` fault plan (data latency);
-- ``shrink`` -- a hook that halves every ``net_latency``, so an eager
-  payload lands before its envelope;
-- ``obs`` -- an ``ObsRecorder``; the case also pins a digest of its
-  spans, counter samples, message records and metrics registry.
-
-The programs are
+Every case runs one program on a fresh runtime in one of the run modes
+of ``tests/locks.py``: quiet, tenant (a background HAN allreduce sweep),
+an identity hook, seeded ``OsNoise``, seeded ``MessageJitter``, a hook
+that halves every ``net_latency`` (so an eager payload lands before its
+envelope) and ``obs`` (an ``ObsRecorder``, whose records the case pins
+as ``obs_digest``).  The programs are
 
 - every collective of HAN and of the ``tuned`` / ``libnbc`` / ``adapt``
   point-to-point modules x {0 B, 1 KiB eager, 8 KiB + 256 B just over
@@ -29,26 +22,17 @@ Each case records every rank's exit instant and the order in which
 the ranks leave, a digest of what each rank returned (received
 payloads and completion instants), ``engine.now``, ``engine.events``,
 the number of messages issued and each rank's progress-server ``jobs``
-and ``busy_time``.  Floats are stored with ``float.hex``, so the
-comparison is exact.
-
-When a timing-model change is intentional, regenerate the fixture::
-
-    PYTHONPATH=src python -m tests.mpi.test_lifecycle_lock
+and ``busy_time``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import hashlib
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-FIXTURE = Path(__file__).resolve().parent / "lifecycle_lock.json"
+from tests import locks
 
 KiB, MiB = 1024, 1024 * 1024
 MODES = ("quiet", "tenant", "hook", "noise", "jitter", "shrink", "obs")
@@ -325,85 +309,6 @@ def p2p_program(sync, rounds):
     return program
 
 
-# -- run modes ------------------------------------------------------------------------------
-
-
-def _identity(kind, who, duration):
-    return duration
-
-
-def _shrink(kind, who, duration):
-    return duration * 0.5 if kind == "net_latency" else duration
-
-
-def traffic():
-    from repro.tenancy import TenantWorkload, TrafficPlan
-
-    return TrafficPlan(seed=11).add(
-        TenantWorkload(
-            name="bg", coll="allreduce", pattern="sweep",
-            sizes=(8, 4 * KiB, 256 * KiB), gap=2e-6, jitter=0.5,
-        )
-    )
-
-
-def runtime_for(mode: str, machine):
-    """A fresh runtime on ``machine`` in run mode ``mode``, and its
-    recorder (None outside ``obs``)."""
-    from repro.faults import FaultPlan, MessageJitter, OsNoise
-    from repro.faults.machine import FaultyMachineSpec
-    from repro.mpi import MPIRuntime
-    from repro.obs import ObsRecorder
-
-    if mode == "noise":
-        plan = FaultPlan(seed=3).add(OsNoise(amplitude=0.3, per_op=0.2))
-        machine = FaultyMachineSpec.wrap(machine, plan)
-    elif mode == "jitter":
-        plan = FaultPlan(seed=5).add(MessageJitter(amplitude=5e-7))
-        machine = FaultyMachineSpec.wrap(machine, plan)
-    runtime = MPIRuntime(machine)
-    if mode == "hook":
-        runtime.engine.overhead_hook = _identity
-    elif mode == "shrink":
-        runtime.engine.overhead_hook = _shrink
-    rec = ObsRecorder(runtime.engine).attach() if mode == "obs" else None
-    return runtime, rec
-
-
-# -- what a case records -----------------------------------------------------------------------
-
-
-def canon(value):
-    """``value`` with every float as ``float.hex`` and every array as
-    its dtype, shape and bytes: a form ``repr`` pins exactly."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.dtype.str, value.shape,
-                hashlib.sha256(value.tobytes()).hexdigest())
-    if isinstance(value, (list, tuple)):
-        return [canon(v) for v in value]
-    if isinstance(value, dict):
-        return sorted((repr(k), canon(v)) for k, v in value.items())
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return [type(value).__name__,
-                *(canon(getattr(value, f.name))
-                  for f in dataclasses.fields(value))]
-    return value
-
-
-def _digest(value) -> str:
-    return hashlib.sha256(repr(canon(value)).encode()).hexdigest()[:16]
-
-
-def obs_digest(rec) -> str:
-    """sha256 over every span, counter sample and message record, in
-    emission order, and the metrics registry (whose histogram exemplars
-    follow span-end order)."""
-    return _digest([rec.spans, rec.counters, list(rec.messages.values()),
-                    rec.metrics.to_doc()])
-
-
 def program_of(key: str):
     """``(machine, program(comm))`` of a case key's program part."""
     from repro.core import HanModule
@@ -425,13 +330,8 @@ def program_of(key: str):
 
 def run_case(key: str) -> dict:
     """What one case pins (see the module docstring)."""
-    from repro.sim.fluid import clear_fill_memo
-    from repro.tenancy import TenantScheduler
-
     mode, rest = key.split("/", 1)
     machine, program = program_of(rest)
-    clear_fill_memo()
-    runtime, rec = runtime_for(mode, machine)
     order = []
 
     def prog(comm):
@@ -439,57 +339,25 @@ def run_case(key: str) -> dict:
         order.append(comm.rank)
         return comm.now, out
 
-    if mode == "tenant":
-        results = TenantScheduler(runtime, traffic()).run(prog)
-    else:
-        results = runtime.run(prog)
+    results, runtime, rec = locks.run(machine, prog, mode=locks.MODES[mode])
     progress = runtime.fabric.progress
     out = {
-        "now": runtime.engine.now.hex(),
+        "now": runtime.engine.now,
         "events": runtime.engine.events,
         "messages": runtime.message_stats()["messages"],
-        "exits": [now.hex() for now, _ in results],
+        "exits": [now for now, _ in results],
         "order": order,
-        "results": _digest([result for _, result in results]),
+        "results": locks.digest([result for _, result in results]),
         "jobs": [p.jobs for p in progress],
-        "busy": [p.busy_time.hex() for p in progress],
+        "busy": [p.busy_time for p in progress],
     }
     if rec is not None:
-        rec.detach()
-        out["obs"] = obs_digest(rec)
+        out["obs"] = locks.obs_digest(rec)
     return out
-
-
-def fixture() -> dict:
-    return json.loads(FIXTURE.read_text())
-
-
-def test_fixture_covers_the_cases():
-    assert sorted(fixture()) == sorted(cases())
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("group", ["coll/shaheen2-2x2", "coll/shaheen2-8x4",
                                    "coll/gpu_pod", "crafted", "p2p"])
 def test_lifecycle_is_pinned(mode, group):
-    want = fixture()
-    prefix = f"{mode}/{group}/"
-    diffs = []
-    for key in cases():
-        if key.startswith(prefix):
-            got = run_case(key)
-            if got != want[key]:
-                diffs.append(f"  {key}: expected {want[key]!r}, got {got!r}")
-    assert not diffs, "message lifecycle moved:\n" + "\n".join(diffs)
-
-
-def main() -> int:
-    lock = {key: run_case(key) for key in cases()}
-    lines = (f"{json.dumps(k)}: {json.dumps(lock[k])}" for k in sorted(lock))
-    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {FIXTURE} ({len(lock)} cases)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    locks.check("lifecycle", f"{mode}/{group}/")

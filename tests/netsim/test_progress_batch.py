@@ -1,13 +1,14 @@
-"""Bit-identity of the batched ProgressServer entry points.
+"""Bit-identity of ``ProgressServer``'s other entry points with ``request``.
 
-``request_call`` and ``request_burst`` exist purely as faster spellings
-of ``request``: a caller switching between them must see the exact same
-schedule, double for double.  The burst path is the risky one — its
-grant math resolves in one vectorized accumulate, and only an
-accumulate *seeded with the start instant* reproduces the per-call
-rounding sequence (``start + cumsum(d)`` drifts by an ulp almost
-immediately); these tests pin that contract against the scalar
-reference.
+``request_call`` and ``request_burst`` must give the exact schedule a
+loop of ``request`` calls gives, double for double: grant instants,
+``busy_time``, ``jobs`` and the busy horizon.  ``request_call`` takes
+its own grant path and is held to ``request`` on random durations with
+zeros mixed in.  ``request_burst`` is a negative-duration check followed
+by one ``request`` per duration, and these tests pin that it stays so:
+equal to the loop at t = 0 and after an idle gap, one overhead-hook
+call per job in order, nothing queued for an empty burst, and a
+``ValueError`` for a burst holding a negative duration.
 """
 
 from __future__ import annotations

@@ -15,21 +15,21 @@ canonical JSON against a committed fixture:
   a crafted run store holding a warn dip, an error dip and a broken
   composition.
 
-Every time in it is positive and finite.  Nothing here simulates, so
-the lock runs in about two seconds.  Regenerate the fixture only for an
-intended change of a guideline document::
-
-    PYTHONPATH=src python -m tests.obs.test_guideline_lock
+Every time in it is positive and finite.  Each document is one case,
+``<part>/<name>`` or ``<part>/<list>/<index>``.  Nothing here simulates,
+so all documents are made once per process, in about two seconds.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
-FIXTURE = Path(__file__).resolve().parent / "guideline_lock.json"
+from tests import locks
 
 KiB, MiB = 1024, 1024 * 1024
 
@@ -252,43 +252,49 @@ def run_fleet(tmp_dir: Path) -> dict:
     }
 
 
-def compute_lock(tmp_dir: Path) -> dict:
-    return {
-        "serve": run_serve_scenarios(),
-        "decide_batch": run_decide_batch(),
-        "insights": run_measured_insights(),
-        "fleet": run_fleet(tmp_dir),
-    }
+@functools.cache
+def documents() -> dict:
+    """Case id -> canonical JSON document, for every part of the lock."""
+    out = {f"serve/{name}": doc for name, doc in run_serve_scenarios().items()}
+    out.update((f"decide_batch/{i}", doc)
+               for i, doc in enumerate(run_decide_batch()))
+    with tempfile.TemporaryDirectory() as tmp:
+        lists = {"insights": run_measured_insights(),
+                 "fleet": run_fleet(Path(tmp))}
+    for part, docs in lists.items():
+        for name, items in docs.items():
+            out.update((f"{part}/{name}/{i}", doc)
+                       for i, doc in enumerate(items))
+    return out
+
+
+def cases() -> list[str]:
+    return list(documents())
+
+
+def run_case(key: str) -> str:
+    return documents()[key]
 
 
 # -- the tests ----------------------------------------------------------------------
 
 
-def _fixture() -> dict:
-    return json.loads(FIXTURE.read_text())
+def _pinned(part: str) -> list:
+    """The documents of ``part`` in the fixture, in case order."""
+    docs = locks.fixture("guideline")
+    return [json.loads(docs[key]) for key in cases()
+            if key.startswith(part + "/")]
 
 
-def _diff(got: dict, want: dict) -> list[str]:
-    return [f"  {k}:\n    expected {want.get(k)}\n    got      {got.get(k)}"
-            for k in sorted(set(got) | set(want))
-            if got.get(k) != want.get(k)]
-
-
-def test_serve_scenarios_are_pinned():
-    diffs = _diff(run_serve_scenarios(), _fixture()["serve"])
-    assert not diffs, "verdict documents moved:\n" + "\n".join(diffs)
-
-
-def test_decide_batch_is_pinned():
-    got, want = run_decide_batch(), _fixture()["decide_batch"]
-    assert len(got) == len(want) == 10
-    diffs = [f"  query {i}:\n    expected {w}\n    got      {g}"
-             for i, (g, w) in enumerate(zip(got, want)) if g != w]
-    assert not diffs, "served decisions moved:\n" + "\n".join(diffs)
+@pytest.mark.parametrize("part", ("serve", "decide_batch", "insights",
+                                  "fleet"))
+def test_documents_are_pinned(part):
+    locks.check("guideline", part + "/")
 
 
 def test_decide_batch_covers_every_provenance():
-    docs = [json.loads(d) for d in _fixture()["decide_batch"]]
+    docs = _pinned("decide_batch")
+    assert len(docs) == 10
     assert {d["provenance"] for d in docs} == {
         "exact", "nearest", "interpolated", "default"}
     assert sum(d["refused"] for d in docs) == 1
@@ -296,40 +302,9 @@ def test_decide_batch_covers_every_provenance():
     assert grades == {"ok", "warn", "error"}
 
 
-def test_measured_insights_are_pinned():
-    diffs = _diff(run_measured_insights(), _fixture()["insights"])
-    assert not diffs, "insight documents moved:\n" + "\n".join(diffs)
-
-
-def test_fleet_findings_are_pinned(tmp_path):
-    got, want = run_fleet(tmp_path), _fixture()["fleet"]
-    diffs = _diff(got, want)
-    assert not diffs, "fleet documents moved:\n" + "\n".join(diffs)
-
-
 def test_fleet_findings_cover_warn_error_and_composition():
-    findings = [json.loads(f) for f in _fixture()["fleet"]["findings"]]
+    findings = _pinned("fleet/findings")
     grades = {f["grade"] for f in findings if f["kind"] == "guideline"}
     assert grades == {"warn", "error"}
     assert any(f["name"].startswith("allreduce<= reduce+bcast @1M")
                for f in findings)
-
-
-@pytest.mark.parametrize("part", ("serve", "decide_batch", "insights",
-                                  "fleet"))
-def test_fixture_has_every_part(part):
-    assert _fixture()[part]
-
-
-def main() -> int:
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        doc = compute_lock(Path(tmp))
-    FIXTURE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

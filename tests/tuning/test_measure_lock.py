@@ -15,24 +15,17 @@ Two things are locked against a committed fixture:
 
 Every case starts from a cleared fill memo (which also drops the start
 gate's barrier schedules), so the event counts do not depend on test
-order.  The simulator is deterministic and the fixture stores floats
-verbatim, so every comparison is exact.
-
-When a timing-model change is intentional, regenerate the fixture::
-
-    PYTHONPATH=src python -m tests.tuning.test_measure_lock
+order.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
-FIXTURE = Path(__file__).resolve().parent / "measure_lock.json"
+from tests import locks
 
 KiB = 1024
 MACHINES = ("shaheen2", "gpu_pod")
@@ -55,8 +48,8 @@ def _setup(machine: str):
 
 
 def cases() -> list[str]:
-    """Every case key: ``machine/coll/root``."""
-    keys = []
+    """Every case key: ``machine/coll/root``, and ``cli_sample``."""
+    keys = ["cli_sample"]
     for machine in MACHINES:
         for coll in ROOTED:
             keys += [f"{machine}/{coll}/0", f"{machine}/{coll}/{OFF_ROOT}"]
@@ -64,25 +57,23 @@ def cases() -> list[str]:
     return keys
 
 
-def run_case(key: str) -> list:
-    """``[time, per_rank, sim_cost, events]`` of one measurement."""
+def run_case(key: str) -> dict:
+    """The headline ``time``, ``per_rank``, ``sim_cost`` and engine
+    ``events`` of one measurement, or the CLI sample run."""
     from repro.sim.engine import Engine
     from repro.sim.fluid import clear_fill_memo
     from repro.tuning.measure import measure_collective
 
+    if key == "cli_sample":
+        with tempfile.TemporaryDirectory() as tmp:
+            return run_cli_sample(Path(tmp))
     machine, coll, root = key.split("/")
     spec, config = _setup(machine)
     clear_fill_memo()
     events = Engine.events_total
     meas = measure_collective(spec, coll, NBYTES, config, root=int(root))
-    return [meas.time, list(meas.per_rank), meas.sim_cost,
-            Engine.events_total - events]
-
-
-def _digest(items) -> str:
-    rows = [dataclasses.astuple(item) for item in items]
-    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return {"time": meas.time, "per_rank": meas.per_rank,
+            "sim_cost": meas.sim_cost, "events": Engine.events_total - events}
 
 
 def run_cli_sample(tmp_dir: Path) -> dict:
@@ -102,49 +93,14 @@ def run_cli_sample(tmp_dir: Path) -> dict:
     return {
         "meta": record.meta,
         "metrics": record.metrics,
-        "spans": [len(record.spans), _digest(record.spans)],
-        "messages": [len(record.messages), _digest(record.messages)],
+        "spans": [len(record.spans), locks.digest(record.spans)],
+        "messages": [len(record.messages), locks.digest(record.messages)],
     }
 
 
-def compute_lock(tmp_dir: Path) -> dict:
-    return {
-        "measure": {key: run_case(key) for key in cases()},
-        "cli_sample": run_cli_sample(tmp_dir),
-    }
-
-
-def _fixture() -> dict:
-    return json.loads(FIXTURE.read_text())
-
-
-def _norm(value):
-    """JSON round trip: tuples become lists, as in the fixture."""
-    return json.loads(json.dumps(value))
-
-
-def test_fixture_covers_the_grid():
-    assert sorted(_fixture()["measure"]) == sorted(cases())
-    assert len(cases()) == 26
-
-
-@pytest.mark.parametrize("machine", MACHINES)
-def test_measurements_are_pinned(machine):
-    want = _fixture()["measure"]
-    diffs = []
-    for key in cases():
-        if key.startswith(machine + "/"):
-            got = run_case(key)
-            if got != want[key]:
-                diffs.append(f"  {key}: expected {want[key]!r}, got {got!r}")
-    assert not diffs, "measurements moved:\n" + "\n".join(diffs)
-
-
-def test_cli_sample_record_is_pinned(tmp_path):
-    got = _norm(run_cli_sample(tmp_path))
-    want = _fixture()["cli_sample"]
-    for part in ("meta", "metrics", "spans", "messages"):
-        assert got[part] == want[part], f"cli sample {part} moved"
+@pytest.mark.parametrize("part", [*MACHINES, "cli_sample"])
+def test_measurements_are_pinned(part):
+    locks.check("measure", part)
 
 
 def _by_hand(spec, config, coll: str, root: int) -> tuple:
@@ -189,23 +145,3 @@ def test_adapt_barrier_measures():
     libnbc = measure_collective(spec, "barrier", 0, HanConfig(fs=None))
     assert adapt.time > 0
     assert adapt.per_rank == libnbc.per_rank
-
-
-def main() -> int:
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        doc = _norm(compute_lock(Path(tmp)))
-    measure = doc["measure"]
-    lines = (f"    {json.dumps(k)}: {json.dumps(measure[k])}"
-             for k in sorted(measure))
-    FIXTURE.write_text(
-        '{\n  "measure": {\n' + ",\n".join(lines) + "\n  },\n"
-        f'  "cli_sample": {json.dumps(doc["cli_sample"], sort_keys=True)}\n}}\n'
-    )
-    print(f"wrote {FIXTURE} ({len(measure)} cases + the cli sample)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
